@@ -41,7 +41,6 @@ from .kirchhoff import (
     IntPolynomial,
     PolynomialError,
     cycle_form,
-    eval_poly,
     inverse_decay_check,
     psi_det,
     psi_from_graph,
@@ -94,7 +93,6 @@ __all__ = [
     "decimal6",
     "delete_edges",
     "density",
-    "eval_poly",
     "fundamental_cycle_basis",
     "genus",
     "in_scaled_polytope",

@@ -102,6 +102,11 @@ def component_count(g: Multigraph, removed_edges=frozenset()) -> int:
     return _component_count(g.vertices, g.edges, frozenset(removed_edges))
 
 
+def _is_json_int(x) -> bool:
+    """A JSON integer: an int that is not a bool (JSON true/false)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json_dict(data) -> Multigraph:
     """Build a graph from {"vertices": [{"id", "genus"}], "edges": [[t, h]]}.
 
@@ -118,16 +123,20 @@ def from_json_dict(data) -> Multigraph:
     for k, pair in enumerate(raw_edges):
         if not isinstance(pair, list) or len(pair) != 2:
             raise GraphError(f"edge {k} is not a [tail, head] pair")
-        t, h = pair
-        if not isinstance(t, int) or not isinstance(h, int):
+        if not all(_is_json_int(x) for x in pair):
             raise GraphError(f"edge {k} has non-integer endpoints")
-        edges.append((t, h))
+        edges.append(tuple(pair))
     if "vertices" in data and data["vertices"] is not None:
         vertices = []
         for entry in data["vertices"]:
             if not isinstance(entry, dict) or "id" not in entry:
                 raise GraphError("vertex entries must be objects with an 'id'")
-            vertices.append((entry["id"], entry.get("genus", 0)))
+            vid, gen = entry["id"], entry.get("genus", 0)
+            if not _is_json_int(vid):
+                raise GraphError(f"vertex id {vid!r} is not an integer")
+            if not _is_json_int(gen):
+                raise GraphError(f"vertex {vid} has non-integer genus {gen!r}")
+            vertices.append((vid, gen))
     else:
         vertices = [(v, 0) for v in sorted({v for e in edges for v in e})]
     return Multigraph(tuple(vertices), tuple(edges))

@@ -367,11 +367,6 @@ def psi_from_graph(g: Multigraph) -> tuple[IntPolynomial, IntPolynomial]:
     return psi_det(form), psi_trees(g)
 
 
-def eval_poly(p: IntPolynomial, point) -> float:
-    """Evaluate p at a real point (length must equal the variable count)."""
-    return p.evaluate(point)
-
-
 def inverse_decay_check(form: CycleForm, direction, t_grid) -> list[float]:
     """Max absolute entry of the inverse cycle form along a positive ray.
 

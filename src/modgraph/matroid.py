@@ -1,19 +1,25 @@
 """Cographic matroid rank oracle, density and polytope certificates.
 
 The matroid lives on the edge set of a connected bridgeless multigraph;
-its bases are the complements of spanning trees.  Everything here runs in
-exact rational arithmetic: the maximal density m, the maximal attaining
-set T0, the scaled-base-polytope membership test, the iterative witness
-construction, and an independent covering-LP oracle for the same constant.
-
-Subset scans are exhaustive with a hard cap of 20 edges; correctness
-certificates matter more than asymptotic speed at desk scale.
+its bases are the complements of spanning trees.  The maximal density m,
+the maximal attaining set T0, the scaled-base-polytope membership test and
+the iterative witness construction are exhaustive scans over all 2^e edge
+bitmasks, capped at 20 edges.  Each scan is an exact integer numpy kernel:
+ranks are small ints, the witness runs on int64 values scaled by the
+density denominator q (every coordinate lies in (1/q)Z for m = p/q), and
+the membership test scales by the lcm of its denominators, switching to
+Python ints (object arrays) where magnitudes could pass 2^62.  Results
+leave the module as Python ints and Fractions.  An independent
+covering-LP oracle computes the same constant in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import simplex
 from .graphs import Multigraph, betti, bridges, spanning_trees
@@ -59,7 +65,7 @@ class CographicMatroid:
         self._ends = [(index[t], index[h]) for t, h in graph.edges]
         self._n_vertices = graph.n_vertices
         self.full_rank = betti(graph)
-        self._rank_table: list[int] | None = None
+        self._rank_table: np.ndarray | None = None
 
     def corank(self, subset) -> int:
         """Matroid rank of an edge subset: |S| - (components(G - S) - 1)."""
@@ -68,35 +74,33 @@ class CographicMatroid:
             if not 0 <= eid < self.n_edges:
                 raise MatroidError(f"edge id {eid} outside the ground set")
             mask |= 1 << eid
-        return self._rank_mask(mask)
+        return int(self.rank_table()[mask])
 
-    def _rank_mask(self, mask: int) -> int:
-        n = self._n_vertices
-        parent = list(range(n))
+    def rank_table(self) -> np.ndarray:
+        """Rank of every subset, indexed by bitmask; built once per matroid.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n
-        size = 0
-        for eid, (a, b) in enumerate(self._ends):
-            if mask >> eid & 1:
-                size += 1
-                continue
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return size - (comps - 1)
-
-    def rank_table(self) -> list[int]:
-        """Rank of every subset, indexed by bitmask; built once per matroid."""
+        A read-only int64 array.  comps[T], the component count of the
+        spanning subgraph with edge set T, grows one edge at a time: masks
+        [2^k, 2^(k+1)) copy the vertex labels of masks [0, 2^k) and merge
+        the endpoints of edge k.  Then rk(S) = |S| - comps[E - S] + 1.
+        """
         if self._rank_table is None:
-            _check_size(self.n_edges)
-            self._rank_table = [self._rank_mask(m) for m in range(1 << self.n_edges)]
+            e = self.n_edges
+            _check_size(e)
+            n = self._n_vertices  # <= e <= 20 for a bridgeless graph
+            vertices = np.arange(n, dtype=np.uint8)
+            labels = np.empty((1 << e, n), dtype=np.uint8)
+            labels[0] = vertices
+            for k, (a, b) in enumerate(self._ends):
+                old, new = labels[: 1 << k], labels[1 << k: 2 << k]
+                new[...] = old
+                np.copyto(new, old[:, a:a + 1], where=new == old[:, b:b + 1])
+            # A component's label is one of its vertices, which keeps it.
+            comps = (labels == vertices).sum(axis=1)
+            del labels
+            rank = _subset_sums([1] * e, np.int64) - comps[::-1] + 1
+            rank.flags.writeable = False
+            self._rank_table = rank
         return self._rank_table
 
 
@@ -110,6 +114,19 @@ def _check_size(e: int):
         raise MatroidError("empty ground set")
 
 
+def _subset_sums(values, dtype) -> np.ndarray:
+    """phi[S] = sum of values[i] over the bits i of S, for every bitmask S."""
+    phi = np.zeros(1 << len(values), dtype=dtype)
+    for k, x in enumerate(values):
+        phi[1 << k: 2 << k] = phi[: 1 << k] + x
+    return phi
+
+
+def _union(selected: np.ndarray) -> int:
+    """Bitwise OR of the masks where `selected` holds."""
+    return int(np.bitwise_or.reduce(np.flatnonzero(selected)))
+
+
 def density(matroid: CographicMatroid) -> DensityCertificate:
     """Maximal density m = max |S|/rk(S) and the union T0 of all maximizers.
 
@@ -119,35 +136,21 @@ def density(matroid: CographicMatroid) -> DensityCertificate:
     e = matroid.n_edges
     _check_size(e)
     rank = matroid.rank_table()
-    # Pass 1: the maximum as an exact fraction p/q.
+    sizes = _subset_sums([1] * e, np.int64)
+    # The maximum as an exact fraction p/q: the largest |S| at each rank.
     p, q = 0, 1
-    for mask in range(1, 1 << e):
-        size = mask.bit_count()
-        rk = rank[mask]
-        # size/rk > p/q without Fraction overhead
+    for rk in range(1, matroid.full_rank + 1):
+        size = int(sizes[rank == rk].max())
         if size * q > p * rk:
             p, q = size, rk
     m = Fraction(p, q)
-    # Pass 2: union of all maximizers.
-    t0_mask = 0
-    for mask in range(1, 1 << e):
-        if mask.bit_count() * q == p * rank[mask]:
-            t0_mask |= mask
+    t0_mask = _union(sizes * q == p * rank)
     t0 = frozenset(i for i in range(e) if t0_mask >> i & 1)
-    if len(t0) * q != p * rank[t0_mask]:
+    if len(t0) * q != p * int(rank[t0_mask]):
         raise CertificateError(
             "union of density maximizers fails to attain the maximum"
         )
     return DensityCertificate(m=m, t0=t0)
-
-
-def _phi_table(w: list[Fraction], e: int) -> list[Fraction]:
-    """Coordinate sums over every subset, by subset-sum DP."""
-    phi = [Fraction(0)] * (1 << e)
-    for mask in range(1, 1 << e):
-        low = mask & -mask
-        phi[mask] = phi[mask ^ low] + w[low.bit_length() - 1]
-    return phi
 
 
 def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
@@ -160,15 +163,19 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
         raise MatroidError("weight vector length must equal the edge count")
     t = Fraction(t)
     rank = matroid.rank_table()
-    phi = _phi_table(w, e)
+    # Scale everything by the lcm of the denominators: exact integers.
+    scale = math.lcm(t.denominator, *(x.denominator for x in w))
+    ints = [x.numerator * (scale // x.denominator) for x in w]
+    cap = t.numerator * (scale // t.denominator)
+    # Every partial sum and every cap * rk(S) is at most `bound` in size.
+    bound = max(sum(abs(x) for x in ints), abs(cap) * e)
+    dtype = np.int64 if bound < 1 << 62 else object
+    phi = _subset_sums(ints, dtype)
+    limit = rank.astype(dtype) * cap
     full = (1 << e) - 1
-    if phi[full] != t * rank[full]:
+    if phi[full] != limit[full]:
         return False
-    for mask in range(1, full + 1):
-        val = phi[mask]
-        if val < 0 or val > t * rank[mask]:
-            return False
-    return True
+    return bool((phi >= 0).all() and (phi <= limit).all())
 
 
 def build_witness(matroid: CographicMatroid) -> DensityCertificate:
@@ -177,27 +184,21 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     Iterative tightening: starting from the all-ones vector, repeatedly pick
     the smallest edge outside the maximal tight family and raise its
     coordinate by the largest feasible amount.  The maximal tight set grows
-    strictly, so at most e rounds occur.  The result is rechecked against
-    the polytope definition before being returned.
+    strictly, so at most e rounds occur.  The walk runs on int64 values
+    scaled by q, where m = p/q, tracking slack[S] = p*rk(S) - q*phi_S(w),
+    which stays within [0, p*e] (p <= e <= 20).
+    The result is rechecked against the polytope definition before being
+    returned.
     """
     e = matroid.n_edges
     cert = density(matroid)
     m = cert.m
-    rank = matroid.rank_table()
+    p, q = m.numerator, m.denominator
     full = (1 << e) - 1
-    target = [m * rk for rk in rank]
 
-    w = [Fraction(1)] * e
-    phi = _phi_table(w, e)
-
-    def tight_union() -> int:
-        u = 0
-        for mask in range(1, full + 1):
-            if phi[mask] == target[mask]:
-                u |= mask
-        return u
-
-    tight = tight_union()
+    w = [q] * e
+    slack = p * matroid.rank_table() - _subset_sums(w, np.int64)
+    tight = _union(slack == 0)
     if not tight:
         raise CertificateError("no tight set at the all-ones start")
     rounds = 0
@@ -206,25 +207,19 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
         if rounds > e:
             raise CertificateError("tight family stopped growing")
         ek = next(i for i in range(e) if not tight >> i & 1)
-        bit = 1 << ek
-        eps = None
-        for mask in range(1, full + 1):
-            if mask & bit:
-                slack = target[mask] - phi[mask]
-                if eps is None or slack < eps:
-                    eps = slack
-        if eps is None or eps <= 0:
+        # The masks containing edge ek, as a view of slack.
+        with_ek = slack.reshape(-1, 2, 1 << ek)[:, 1, :]
+        eps = int(with_ek.min())
+        if eps <= 0:
             raise CertificateError("no positive slack outside the tight family")
         w[ek] += eps
-        for mask in range(1, full + 1):
-            if mask & bit:
-                phi[mask] += eps
-        new_tight = tight_union()
+        with_ek -= eps
+        new_tight = _union(slack == 0)
         if new_tight & tight != tight or new_tight == tight:
             raise CertificateError("tight family stopped growing")
         tight = new_tight
 
-    witness = tuple(w)
+    witness = tuple(Fraction(x, q) for x in w)
     if any(x < 1 for x in witness):
         raise CertificateError("witness dropped below the all-ones floor")
     if not in_scaled_polytope(matroid, witness, m):

@@ -51,6 +51,8 @@ class ProbeConfig:
     nodes: int = 32  # Gauss-Legendre nodes per axis for quadrature
 
     def __post_init__(self):
+        if not math.isfinite(self.s) or self.s <= 0:
+            raise ValueError(f"s must be a positive finite number, got {self.s!r}")
         if self.method not in ("monte_carlo", "tensor_quadrature"):
             raise ValueError(f"unknown probe method {self.method!r}")
         grid = tuple(float(r) for r in self.r_grid)

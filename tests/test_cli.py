@@ -97,12 +97,39 @@ class TestProbe:
     def test_bridge_input_rejected(self, files, capsys):
         assert main(["probe", files["tree.txt"], "--s", "1.0"]) == 1
 
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf", "0", "-3"])
+    def test_bad_s_rejected(self, files, capsys, s):
+        assert main(["probe", files["loop.json"], f"--s={s}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: s must be a positive finite number")
+        assert err.count("\n") == 1
+
     def test_csv_rows(self, files, capsys):
         assert main(["probe", files["loop.json"], "--s", "1.0",
                      "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "R,F,stderr"
         assert len(lines) == 5  # header + one row per grid radius
+
+
+class TestGraphInput:
+    @pytest.mark.parametrize("graph, message", [
+        ({"vertices": [{"id": 0, "genus": 1.5}], "edges": [[0, 0]]},
+         "non-integer genus"),
+        ({"vertices": [{"id": 0, "genus": True}], "edges": [[0, 0]]},
+         "non-integer genus"),
+        ({"edges": [[True, False]]}, "non-integer endpoints"),
+        ({"vertices": [{"id": "a"}], "edges": [[0, 0]]}, "not an integer"),
+    ], ids=["genus-float", "genus-bool", "edge-bool", "id-string"])
+    def test_bad_json_rejected(self, tmp_path, capsys, graph, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(graph))
+        assert main(["analyze", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestSearch:

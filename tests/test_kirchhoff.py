@@ -10,7 +10,6 @@ from modgraph import (
     betti,
     cycle_basis_from_tree,
     cycle_form,
-    eval_poly,
     fundamental_cycle_basis,
     inverse_decay_check,
     make_doubled_2ngon,
@@ -72,10 +71,10 @@ class TestIntPolynomial:
 
     def test_evaluate(self):
         p = psi_trees(theta_graph())
-        assert eval_poly(p, (1.0, 1.0, 1.0)) == 3.0
-        assert eval_poly(p, (0.0, 0.0, 0.0)) == 0.0
+        assert p.evaluate((1.0, 1.0, 1.0)) == 3.0
+        assert p.evaluate((0.0, 0.0, 0.0)) == 0.0
         with pytest.raises(PolynomialError):
-            eval_poly(p, (1.0, 1.0))
+            p.evaluate((1.0, 1.0))
 
 
 class TestCycleForm:

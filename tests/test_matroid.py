@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from modgraph import (
     CographicMatroid,
     MatroidError,
+    Multigraph,
+    analyze,
     betti,
     build_witness,
     cover_lp_oracle,
@@ -15,7 +18,9 @@ from modgraph import (
     make_doubled_2ngon,
     make_ngon,
     parse_graph,
+    threshold,
 )
+from modgraph.graphs import component_count
 from modgraph.selftest import (
     double_triangle_graph,
     k4_graph,
@@ -27,6 +32,39 @@ from modgraph.selftest import (
 def all_subsets(n):
     for r in range(n + 1):
         yield from (frozenset(c) for c in itertools.combinations(range(n), r))
+
+
+def graph(n_vertices, edges):
+    return Multigraph(tuple((i, 0) for i in range(n_vertices)), tuple(edges))
+
+
+def k5_graph():
+    return graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+
+
+def wheel6_plus_chord():
+    rim = [(i, (i + 1) % 6) for i in range(6)]
+    return graph(7, rim + [(i, 6) for i in range(6)] + [(0, 3)])
+
+
+def subdivided_k4_with_loop():
+    """K4 with every edge a 3-path, plus a loop: 19 edges, 16 vertices."""
+    edges, v = [], 4
+    for a, b in itertools.combinations(range(4), 2):
+        edges += [(a, v), (v, v + 1), (v + 1, b)]
+        v += 2
+    return graph(v, edges + [(0, 0)])
+
+
+def fractional_witness_graph():
+    """Three vertices, 11 edges with loops; its witness has 4/3 entries."""
+    return graph(3, [(0, 0), (0, 2), (0, 2), (0, 1), (2, 0), (0, 0), (2, 1),
+                     (0, 2), (1, 1), (2, 1), (1, 0)])
+
+
+def rank_by_components(g, mask):
+    removed = frozenset(i for i in range(g.n_edges) if mask >> i & 1)
+    return len(removed) - component_count(g, removed) + 1
 
 
 class TestCorank:
@@ -68,6 +106,34 @@ class TestCorank:
                     assert rank[s] <= rank[sx] <= rank[s] + 1
             for s, t in itertools.product(all_subsets(e), repeat=2):
                 assert rank[s | t] + rank[s & t] <= rank[s] + rank[t]
+
+
+class TestRankTable:
+    def test_matches_component_count_every_mask(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            g = random_bridgeless_multigraph(rng, 7, 12, 10**9)
+            table = CographicMatroid(g).rank_table()
+            assert len(table) == 1 << g.n_edges
+            for mask in range(1 << g.n_edges):
+                assert table[mask] == rank_by_components(g, mask)
+
+    def test_matches_component_count_sampled_19_edges(self):
+        g = subdivided_k4_with_loop()
+        m = CographicMatroid(g)
+        table = m.rank_table()
+        assert len(table) == 1 << 19
+        rng = random.Random(71)
+        masks = [0, (1 << 19) - 1] + [rng.getrandbits(19) for _ in range(2000)]
+        for mask in masks:
+            assert table[mask] == rank_by_components(g, mask)
+        assert m.corank(range(19)) == betti(g)
+
+    def test_table_is_read_only_and_corank_is_int(self):
+        m = CographicMatroid(theta_graph())
+        with pytest.raises(ValueError):
+            m.rank_table()[1] = 5
+        assert type(m.corank({0, 1})) is int
 
 
 class TestDensity:
@@ -131,6 +197,21 @@ class TestPolytope:
         assert not in_scaled_polytope(m, (1, 1, 1), Fraction(4, 3))
 
 
+    def test_huge_denominators_stay_exact(self):
+        # scaled by 2^70 the coordinates pass 2^62, so the check runs on
+        # Python ints; a 2^-70 excess on one subset must still be caught
+        m = CographicMatroid(theta_graph())
+        d = Fraction(1, 2**70)
+        t = Fraction(3, 2)
+        assert in_scaled_polytope(m, (t, t - d, d), t)
+        assert in_scaled_polytope(m, (1 + d, 1 - d, 1), t)
+        assert not in_scaled_polytope(m, (t + d, t - d, 0), t)
+        assert not in_scaled_polytope(m, (t + d, t, -d), t)
+        assert not in_scaled_polytope(m, (1 + d, 1, 1), t)
+        assert in_scaled_polytope(m, (1, 1, 1 + d), t + d / 2)
+        assert not in_scaled_polytope(m, (1, 1, 1 + d), t)
+
+
 class TestWitness:
     def test_all_ones_families(self):
         # P_3, theta and the doubled square are tight at the start
@@ -169,6 +250,33 @@ class TestWitness:
         assert cert.m == 2  # the parallel pair {0,1} has rank 1
         assert in_scaled_polytope(m, cert.witness, cert.m)
         assert cert.witness[2] > 1  # loop coordinate had to grow
+
+
+    def test_witnesses_unchanged(self):
+        # frozen from the Fraction implementation
+        d5 = ["4", "1"] * 5 + ["1"] * 5
+        cap = ["1"] * 18 + ["6"]
+        frac = ["4/3", "1", "1", "1", "1", "4/3", "1", "1", "4/3", "1", "1"]
+        cases = [
+            (k5_graph(), "5/3", range(10), ["1"] * 10),
+            (make_doubled_2ngon(5), "5", [1, 3, 5, 7, 9], d5),
+            (wheel6_plus_chord(), "13/7", range(13), ["1"] * 13),
+            (subdivided_k4_with_loop(), "6", range(18), cap),
+            (fractional_witness_graph(), "4/3", [1, 2, 3, 4, 6, 7, 9, 10], frac),
+        ]
+        for g, c, t0, witness in cases:
+            c_found, cert = threshold(g)
+            assert str(c_found) == c
+            assert sorted(cert.t0) == list(t0)
+            assert [str(x) for x in cert.witness] == witness
+            assert all(type(x) is Fraction for x in cert.witness)
+            assert all(type(x.numerator) is int for x in cert.witness)
+
+    def test_report_is_plain_json(self):
+        g = graph(4, fractional_witness_graph().edges + ((2, 3),))
+        report = analyze(g).to_json_dict()
+        assert report["certificate"]["witness"][0] == "4/3"
+        assert json.loads(json.dumps(report)) == report
 
 
 class TestCoverLP:
