@@ -30,7 +30,7 @@ from .convergence import (
 )
 from .graphs import GraphError, parse_graph
 from .kirchhoff import psi_trees
-from .matroid import CertificateError, MatroidError
+from .matroid import MAX_GROUND_SET, CertificateError, MatroidError
 from .probe import DEFAULT_GRID, DEFAULT_SEED, ProbeConfig, truncated_J
 from .selftest import run_selftest
 
@@ -199,6 +199,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_families(args) -> int:
+    n_edges = args.ngon if args.ngon is not None else 3 * args.doubled
+    if n_edges > MAX_GROUND_SET:
+        sys.stderr.write(
+            f"error: the family graph would have {n_edges} edges; at most "
+            f"{MAX_GROUND_SET} are supported\n"
+        )
+        return EXIT_INPUT
     try:
         if args.ngon is not None:
             g = make_ngon(args.ngon)

@@ -9,12 +9,12 @@ maximal density-attaining set and rechecked exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
     Multigraph,
+    _cycle_columns,
     betti,
     bridges,
     contract_edges,
@@ -116,89 +116,45 @@ def optimal_contraction(g: Multigraph) -> tuple[frozenset[int], Multigraph]:
 # Witness search
 
 
-def _series_classes(ends, n_vertices, n_edges) -> list[list[int]]:
+def _series_classes(cols) -> list[list[int]]:
     """Partition edges into cographic parallel classes ({e, f} a 2-cut).
 
-    Input graph must be connected and bridgeless, so parallelism is an
-    equivalence relation and every class has matroid rank 1.
+    `cols` are the cycle columns of a connected bridgeless graph.  Two of
+    its edges form a 2-cut exactly when their columns are equal, so the
+    classes are the groups of equal columns, listed by smallest edge id;
+    every class has matroid rank 1.
     """
-
-    def comps_without(skip_a: int, skip_b: int) -> int:
-        parent = list(range(n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n_vertices
-        for eid, (a, b) in enumerate(ends):
-            if eid == skip_a or eid == skip_b:
-                continue
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps
-
-    assigned = [-1] * n_edges
-    classes: list[list[int]] = []
-    for i in range(n_edges):
-        if assigned[i] >= 0:
-            continue
-        cls = [i]
-        assigned[i] = len(classes)
-        for j in range(i + 1, n_edges):
-            if assigned[j] < 0 and comps_without(i, j) > 1:
-                cls.append(j)
-                assigned[j] = assigned[i]
-        classes.append(cls)
-    return classes
+    groups: dict[int, list[int]] = {}
+    for eid, col in enumerate(cols):
+        groups.setdefault(col, []).append(eid)
+    return list(groups.values())
 
 
-def _rank_of_mask(ends, n_vertices, mask: int) -> int:
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n_vertices
-    size = 0
-    for eid, (a, b) in enumerate(ends):
-        if mask >> eid & 1:
-            size += 1
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return size - (comps - 1)
-
-
-def _density_reaches(ends, n_vertices, n_edges, target: Fraction,
+def _density_reaches(ends, n_vertices, cols, target: Fraction,
                      min_valence_3: bool) -> bool:
     """Exact decision: does some nonempty S have |S| >= target * rank(S)?
 
-    Every density maximizer extends to a flat, flats are unions of series
-    classes, and (for target > 1) a maximizer never contains a graph loop.
+    `cols` are the cycle columns of the connected bridgeless graph `ends`,
+    and rank(S) is the GF(2) rank of the columns in S.  Every density
+    maximizer extends to a flat, flats are unions of series classes, and
+    (for target > 1) a maximizer never contains a graph loop.
     Under minimum valence 3 a loop-free flat of rank k with >= target*k
     edges forces comp(G - S) <= v/2 + |S|/3 in a loopless graph, hence
     k <= (3v - 6)/(4*target - 6); graphs with loops get the weaker bound
     k <= (v - 2)/(target - 2) (single-vertex components may keep loops and
     pay only their >= 2 non-loop endpoints, which bridgelessness forces).
-    This keeps the decision cheap at 14-15 edges, where full subset scans
-    would dominate the search.
+    For k <= 3 the flats spanned by at most k class vectors are weighed
+    directly; otherwise every union of series classes is scanned, its
+    weight and GF(2) rank carried over from a union with one class fewer.
     """
     p, q = target.numerator, target.denominator
-    classes = _series_classes(ends, n_vertices, n_edges)
+    classes = _series_classes(cols)
     sizes = [len(c) for c in classes]
     if max(sizes) * q >= p:
         return True
+    vecs = [cols[c[0]] for c in classes]
     ncls = len(classes)
+    n_edges = len(cols)
 
     if min_valence_3:
         has_loop = any(a == b for a, b in ends)
@@ -213,46 +169,42 @@ def _density_reaches(ends, n_vertices, n_edges, target: Fraction,
             if k_bound <= 1:
                 return False
             if k_bound <= 3:
-                reps = [c[0] for c in classes]
-                for k in range(2, min(k_bound, ncls) + 1):
-                    for combo in itertools.combinations(range(ncls), k):
-                        base = 0
-                        for c in combo:
-                            base |= 1 << reps[c]
-                        if _rank_of_mask(ends, n_vertices, base) != k:
+                # Flats spanned by up to k_bound independent class vectors:
+                # each new vector's coset brings the classes it holds.
+                size_of = dict(zip(vecs, sizes))
+                stack = [(0, [0], 0)]
+                while stack:
+                    start, span, weight = stack.pop()
+                    rank = len(span).bit_length()  # after adding one vector
+                    for c in range(start, ncls):
+                        vec = vecs[c]
+                        if vec in span:
                             continue
-                        weight = 0
-                        for c in range(ncls):
-                            probe = base | (1 << reps[c])
-                            if _rank_of_mask(ends, n_vertices, probe) == k:
-                                weight += sizes[c]
-                        if weight * q >= p * k:
+                        coset = [x ^ vec for x in span]
+                        w = weight + sum(size_of.get(x, 0) for x in coset)
+                        if w * q >= p * rank:
                             return True
+                        if rank < k_bound:
+                            stack.append((c + 1, span + coset, w))
                 return False
 
-    if ncls <= 13:
-        # Weighted scan over unions of series classes: exact, since every
-        # maximizer is such a union.
-        masks = []
-        for cls in classes:
-            m = 0
-            for eid in cls:
-                m |= 1 << eid
-            masks.append(m)
-        for sub in range(1, 1 << ncls):
-            union = 0
-            weight = 0
-            for c in range(ncls):
-                if sub >> c & 1:
-                    union |= masks[c]
-                    weight += sizes[c]
-            if weight * q >= p * _rank_of_mask(ends, n_vertices, union):
+    # Weighted scan over unions of series classes: exact, since every
+    # maximizer is such a union.  A union extends the one without its
+    # lowest class by that class's vector, reduced against the smaller
+    # union's basis (each basis vector is zero at the leading bits of the
+    # earlier ones, so min(x, x ^ b) clears b's leading bit).
+    stack = [(ncls, 0, ())]
+    while stack:
+        limit, weight, basis = stack.pop()
+        for c in range(limit):
+            w = weight + sizes[c]
+            vec = vecs[c]
+            for b in basis:
+                vec = min(vec, vec ^ b)
+            grown = basis + (vec,) if vec else basis
+            if w * q >= p * len(grown):
                 return True
-        return False
-
-    for mask in range(1, 1 << n_edges):
-        if mask.bit_count() * q >= p * _rank_of_mask(ends, n_vertices, mask):
-            return True
+            stack.append((c, w, grown))
     return False
 
 
@@ -307,48 +259,14 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3):
     yield from rec(0, 0, 0)
 
 
-def _connected(ends, n_vertices) -> bool:
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n_vertices
-    for a, b in ends:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
+def _connected(ends, n_vertices) -> list[int] | None:
+    """Cycle columns of a candidate, or None when it is disconnected."""
+    return _cycle_columns(ends, n_vertices)
 
 
-def _is_bridgeless(ends, n_vertices) -> bool:
-    for skip in range(len(ends)):
-        a0, b0 = ends[skip]
-        if a0 == b0:
-            continue
-        parent = list(range(n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n_vertices
-        for eid, (a, b) in enumerate(ends):
-            if eid == skip:
-                continue
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        if comps > 1:
-            return False
-    return True
+def _is_bridgeless(cols) -> bool:
+    """No zero cycle column: every edge lies on a cycle."""
+    return all(cols)
 
 
 def _fingerprint(g: Multigraph, psi: IntPolynomial):
@@ -389,11 +307,12 @@ def search_divergent(
         if 3 * v > 2 * e:
             continue  # minimum valence 3 unreachable
         for ends in _gen_edge_lists(v, e):
-            if not _connected(ends, v):
+            cols = _connected(ends, v)
+            if cols is None:
                 continue
-            if not _is_bridgeless(ends, v):
+            if not _is_bridgeless(cols):
                 continue
-            if not _density_reaches(ends, v, e, target, min_valence_3=True):
+            if not _density_reaches(ends, v, cols, target, min_valence_3=True):
                 continue
             g = Multigraph(tuple((i, 0) for i in range(v)), ends)
             cert = density(CographicMatroid(g))

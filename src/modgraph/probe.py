@@ -225,6 +225,12 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
         values.append(run)
         stderrs.append(math.sqrt(var_run))
     increments = tuple(piece[1:])
+    if any(inc == 0.0 for inc in increments):
+        # the integrand is positive, so a zero shell is float underflow
+        raise ValueError(
+            f"the increments of F underflow to 0.0 at s = {cfg.s!r}; "
+            "the probe cannot resolve growth at this s"
+        )
     inc_errs = tuple(math.sqrt(v) for v in piece_var[1:])
     ratios = tuple(
         increments[i + 1] / increments[i] for i in range(len(increments) - 1)

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -107,6 +108,14 @@ class TestProbe:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: s must be a positive finite number")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("s", ["200", "1e308"])
+    def test_underflowing_s_rejected(self, files, capsys, s):
+        assert main(["probe", files["p3.txt"], "--s", s]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the increments of F underflow to 0.0")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("radius", ["inf", "nan"])
@@ -242,6 +251,22 @@ class TestFamilies:
 
     def test_doubled_zero_exit_one(self, capsys):
         assert main(["families", "--doubled", "0"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--ngon", "20"], ["--doubled", "6"]])
+    def test_at_edge_cap(self, capsys, argv):
+        assert main(["families", *argv]) == 0
+        assert len(json.loads(capsys.readouterr().out)["edges"]) <= 20
+
+    @pytest.mark.parametrize("argv", [["--ngon", "21"], ["--doubled", "7"],
+                                      ["--ngon", "100000000"]])
+    def test_over_edge_cap_exit_one(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(["families", *argv]) == 1
+        assert time.perf_counter() - start < 5.0  # rejected before building
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the family graph would have")
+        assert err.count("\n") == 1
 
     def test_roundtrips_through_analyze(self, tmp_path, capsys):
         main(["families", "--doubled", "3"])

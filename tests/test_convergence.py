@@ -26,6 +26,7 @@ from modgraph.convergence import (
     _density_reaches,
     _gen_edge_lists,
     _is_bridgeless,
+    _series_classes,
 )
 from modgraph.graphs import Multigraph
 from modgraph.selftest import (
@@ -144,14 +145,14 @@ class TestGenerator:
             for e in range(1, 5):
                 generated = set()
                 for ends in _gen_edge_lists(v, e, min_valence=0):
-                    if _connected(ends, v):
+                    if _connected(ends, v) is not None:
                         generated.add(_canonical_form(ends, v))
                 brute = set()
                 for combo in itertools.combinations_with_replacement(pairs, e):
                     used = {x for pair in combo for x in pair}
                     if len(used) != v:
                         continue
-                    if _connected(combo, v):
+                    if _connected(combo, v) is not None:
                         brute.add(_canonical_form(combo, v))
                 assert generated == brute, (v, e)
 
@@ -185,12 +186,13 @@ class TestDensityDecision:
         for v in range(2, 5):
             for e in range(v + 1, min(v + 4, 9)):
                 for ends in _gen_edge_lists(v, e, min_valence=3):
-                    if not _connected(ends, v) or not _is_bridgeless(ends, v):
+                    cols = _connected(ends, v)
+                    if cols is None or not _is_bridgeless(cols):
                         continue
                     g = Multigraph(tuple((i, 0) for i in range(v)), ends)
                     m = density(CographicMatroid(g)).m
                     for t in (m, m + Fraction(1, 7), Fraction(3, 2), Fraction(5)):
-                        got = _density_reaches(ends, v, e, t, min_valence_3=True)
+                        got = _density_reaches(ends, v, cols, t, min_valence_3=True)
                         assert got == (m >= t), (ends, t, m)
                     cases += 1
         assert cases > 50
@@ -202,12 +204,54 @@ class TestDensityDecision:
             ends = tuple(
                 (gidx(g, t), gidx(g, h)) for t, h in g.edges
             )
+            cols = _connected(ends, g.n_vertices)
             m = density(CographicMatroid(g)).m
             for t in (m, m + 1, Fraction(1, 2)):
                 got = _density_reaches(
-                    ends, g.n_vertices, g.n_edges, t, min_valence_3=False
+                    ends, g.n_vertices, cols, t, min_valence_3=False
                 )
                 assert got == (m >= t)
+
+    def test_many_series_classes_without_valence_assumption(self):
+        # up to 15 series classes: the union scan covers every class count
+        rim = [(i, i % 7 + 1) for i in range(1, 8)]
+        wheel = tuple([(0, i) for i in range(1, 8)] + rim)  # W7, 3-connected
+        theta = ((0, 1),) * 3
+        cases = [
+            (8, wheel),  # 14 singleton classes
+            (8, wheel + ((3, 3),)),  # 15 classes
+            (1, ((0, 0),) * 14),  # bouquet of 14 loops
+            (2, theta + ((0, 0),) * 6 + ((1, 1),) * 6),  # 15 classes
+        ]
+        for v, ends in cases:
+            cols = _connected(ends, v)
+            assert len(_series_classes(cols)) > 13
+            g = Multigraph(tuple((i, 0) for i in range(v)), ends)
+            m = density(CographicMatroid(g)).m
+            for t in (m, m + Fraction(1, 7), m - Fraction(1, 7), Fraction(1, 2)):
+                got = _density_reaches(ends, v, cols, t, min_valence_3=False)
+                assert got == (m >= t), (ends, t, m)
+
+    def test_loops_in_the_small_flat_branch(self):
+        # min valence 3 with loops: targets above 2 bound the flat rank by
+        # (v - 2)/(target - 2), so flats of rank 2 and 3 are weighed directly
+        cases = 0
+        for v in range(2, 7):
+            for e in range(v + 1, v + 4):
+                for ends in _gen_edge_lists(v, e, min_valence=3):
+                    if all(a != b for a, b in ends):
+                        continue
+                    cols = _connected(ends, v)
+                    if cols is None or not _is_bridgeless(cols):
+                        continue
+                    g = Multigraph(tuple((i, 0) for i in range(v)), ends)
+                    m = density(CographicMatroid(g)).m
+                    for t in (m, m + Fraction(1, 7), Fraction(5, 2), Fraction(3),
+                              Fraction(7, 2)):
+                        got = _density_reaches(ends, v, cols, t, min_valence_3=True)
+                        assert got == (m >= t), (ends, t, m)
+                    cases += 1
+        assert cases > 100
 
 
 def gidx(g, vid):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from modgraph import (
+    CographicMatroid,
     GraphError,
     Multigraph,
     betti,
@@ -18,7 +19,9 @@ from modgraph import (
     spanning_trees,
     valences,
 )
+from modgraph.graphs import _cycle_columns, component_count
 from modgraph.selftest import (
+    random_bridgeless_multigraph,
     random_connected_multigraph,
     small_connected_multigraphs,
     theta_graph,
@@ -340,3 +343,70 @@ class TestCycleBasis:
         for row in basis.cycles:
             for vrow in inc:
                 assert sum(a * b for a, b in zip(vrow, row)) == 0
+
+
+def kernel_corpus():
+    """Every connected multigraph with <= 5 edges, then 30 seeded random
+    connected multigraphs with <= 12 edges; vertex ids are 0..v-1."""
+    yield from small_connected_multigraphs(5)
+    rng = random.Random(31)
+    for _ in range(30):
+        yield random_connected_multigraph(rng, 8, 12)
+
+
+def gf2_rank(vectors) -> int:
+    basis = []
+    for vec in vectors:
+        for b in basis:
+            vec = min(vec, vec ^ b)
+        if vec:
+            basis.append(vec)
+    return len(basis)
+
+
+class TestCycleColumns:
+    def test_zero_columns_are_bridges(self):
+        for g in kernel_corpus():
+            cols = _cycle_columns(g.edges, g.n_vertices)
+            zero = {k for k, col in enumerate(cols) if col == 0}
+            cut = {
+                eid for eid in range(g.n_edges)
+                if not g.is_loop(eid) and component_count(g, {eid}) > 1
+            }
+            assert zero == cut, g.edges
+            assert bridges(g) == cut
+
+    def test_equal_columns_are_two_cuts(self):
+        for g in kernel_corpus():
+            cols = _cycle_columns(g.edges, g.n_vertices)
+            for i in range(g.n_edges):
+                for j in range(i + 1, g.n_edges):
+                    if not cols[i] or not cols[j]:
+                        continue  # a bridge cuts with any partner
+                    two_cut = component_count(g, {i, j}) > 1
+                    assert (cols[i] == cols[j]) == two_cut, (g.edges, i, j)
+
+    def test_gf2_rank_is_cographic_rank(self):
+        rng = random.Random(37)
+        bridgeless = [
+            g for g in kernel_corpus() if betti(g) > 0 and not bridges(g)
+        ] + [random_bridgeless_multigraph(rng, 8, 12, 10**9) for _ in range(30)]
+        checked = 0
+        for g in bridgeless:
+            cols = _cycle_columns(g.edges, g.n_vertices)
+            table = CographicMatroid(g).rank_table()
+            for mask in range(1 << g.n_edges):
+                picked = [c for k, c in enumerate(cols) if mask >> k & 1]
+                assert gf2_rank(picked) == table[mask], (g.edges, mask)
+            checked += 1
+        assert checked == len(bridgeless) > 120
+
+    def test_none_exactly_when_disconnected(self):
+        for g in kernel_corpus():
+            for eid in range(g.n_edges):
+                ends = g.edges[:eid] + g.edges[eid + 1:]
+                split = component_count(g, {eid}) > 1
+                assert (_cycle_columns(ends, g.n_vertices) is None) == split
+        assert _cycle_columns((), 2) is None
+        assert _cycle_columns(((0, 0), (1, 1)), 2) is None
+        assert _cycle_columns((), 1) == []  # edgeless but connected
