@@ -40,18 +40,30 @@ EXIT_CERTIFICATE = 2
 EXIT_NO_HITS = 3
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("MODGRAPH_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"MODGRAPH_SEED must be an integer, got {raw!r}")
+class InputError(Exception):
+    """A flag or environment value is out of range."""
 
 
 class OutputError(Exception):
     """The output file cannot be written."""
+
+
+def _probe_seed(flag: int | None) -> int:
+    """The probe seed from --seed, else MODGRAPH_SEED, else the default."""
+    if flag is not None:
+        seed, source = flag, "--seed"
+    else:
+        raw = os.environ.get("MODGRAPH_SEED")
+        if raw is None:
+            return DEFAULT_SEED
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise InputError(f"MODGRAPH_SEED must be an integer, got {raw!r}") from None
+        source = "MODGRAPH_SEED"
+    if seed < 0:
+        raise InputError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _emit(text: str, out_path: str | None):
@@ -90,7 +102,7 @@ def _load_graph(path: str):
 
 
 def cmd_analyze(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _probe_seed(args.seed)  # before any analysis runs
     reports = []
     for path in args.paths:
         try:
@@ -130,12 +142,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    seed = _probe_seed(args.seed)
     try:
         g = _load_graph(args.path)
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    seed = args.seed if args.seed is not None else _env_seed()
     try:
         cfg = ProbeConfig(
             s=args.s,
@@ -222,8 +234,15 @@ def cmd_selftest(args) -> int:
     return run_selftest(quick=args.quick)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is an input error: one `error:` line and exit code 1."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modgraph",
         description=(
             "Kirchhoff polynomials, convergence thresholds with exact "
@@ -286,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OutputError as exc:
+    except (InputError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

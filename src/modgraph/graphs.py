@@ -336,9 +336,9 @@ def _canon_labels(labels) -> tuple[int, ...]:
 def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
     """All spanning trees as edge-id sets.
 
-    Recursive deletion-contraction over edge ids with memoized connectivity
-    for the deletion branch.  Output ordered lexicographically by sorted
-    edge ids; loops never belong to a tree.
+    Deletion-contraction over edge ids, depth first on an explicit stack,
+    with memoized connectivity for the deletion branch.  Output ordered
+    lexicographically by sorted edge ids; loops never belong to a tree.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     ends = [(index[t], index[h]) for t, h in g.edges]
@@ -371,25 +371,23 @@ def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
         conn_cache[key] = res
         return res
 
+    # explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle that keeps conn_cache alive until the cyclic GC
     out: list[frozenset[int]] = []
-    chosen: list[int] = []
-
-    def rec(i: int, labels: tuple[int, ...]):
+    stack = [(0, _canon_labels(tuple(range(g.n_vertices))), ())]
+    while stack:
+        i, labels, chosen = stack.pop()
         if max(labels) == 0:
             out.append(frozenset(chosen))
-            return
+            continue
         if i == e:
-            return
+            continue
+        if connects(i + 1, labels):
+            stack.append((i + 1, labels, chosen))
         a, b = labels[ends[i][0]], labels[ends[i][1]]
         if a != b:
             merged = _canon_labels(tuple(a if x == b else x for x in labels))
-            chosen.append(i)
-            rec(i + 1, merged)
-            chosen.pop()
-        if connects(i + 1, labels):
-            rec(i + 1, labels)
-
-    rec(0, _canon_labels(tuple(range(g.n_vertices))))
+            stack.append((i + 1, merged, chosen + (i,)))
     out.sort(key=lambda s: tuple(sorted(s)))
     return out
 

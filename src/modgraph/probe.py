@@ -17,6 +17,9 @@ whenever a Monte Carlo standard error exceeds 10% of its increment).
 Log-divergence drives the ratios to 1; convergent tails decay
 geometrically; the dead zone avoids overclaiming.  The thresholds are
 configuration, not truth.
+
+Monte Carlo strata keep one random stream each and are evaluated in
+bounded blocks (see _mc_region).
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .graphs import Multigraph, bridges
 from .kirchhoff import IntPolynomial, psi_trees
 
 PROBE_MAX_EDGES = 6
+# 100x the default; at this ceiling a stratum holds at most 46,296 points
+# (3 dimensions, 216 strata), so one stratum always fits in a block
+MAX_SAMPLES = 10_000_000
+# points per Monte Carlo integrand call; bounds memory whatever the samples
+BLOCK_POINTS = 1 << 16
 QUADRATURE_MAX_EDGES = 4
 DEFAULT_SEED = 53771
 DEFAULT_GRID = (
@@ -67,6 +75,13 @@ class ProbeConfig:
             raise ValueError("r_grid must be strictly increasing")
         if self.method == "monte_carlo" and self.samples < 1000:
             raise ValueError("Monte Carlo needs at least 1000 samples per box")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(
+                f"samples must be at most {MAX_SAMPLES}, got {self.samples}"
+            )
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +104,17 @@ def _term_supports(psi: IntPolynomial) -> list[tuple[int, ...]]:
 
 
 def _psi_values(supports, log_points: np.ndarray) -> np.ndarray:
-    y = np.exp(log_points)
+    # one contiguous row per variable; each term is multiplied out in place
+    # over its support, in the same order as a row-wise np.prod
+    y = log_points.T.copy()
+    np.exp(y, out=y)
     acc = np.zeros(log_points.shape[0])
-    for cols in supports:
-        acc += np.prod(y[:, cols], axis=1)
+    term = np.empty_like(acc)
+    for first, *rest in supports:
+        np.copyto(term, y[first])
+        for col in rest:
+            term *= y[col]
+        acc += term
     return acc
 
 
@@ -115,32 +137,43 @@ def _mc_region(supports, s, lo, hi, samples, seed, region_index):
     """Stratified Monte Carlo estimate of one log-coordinate box.
 
     Per-stratum seeding keeps the estimate reproducible for a given seed
-    regardless of evaluation order or worker count.
+    regardless of evaluation order or worker count.  Strata are evaluated
+    in blocks of at most BLOCK_POINTS points, one integrand call per block;
+    each stratum keeps its own stream, and its mean and variance enter the
+    totals in stratum order, so the result does not depend on the block
+    size.
     """
     dim = len(lo)
     splits = _strata_per_axis(dim)
     n_strata = splits**dim
     per = max(2, samples // n_strata)
+    block = max(1, BLOCK_POINTS // per)
     widths = [(h - l) / splits for l, h in zip(lo, hi)]
     total = 0.0
     var_total = 0.0
-    for stratum in range(n_strata):
-        cell_lo = []
-        cell_hi = []
-        idx = stratum
-        for d in range(dim):
-            k = idx % splits
-            idx //= splits
-            cell_lo.append(lo[d] + k * widths[d])
-            cell_hi.append(lo[d] + (k + 1) * widths[d])
-        vol = math.prod(h - l for l, h in zip(cell_lo, cell_hi))
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(region_index, stratum)))
-        )
-        u = rng.uniform(cell_lo, cell_hi, size=(per, dim))
-        f = _integrand(supports, s, u)
-        total += vol * float(f.mean())
-        var_total += vol * vol * float(f.var(ddof=1)) / per
+    for first in range(0, n_strata, block):
+        count = min(block, n_strata - first)
+        u = np.empty((count, per, dim))
+        vols = []
+        for i, stratum in enumerate(range(first, first + count)):
+            cell_lo = []
+            cell_hi = []
+            idx = stratum
+            for d in range(dim):
+                k = idx % splits
+                idx //= splits
+                cell_lo.append(lo[d] + k * widths[d])
+                cell_hi.append(lo[d] + (k + 1) * widths[d])
+            vols.append(math.prod(h - l for l, h in zip(cell_lo, cell_hi)))
+            seq = np.random.SeedSequence(seed, spawn_key=(region_index, stratum))
+            rng = np.random.Generator(np.random.PCG64(seq))
+            u[i] = rng.uniform(cell_lo, cell_hi, size=(per, dim))
+        f = _integrand(supports, s, u.reshape(count * per, dim)).reshape(count, per)
+        means = f.mean(axis=1).tolist()
+        variances = f.var(axis=1, ddof=1).tolist()
+        for vol, mean, var in zip(vols, means, variances):
+            total += vol * mean
+            var_total += vol * vol * var / per
     return total, math.sqrt(var_total)
 
 
@@ -155,14 +188,15 @@ def _gl_region(supports, s, lo, hi, nodes):
         mid = (hi[d] + lo[d]) / 2.0
         axes.append(mid + half * x)
         weights.append(half * w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=1)
-    f = _integrand(supports, s, u)
-    wgrid = np.meshgrid(*weights, indexing="ij")
-    wprod = np.ones_like(f)
-    for g in wgrid:
-        wprod *= g.ravel()
-    return float(np.sum(f * wprod)), 0.0
+    u = np.empty((nodes,) * dim + (dim,))
+    for d, grid in enumerate(np.meshgrid(*axes, indexing="ij", copy=False)):
+        u[..., d] = grid
+    f = _integrand(supports, s, u.reshape(-1, dim))
+    del u
+    wprod = 1.0
+    for g in np.meshgrid(*weights, indexing="ij", sparse=True):
+        wprod = wprod * g
+    return float(np.sum(f * wprod.ravel())), 0.0
 
 
 def _shell_slabs(inner: float, outer: float, dim: int):
@@ -188,6 +222,8 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
     if bridges(g):
         raise ValueError("probe needs a bridgeless graph; contract bridges first")
     e = g.n_edges
+    if e == 0:
+        raise ValueError("probe needs at least one edge")
     if e > PROBE_MAX_EDGES:
         raise ValueError(f"probe supports at most {PROBE_MAX_EDGES} edges, got {e}")
     if cfg.method == "tensor_quadrature" and e > QUADRATURE_MAX_EDGES:

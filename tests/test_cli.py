@@ -110,6 +110,80 @@ class TestProbe:
         assert err.startswith("error: s must be a positive finite number")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,env,message", [
+        pytest.param(["analyze", "p3.txt", "--probe", "--seed", "-1"], None,
+                     "--seed must be a non-negative integer, got -1",
+                     id="analyze-flag-negative"),
+        pytest.param(["analyze", "p3.txt", "--probe"], "-5",
+                     "MODGRAPH_SEED must be a non-negative integer, got -5",
+                     id="analyze-env-negative"),
+        pytest.param(["analyze", "p3.txt", "--probe"], "abc",
+                     "MODGRAPH_SEED must be an integer, got 'abc'",
+                     id="analyze-env-text"),
+        pytest.param(["analyze", "p3.txt"], "abc",
+                     "MODGRAPH_SEED must be an integer, got 'abc'",
+                     id="analyze-no-probe-env-text"),
+        pytest.param(["probe", "p3.txt", "--s", "3", "--seed", "-1"], None,
+                     "--seed must be a non-negative integer, got -1",
+                     id="probe-flag-negative"),
+        pytest.param(["probe", "p3.txt", "--s", "3"], "-5",
+                     "MODGRAPH_SEED must be a non-negative integer, got -5",
+                     id="probe-env-negative"),
+        pytest.param(["probe", "p3.txt", "--s", "3"], "abc",
+                     "MODGRAPH_SEED must be an integer, got 'abc'",
+                     id="probe-env-text"),
+    ])
+    def test_bad_seed_rejected(self, files, capsys, monkeypatch, argv, env, message):
+        if env is None:
+            monkeypatch.delenv("MODGRAPH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MODGRAPH_SEED", env)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the seed is checked before any analysis")
+
+        monkeypatch.setattr("modgraph.cli.analyze", no_work)
+        monkeypatch.setattr("modgraph.cli.truncated_J", no_work)
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["analyze", "p3.txt", "--probe", "--seed", "1.5"],
+                     "argument --seed: invalid int value: '1.5'", id="analyze-seed"),
+        pytest.param(["probe", "p3.txt", "--s", "3", "--seed", "abc"],
+                     "argument --seed: invalid int value: 'abc'", id="probe-seed"),
+        pytest.param(["probe", "p3.txt", "--s", "3", "--format", "xml"],
+                     "argument --format: invalid choice: 'xml'", id="probe-format"),
+    ])
+    def test_bad_flag_exits_one(self, files, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([files.get(a, a) for a in argv])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_huge_samples_rejected(self, files, capsys):
+        start = time.monotonic()
+        argv = ["probe", files["p3.txt"], "--s", "3", "--samples", "1000000000000"]
+        assert main(argv) == 1
+        assert time.monotonic() - start < 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: samples must be at most 10000000, got 1000000000000\n"
+
+    def test_edgeless_graph_rejected(self, tmp_path, capsys):
+        path = tmp_path / "vertex.json"
+        path.write_text('{"vertices": [{"id": 0}], "edges": []}\n')
+        assert main(["probe", str(path), "--s", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: probe needs at least one edge\n"
+
     @pytest.mark.parametrize("s", ["200", "1e308"])
     def test_underflowing_s_rejected(self, files, capsys, s):
         assert main(["probe", files["p3.txt"], "--s", s]) == 1

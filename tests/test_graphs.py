@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from modgraph import (
     fundamental_cycle_basis,
     genus,
     is_stable,
+    make_doubled_2ngon,
     parse_graph,
     spanning_trees,
     valences,
@@ -274,6 +277,29 @@ class TestSpanningTrees:
         for _ in range(60):
             g = random_connected_multigraph(rng, 6, 9)
             assert len(spanning_trees(g)) == laplacian_tree_count(g)
+
+    def test_matches_subset_enumeration_in_order(self):
+        # every (v-1)-subset that connects the graph, in lexicographic order
+        rng = random.Random(23)
+        for _ in range(30):
+            g = random_connected_multigraph(rng, 5, 8)
+            everything = frozenset(range(g.n_edges))
+            expected = [
+                frozenset(c)
+                for c in itertools.combinations(range(g.n_edges), g.n_vertices - 1)
+                if component_count(g, everything - frozenset(c)) == 1
+            ]
+            assert spanning_trees(g) == expected
+
+    def test_leaves_no_reference_cycles(self):
+        g = make_doubled_2ngon(4)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(spanning_trees(g)) == 96
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_trees_have_size_v_minus_1_and_no_loops(self):
         rng = random.Random(13)

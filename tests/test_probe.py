@@ -1,11 +1,29 @@
 import math
 
+import numpy as np
 import pytest
 
-from modgraph import ProbeConfig, make_ngon, parse_graph, truncated_J, model_integral
-from modgraph.probe import DEFAULT_GRID, _gl_region, _term_supports
+import modgraph.probe as probe
+from modgraph import (
+    Multigraph,
+    ProbeConfig,
+    make_ngon,
+    model_integral,
+    parse_graph,
+    truncated_J,
+)
+from modgraph.probe import (
+    BLOCK_POINTS,
+    DEFAULT_GRID,
+    DEFAULT_SEED,
+    MAX_SAMPLES,
+    PROBE_MAX_EDGES,
+    GrowthVerdict,
+    _gl_region,
+    _term_supports,
+)
 from modgraph.kirchhoff import psi_trees
-from modgraph.selftest import theta_graph
+from modgraph.selftest import k4_graph, theta_graph
 
 
 class TestProbeConfig:
@@ -25,6 +43,16 @@ class TestProbeConfig:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             ProbeConfig(s=1.0, samples=10)
+
+    def test_samples_ceiling(self):
+        assert ProbeConfig(s=1.0, samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(ValueError, match="at most"):
+            ProbeConfig(s=1.0, samples=MAX_SAMPLES + 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_validation(self, seed):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ProbeConfig(s=1.0, seed=seed)
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
@@ -61,6 +89,11 @@ class TestTruncatedJ:
         gl = truncated_J(g, ProbeConfig(s=2.0, method="tensor_quadrature"))
         assert gl.values == pytest.approx(mc.values, rel=2e-2)
         assert gl.verdict == mc.verdict == "saturating"
+
+    def test_edgeless_rejected(self):
+        g = parse_graph('{"vertices": [{"id": 0}], "edges": []}')
+        with pytest.raises(ValueError, match="at least one edge"):
+            truncated_J(g, ProbeConfig(s=2.0))
 
     def test_quadrature_guard(self):
         from modgraph import make_doubled_2ngon
@@ -110,6 +143,261 @@ class TestTruncatedJ:
         base, _ = _gl_region(supports, s, lo, hi, 24)
         doubled, _ = _gl_region(supports + supports, s, lo, hi, 24)
         assert doubled == pytest.approx(2.0 ** (-s) * base, rel=1e-12)
+
+
+class TestFrozenOutputs:
+    """Exact outputs of the per-stratum implementation, kept bit for bit.
+
+    Recorded as float reprs before the strata were batched into blocks;
+    any change to a random stream, the strata, the summation order or a
+    product order shows up here as a mismatch.
+    """
+
+    GRAPHS = {
+        "theta": theta_graph,
+        "K4": k4_graph,
+        "P6": lambda: make_ngon(6),
+        "banana4": lambda: Multigraph(((0, 0), (1, 0)), ((0, 1),) * 4),
+    }
+
+    EXPECTED = {
+        ("monte_carlo", "theta", 1.5, DEFAULT_SEED): GrowthVerdict(
+            values=(
+                7.519654936582261, 17.379611840232954, 28.905370662172608,
+                41.07661116608905,
+            ),
+            stderrs=(
+                0.0024241638919966675, 0.006073375706870998, 0.011943905072339212,
+                0.020067765629492182,
+            ),
+            increments=(9.859956903650692, 11.525758821939654, 12.171240503916442),
+            ratios=(1.1689461662527338, 1.0560034000319436),
+            verdict="diverging",
+            decay_ratio=1.0560034000319436,
+        ),
+        ("monte_carlo", "theta", 1.5, 1): GrowthVerdict(
+            values=(
+                7.510103848323735, 17.38159186518675, 28.89684585358602,
+                41.08093764027651,
+            ),
+            stderrs=(
+                0.0024229263670276333, 0.006063531482880875, 0.011901892460972795,
+                0.02013394754405487,
+            ),
+            increments=(9.871488016863013, 11.51525398839927, 12.184091786690491),
+            ratios=(1.1665165341565815, 1.0580827656050855),
+            verdict="diverging",
+            decay_ratio=1.0580827656050855,
+        ),
+        ("monte_carlo", "theta", 2.0, DEFAULT_SEED): GrowthVerdict(
+            values=(
+                0.6856393717434341, 0.8248794197478412, 0.856380744888481,
+                0.8623785419200024,
+            ),
+            stderrs=(
+                0.00047533657160667587, 0.00048591219671461976, 0.0004869788070144312,
+                0.00048704605624716533,
+            ),
+            increments=(0.13924004800440704, 0.0315013251406399, 0.005997797031521363),
+            ratios=(0.22623753433094812, 0.1903982453037697),
+            verdict="saturating",
+            decay_ratio=0.1903982453037697,
+        ),
+        ("monte_carlo", "theta", 2.0, 1): GrowthVerdict(
+            values=(
+                0.6849852446157854, 0.8243121373779116, 0.8558040522929828,
+                0.8618001014117214,
+            ),
+            stderrs=(
+                0.00047198794517787444, 0.0004827386005017338, 0.00048379709411552993,
+                0.0004838655388361066,
+            ),
+            increments=(0.13932689276212623, 0.03149191491507124, 0.005996049118738484),
+            ratios=(0.22602897610612477, 0.19039963542734348),
+            verdict="saturating",
+            decay_ratio=0.19039963542734348,
+        ),
+        ("monte_carlo", "K4", 2.0, DEFAULT_SEED): GrowthVerdict(
+            values=(
+                3.5876174944529504, 13.126950224433106, 26.13273001280971,
+                40.50590603681712,
+            ),
+            stderrs=(
+                0.0048202323098414405, 0.03216521922168506, 0.09025864227573689,
+                0.19043570879814256,
+            ),
+            increments=(9.539332729980156, 13.005779788376605, 14.373176024007417),
+            ratios=(1.3633846471779016, 1.105137581742916),
+            verdict="diverging",
+            decay_ratio=1.105137581742916,
+        ),
+        ("monte_carlo", "K4", 2.0, 1): GrowthVerdict(
+            values=(
+                3.590222633474047, 13.15317229541961, 26.13026061386173,
+                40.31030640610189,
+            ),
+            stderrs=(
+                0.004857485263535784, 0.03244743779137376, 0.08889240711537305,
+                0.1848239998828079,
+            ),
+            increments=(9.562949661945563, 12.977088318442119, 14.180045792240161),
+            ratios=(1.3570173196751887, 1.0926985656781332),
+            verdict="diverging",
+            decay_ratio=1.0926985656781332,
+        ),
+        ("monte_carlo", "K4", 2.5, DEFAULT_SEED): GrowthVerdict(
+            values=(
+                0.0472080967728835, 0.062285599935383615, 0.06437528834767686,
+                0.06456435166366795,
+            ),
+            stderrs=(
+                0.0001305936750380935, 0.00014296440250646342, 0.00014358263913068084,
+                0.00014359365389419386,
+            ),
+            increments=(
+                0.01507750316250012, 0.00208968841229325, 0.00018906331599108142,
+            ),
+            ratios=(0.13859644994077006, 0.09047440512128839),
+            verdict="saturating",
+            decay_ratio=0.09047440512128839,
+        ),
+        ("monte_carlo", "K4", 2.5, 1): GrowthVerdict(
+            values=(
+                0.04744277790600174, 0.06250767088913817, 0.06458690124819139,
+                0.0647755827981973,
+            ),
+            stderrs=(
+                0.00012820176053275707, 0.00014071904788647542, 0.00014130516492587056,
+                0.00014131622770492984,
+            ),
+            increments=(
+                0.015064892983136433, 0.00207923035905322, 0.00018868155000590785,
+            ),
+            ratios=(0.13801826281678203, 0.09074586141182751),
+            verdict="saturating",
+            decay_ratio=0.09074586141182751,
+        ),
+        ("monte_carlo", "P6", 6.0, DEFAULT_SEED): GrowthVerdict(
+            values=(
+                0.00907468143833124, 0.024083400203031045, 0.04069295383683161,
+                0.05835849080889402,
+            ),
+            stderrs=(
+                2.1750768528038477e-05, 0.00011728539414161862, 0.0002976954729057872,
+                0.0005930119718876927,
+            ),
+            increments=(
+                0.015008718764699804, 0.016609553633800563, 0.01766553697206241,
+            ),
+            ratios=(1.1066603281864331, 1.0635768643482937),
+            verdict="diverging",
+            decay_ratio=1.0635768643482937,
+        ),
+        ("monte_carlo", "P6", 6.0, 1): GrowthVerdict(
+            values=(
+                0.009082677665054984, 0.024262036193830105, 0.04038890776247203,
+                0.05732657495815673,
+            ),
+            stderrs=(
+                2.1955669209128514e-05, 0.00011818380306997824, 0.00028367660486619425,
+                0.0005582421056185387,
+            ),
+            increments=(0.015179358528775123, 0.01612687156864193, 0.0169376671956847),
+            ratios=(1.0624211515967972, 1.0502760639961524),
+            verdict="diverging",
+            decay_ratio=1.0502760639961524,
+        ),
+        ("monte_carlo", "P6", 6.5, DEFAULT_SEED): GrowthVerdict(
+            values=(
+                0.0012026422413850967, 0.001992507636332125, 0.002323643404119003,
+                0.0024549218329440433,
+            ),
+            stderrs=(
+                3.460082736182604e-06, 6.910073930400211e-06, 9.055696418815298e-06,
+                9.8706381197279e-06,
+            ),
+            increments=(
+                0.0007898653949470286, 0.00033113576778687757, 0.00013127842882504058,
+            ),
+            ratios=(0.4192306308204385, 0.39644895416291226),
+            verdict="saturating",
+            decay_ratio=0.39644895416291226,
+        ),
+        ("monte_carlo", "P6", 6.5, 1): GrowthVerdict(
+            values=(
+                0.0012071558292305895, 0.0020066690983745776, 0.0023272542031366732,
+                0.002452012925124,
+            ),
+            stderrs=(
+                3.4955204645206495e-06, 6.978490556649644e-06, 8.696881282883239e-06,
+                9.418289643200256e-06,
+            ),
+            increments=(
+                0.0007995132691439882, 0.0003205851047620955, 0.0001247587219873265,
+            ),
+            ratios=(0.40097533979058925, 0.3891594466932869),
+            verdict="saturating",
+            decay_ratio=0.3891594466932869,
+        ),
+        ("tensor_quadrature", "banana4", 4 / 3, None): GrowthVerdict(
+            values=(
+                23.716545630019084, 76.83193003980259, 155.9123311087477,
+                251.42766250557406,
+            ),
+            stderrs=(0.0, 0.0, 0.0, 0.0),
+            increments=(53.115384409783495, 79.08040106894511, 95.51533139682637),
+            ratios=(1.4888417347946188, 1.2078255813795469),
+            verdict="diverging",
+            decay_ratio=1.2078255813795469,
+        ),
+        ("tensor_quadrature", "theta", 2.0, None): GrowthVerdict(
+            values=(
+                0.6850254853071648, 0.8242842064505214, 0.8557913407588928,
+                0.8617920461146491,
+            ),
+            stderrs=(0.0, 0.0, 0.0, 0.0),
+            increments=(0.13925872114335652, 0.03150713430837149, 0.006000705355756246),
+            ratios=(0.22624891317174478, 0.19045544723379842),
+            verdict="saturating",
+            decay_ratio=0.19045544723379842,
+        ),
+    }
+
+    @pytest.mark.parametrize("key", list(EXPECTED), ids=lambda k: "-".join(map(str, k)))
+    def test_bit_identical(self, key):
+        method, name, s, seed = key
+        seed = DEFAULT_SEED if seed is None else seed  # quadrature ignores it
+        cfg = ProbeConfig(s=s, method=method, seed=seed)
+        assert truncated_J(self.GRAPHS[name](), cfg) == self.EXPECTED[key]
+
+
+class TestBlocks:
+    @staticmethod
+    def _record(monkeypatch):
+        sizes = []
+
+        def integrand(supports, s, u):
+            sizes.append(u.shape[0])
+            return np.ones(u.shape[0])
+
+        monkeypatch.setattr(probe, "_integrand", integrand)
+        return sizes
+
+    @pytest.mark.parametrize("dim", range(1, PROBE_MAX_EDGES + 1))
+    def test_blocks_bounded_at_samples_ceiling(self, monkeypatch, dim):
+        sizes = self._record(monkeypatch)
+        supports = [tuple(range(dim))]
+        probe._mc_region(supports, 2.0, [0.0] * dim, [1.0] * dim, MAX_SAMPLES, 5, 0)
+        n_strata = probe._strata_per_axis(dim) ** dim
+        assert max(sizes) <= BLOCK_POINTS
+        assert sum(sizes) == n_strata * max(2, MAX_SAMPLES // n_strata)
+
+    def test_point_count_unchanged(self, monkeypatch):
+        # the per-stratum sum over the 19 regions of the K4 probe
+        sizes = self._record(monkeypatch)
+        truncated_J(k4_graph(), ProbeConfig(s=2.5))
+        assert sum(sizes) == 388_557
+        assert max(sizes) <= BLOCK_POINTS
 
 
 class TestModelIntegral:
