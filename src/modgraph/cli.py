@@ -5,8 +5,8 @@ buffered and emitted in one piece (stdout or an output file written via
 temp-and-rename), so failures never leave partial JSON behind.
 
 Exit codes: 0 success; 1 parse/flag failure or unwritable output file;
-2 certificate or cross-check violation (and selftest failures); 3 search
-found nothing.
+2 certificate or cross-check violation, selftest failures and any other
+internal failure (one `error:` line, no traceback); 3 search found nothing.
 """
 
 from __future__ import annotations
@@ -308,6 +308,11 @@ def main(argv=None) -> int:
     except (InputError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:  # an internal failure, never a traceback
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"error: internal failure: {type(exc).__name__}: "
+                         f"{detail}\n")
+        return EXIT_CERTIFICATE
 
 
 if __name__ == "__main__":

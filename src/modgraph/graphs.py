@@ -404,8 +404,10 @@ class CycleBasis:
     tree: frozenset[int]
 
 
-def lex_first_spanning_tree(g: Multigraph) -> frozenset[int]:
-    """Greedy Kruskal by ascending edge id; the lexicographically first tree."""
+def _kruskal(g: Multigraph, order) -> frozenset[int]:
+    """Greedy spanning tree: scan edge ids in `order`, keep each edge that
+    joins two components.  A minimum-weight tree when `order` sorts by
+    weight; loops never join."""
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     parent = list(range(g.n_vertices))
 
@@ -416,12 +418,18 @@ def lex_first_spanning_tree(g: Multigraph) -> frozenset[int]:
         return x
 
     tree = set()
-    for eid, (t, h) in enumerate(g.edges):
+    for eid in order:
+        t, h = g.edges[eid]
         a, b = find(index[t]), find(index[h])
         if a != b:
             parent[a] = b
             tree.add(eid)
     return frozenset(tree)
+
+
+def lex_first_spanning_tree(g: Multigraph) -> frozenset[int]:
+    """Greedy Kruskal by ascending edge id; the lexicographically first tree."""
+    return _kruskal(g, range(g.n_edges))
 
 
 def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:

@@ -10,7 +10,9 @@ density denominator q (every coordinate lies in (1/q)Z for m = p/q), and
 the membership test scales by the lcm of its denominators, switching to
 Python ints (object arrays) where magnitudes could pass 2^62.  Results
 leave the module as Python ints and Fractions.  An independent
-covering-LP oracle computes the same constant in exact rational arithmetic.
+covering-LP oracle computes the same constant in exact rational arithmetic
+by column generation: it reads neither the rank table nor the density
+scan, and it prices columns with Kruskal instead of listing spanning trees.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .graphs import Multigraph, betti, bridges, spanning_trees
+from .graphs import Multigraph, _kruskal, betti, bridges
 
 MAX_GROUND_SET = 20
-MAX_LP_TREES = 500
 
 
 class MatroidError(ValueError):
@@ -227,25 +228,40 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     return DensityCertificate(m=m, t0=cert.t0, witness=witness)
 
 
-def cover_lp_oracle(g: Multigraph, max_trees: int = MAX_LP_TREES) -> Fraction:
+def cover_lp_oracle(g: Multigraph) -> Fraction:
     """Covering-LP value: min sum c_T with sum_T c_T * v_T >= (1,...,1).
 
-    v_T is the indicator of the complement of spanning tree T.  Solved with
-    the exact rational simplex; independent of the density route.
+    v_T is the indicator of the complement of spanning tree T.  Column
+    generation in exact Fractions, independent of the density route: the
+    restricted master is solved by the exact simplex with its dual y, and
+    the tree maximizing y(E - T) is a minimum-weight tree, found by one
+    Kruskal on y.  It stops when that maximum is <= 1, which is the dual
+    feasibility check; x is rechecked as a cover and y against strong
+    duality.  No spanning-tree list is built.
     """
     if bridges(g):
         raise MatroidError("covering LP needs a bridgeless graph")
-    trees = spanning_trees(g)
-    if len(trees) > max_trees:
-        raise MatroidError(
-            f"{len(trees)} spanning trees exceeds the LP guard ({max_trees})"
-        )
     e = g.n_edges
-    cols = len(trees)
-    a = [[Fraction(0)] * cols for _ in range(e)]
-    for j, tree in enumerate(trees):
-        for eid in range(e):
-            if eid not in tree:
-                a[eid][j] = Fraction(1)
-    value, _ = simplex.minimize([Fraction(1)] * cols, a, [Fraction(1)] * e)
+    edges = range(e)
+    # Edge i last: a bridgeless graph's greedy tree then avoids it.
+    trees = list(dict.fromkeys(
+        _kruskal(g, [*(j for j in edges if j != i), i]) for i in edges
+    ))
+    while True:
+        a = [[int(i not in tree) for tree in trees] for i in edges]
+        value, x, y = simplex._solve([1] * len(trees), a, [1] * e)
+        light = _kruskal(g, sorted(edges, key=lambda i: (y[i], i)))
+        if sum(y) - sum(y[i] for i in light) <= 1:
+            break
+        if light in trees:
+            raise CertificateError("pricing returned a column of the master")
+        trees.append(light)
+
+    if any(xj < 0 for xj in x) or any(
+        sum(xj for xj, tree in zip(x, trees) if i not in tree) < 1
+        for i in edges
+    ):
+        raise CertificateError("covering-LP primal is not a cover")
+    if any(yi < 0 for yi in y) or sum(y) != sum(x):
+        raise CertificateError("covering-LP dual fails strong duality")
     return value

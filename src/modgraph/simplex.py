@@ -2,8 +2,12 @@
 
 Solves  min c.x  subject to  A x >= b, x >= 0  entirely in Fractions.
 Two-phase tableau method with Bland's rule, so termination is guaranteed
-even on degenerate problems.  Sized for desk-scale instances (hundreds of
-variables, tens of constraints).
+even on degenerate problems.  `_solve` also returns an optimal dual y
+(max b.y subject to A^T y <= c, y >= 0): y_i is the final reduced cost of
+the surplus column of row i, whether or not that row was flipped to make
+its right-hand side nonnegative.  Sized for desk-scale instances: tens of
+constraints and of variables, as in the column-generation master of the
+covering LP (at most 20 rows; 31 columns on the 19-edge cap core).
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ class UnboundedError(ValueError):
 def _pivot(tab, basis, row, col):
     piv = tab[row][col]
     inv = Fraction(1) / piv
-    tab[row] = [x * inv for x in tab[row]]
+    tab[row] = [x * inv if x else x for x in tab[row]]
     prow = tab[row]
     for r, line in enumerate(tab):
         if r == row:
             continue
         factor = line[col]
         if factor:
-            tab[r] = [a - factor * b for a, b in zip(line, prow)]
+            # Tableau rows are mostly zeros; skip the Fraction arithmetic.
+            tab[r] = [a - factor * b if b else a for a, b in zip(line, prow)]
     basis[row] = col
 
 
@@ -65,6 +70,13 @@ def minimize(c, A, b):
     Returns (value, x) as Fractions.  Raises InfeasibleError or
     UnboundedError when the LP has no optimum.
     """
+    value, x, _ = _solve(c, A, b)
+    return value, x
+
+
+def _solve(c, A, b):
+    """`minimize`, plus an optimal dual: returns (value, x, y) as Fractions,
+    with y >= 0, A^T y <= c and b.y = value."""
     c = [Fraction(v) for v in c]
     A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]
@@ -118,5 +130,8 @@ def minimize(c, A, b):
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = tab[r][-1]
+    # Surplus column i is -e_i, or +e_i in a flipped row, whose tableau
+    # dual is -y_i; either way its reduced cost is y_i.
+    y = tab[-1][n:n + m]
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x
+    return value, x, y

@@ -9,6 +9,7 @@ import pytest
 
 import modgraph
 from modgraph.cli import main
+from modgraph.matroid import CertificateError
 
 P3_TEXT = "0 1\n1 2\n2 0\n"
 LOOP_JSON = '{"edges": [[0, 0]]}\n'
@@ -288,7 +289,6 @@ class TestModuleEntryPoint:
 
 class TestFailureSignals:
     def test_certificate_violation_exits_2(self, files, monkeypatch):
-        from modgraph.matroid import CertificateError
         import modgraph.cli as cli
 
         def boom(*a, **k):
@@ -296,6 +296,29 @@ class TestFailureSignals:
 
         monkeypatch.setattr(cli, "analyze", boom)
         assert main(["analyze", files["p3.txt"]]) == 2
+
+    @pytest.mark.parametrize("command, argv", [
+        ("search_divergent", ["search", "--genus", "2", "--max-edges", "4",
+                              "--target", "1"]),
+        ("make_ngon", ["families", "--ngon", "3"]),
+    ])
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("seeded\nfault"), CertificateError("density recheck"),
+    ])
+    def test_internal_failure_exits_2(self, monkeypatch, capsys, command,
+                                      argv, exc):
+        import modgraph.cli as cli
+
+        def boom(*a, **k):
+            raise exc
+
+        monkeypatch.setattr(cli, command, boom)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: internal failure")
+        assert type(exc).__name__ in err
+        assert "Traceback" not in err
 
     def test_selftest_seeded_fault_nonzero(self, monkeypatch, capsys):
         import modgraph.selftest as st

@@ -20,7 +20,9 @@ from modgraph import (
     parse_graph,
     threshold,
 )
+from modgraph import simplex
 from modgraph.graphs import component_count
+from modgraph.matroid import CertificateError
 from modgraph.selftest import (
     double_triangle_graph,
     k4_graph,
@@ -291,7 +293,42 @@ class TestCoverLP:
             g = random_bridgeless_multigraph(rng, 6, 8, 200)
             assert cover_lp_oracle(g) == density(CographicMatroid(g)).m
 
-    def test_tree_guard(self):
-        g = make_doubled_2ngon(5)  # 240 spanning trees
-        with pytest.raises(MatroidError, match="exceeds"):
-            cover_lp_oracle(g, max_trees=100)
+    def test_doubled_decagon(self):
+        # 240 spanning trees; a tree guard of 100 once refused this graph.
+        assert cover_lp_oracle(make_doubled_2ngon(5)) == 5
+
+    @pytest.mark.parametrize("make", [
+        lambda: graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+        wheel6_plus_chord,
+        lambda: make_doubled_2ngon(6),
+        subdivided_k4_with_loop,
+        lambda: graph(12, make_doubled_2ngon(6).edges + ((0, 0), (5, 5))),
+    ], ids=["K6", "W6+chord", "D6", "cap19", "cap20"])
+    def test_beyond_the_old_tree_guard(self, make):
+        # K6 has 1,296 spanning trees and W6+chord 576; the LP lists none.
+        g = make()
+        assert cover_lp_oracle(g) == density(CographicMatroid(g)).m
+
+    def test_independent_of_other_routes(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the covering LP read another route")
+
+        for name in ("spanning_trees", "lex_first_spanning_tree"):
+            monkeypatch.setattr(f"modgraph.graphs.{name}", forbidden)
+        for name in ("density", "build_witness", "in_scaled_polytope"):
+            monkeypatch.setattr(f"modgraph.matroid.{name}", forbidden)
+        monkeypatch.setattr(CographicMatroid, "rank_table", forbidden)
+        monkeypatch.setattr("modgraph.kirchhoff.psi_det", forbidden)
+        monkeypatch.setattr("modgraph.kirchhoff.psi_trees", forbidden)
+        assert cover_lp_oracle(k5_graph()) == Fraction(5, 3)
+
+    def test_corrupted_dual_raises(self, monkeypatch):
+        solve = simplex._solve
+
+        def scaled_dual(*args):
+            value, x, y = solve(*args)
+            return value, x, [yi * Fraction(8, 7) for yi in y]
+
+        monkeypatch.setattr(simplex, "_solve", scaled_dual)
+        with pytest.raises(CertificateError):
+            cover_lp_oracle(k5_graph())

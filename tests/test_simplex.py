@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from modgraph.simplex import InfeasibleError, UnboundedError, minimize
+from modgraph.graphs import spanning_trees
+from modgraph.selftest import k4_graph
+from modgraph.simplex import InfeasibleError, UnboundedError, _solve, minimize
 
 
 def test_simple_cover():
@@ -53,3 +56,79 @@ def test_unbounded():
 def test_dimension_check():
     with pytest.raises(ValueError):
         minimize([1, 1], [[1]], [1])
+
+
+# (c, A, b) and the exact (value, x) that minimize returned before it
+# became a wrapper of _solve; the last two have rows with negative b.
+FROZEN = [
+    (([1, 1], [[1, 0], [0, 1]], [1, 2]),
+     (Fraction(3), [Fraction(1), Fraction(2)])),
+    (([1, 1, 1], [[1, 1, 0], [1, 0, 1], [0, 1, 1]], [1, 1, 1]),
+     (Fraction(3, 2), [Fraction(1, 2)] * 3)),
+    (([Fraction(1, 3), Fraction(1, 7)], [[Fraction(2, 5), Fraction(1, 9)]],
+      [Fraction(11, 13)]),
+     (Fraction(55, 78), [Fraction(55, 26), Fraction(0)])),
+    (([1, 2], [[1, 1], [1, 1], [2, 2], [1, 0]], [1, 1, 2, 0]),
+     (Fraction(1), [Fraction(1), Fraction(0)])),
+    (([2, 3, 1], [[1, -1, 0], [-1, 0, -1], [1, 1, 1]], [-1, -3, 2]),
+     (Fraction(2), [Fraction(0), Fraction(0), Fraction(2)])),
+    (([1, 1, 1, 1], [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1],
+                     [-1, 0, 0, -1]], [1, 1, 1, -2]),
+     (Fraction(3, 2), [Fraction(1, 2)] * 3 + [Fraction(0)])),
+]
+
+
+@pytest.mark.parametrize("lp, expected", FROZEN)
+def test_minimize_unchanged(lp, expected):
+    value, x = minimize(*lp)
+    assert (value, x) == expected
+    assert all(type(v) is Fraction for v in [value, *x])
+    assert _solve(*lp)[:2] == expected
+
+
+def assert_optimal_pair(c, a, b, value, x, y):
+    """Primal and dual feasibility, strong duality, complementary slackness."""
+    c = [Fraction(v) for v in c]
+    rows = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+    cols = [sum(a[i][j] * y[i] for i in range(len(a))) for j in range(len(c))]
+    assert all(xj >= 0 for xj in x)
+    assert all(r >= bi for r, bi in zip(rows, b))
+    assert all(yi >= 0 for yi in y)
+    assert all(col <= cj for col, cj in zip(cols, c))
+    assert sum(yi * bi for yi, bi in zip(y, b)) == value
+    assert sum(cj * xj for cj, xj in zip(c, x)) == value
+    assert all(yi * (r - bi) == 0 for yi, r, bi in zip(y, rows, b))
+    assert all(xj * (cj - col) == 0 for xj, cj, col in zip(x, c, cols))
+
+
+def test_dual_on_random_covering_lps():
+    rng = random.Random(20240)
+    solved = flipped_binding = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[rng.choice([-1, 0, 0, 1, 1, 2]) for _ in range(n)]
+             for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        c = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        try:
+            value, x, y = _solve(c, a, b)
+        except InfeasibleError:
+            continue
+        assert_optimal_pair(c, a, b, value, x, y)
+        assert minimize(c, a, b) == (value, x)
+        solved += 1
+        flipped_binding += any(bi < 0 and yi > 0 for bi, yi in zip(b, y))
+    assert solved >= 100
+    assert flipped_binding >= 5  # flipped rows with a nonzero dual occur
+
+
+def test_dual_of_tree_cover():
+    # K4's covering LP over its 16 spanning-tree complements: value 2
+    # (= 6 edges / rank 3), and the dual y = (1/3, ..., 1/3).
+    trees = spanning_trees(k4_graph())
+    assert len(trees) == 16
+    a = [[int(i not in t) for t in trees] for i in range(6)]
+    value, x, y = _solve([1] * 16, a, [1] * 6)
+    assert value == 2
+    assert y == [Fraction(1, 3)] * 6
+    assert_optimal_pair([1] * 16, a, [1] * 6, value, x, y)
