@@ -4,9 +4,10 @@ Subcommands: analyze, probe, search, families, selftest.  Output is
 buffered and emitted in one piece (stdout or an output file written via
 temp-and-rename), so failures never leave partial JSON behind.
 
-Exit codes: 0 success; 1 parse/flag failure or unwritable output file;
-2 certificate or cross-check violation, selftest failures and any other
-internal failure (one `error:` line, no traceback); 3 search found nothing.
+Exit codes: 0 success; 1 parse/flag failure, an analyze core over the
+20-edge cap or unwritable output file; 2 certificate or cross-check
+violation, selftest failures and any other internal failure (one `error:`
+line, no traceback); 3 search found nothing.
 """
 
 from __future__ import annotations
@@ -119,7 +120,10 @@ def cmd_analyze(args) -> int:
         try:
             reports.append((path, analyze(g, with_probe=args.probe,
                                           probe_seed=seed)))
-        except (CertificateError, MatroidError) as exc:
+        except MatroidError as exc:  # a core over the 20-edge cap
+            sys.stderr.write(f"error: {path}: {exc}\n")
+            return EXIT_INPUT
+        except CertificateError as exc:
             sys.stderr.write(f"error: {path}: {exc}\n")
             return EXIT_CERTIFICATE
     if args.format == "csv":

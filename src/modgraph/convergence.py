@@ -75,8 +75,7 @@ def threshold(g: Multigraph) -> tuple[Fraction, DensityCertificate]:
         raise NoCyclesError(
             "every edge is a bridge (b = 0); the threshold is undefined"
         )
-    core, _ = contract_edges(g, bridges(g))
-    cert = build_witness(CographicMatroid(core))
+    cert = _core(g, bridges(g)).certificate
     return cert.m, cert
 
 
@@ -89,7 +88,29 @@ def optimal_contraction(g: Multigraph) -> tuple[frozenset[int], Multigraph]:
     from scratch and a failure raises CertificateError.
     """
     matroid = CographicMatroid(g)
-    cert = density(matroid)
+    return _contract_to_optimal(matroid, density(matroid))
+
+
+@dataclass(frozen=True)
+class _Core:
+    """One graph's bridgeless core, its input-to-core edge map, its matroid
+    (one rank table) and its threshold certificate in core edge ids."""
+
+    graph: Multigraph
+    edge_map: dict[int, int]
+    matroid: CographicMatroid
+    certificate: DensityCertificate
+
+
+def _core(g: Multigraph, bridge_ids) -> _Core:
+    core, edge_map = contract_edges(g, bridge_ids)
+    matroid = CographicMatroid(core)
+    return _Core(core, edge_map, matroid, build_witness(matroid))
+
+
+def _contract_to_optimal(matroid, cert) -> tuple[frozenset[int], Multigraph]:
+    """optimal_contraction of matroid.graph, given its density certificate."""
+    g = matroid.graph
     contracted = frozenset(range(g.n_edges)) - cert.t0
     loops = frozenset(e for e in contracted if g.is_loop(e))
     trimmed, del_map = delete_edges(g, loops)
@@ -493,32 +514,33 @@ def analyze(g: Multigraph, with_probe: bool = False,
         return ConvergenceReport(
             graph=g, stable=stable, bridge_ids=bridge_ids, variant="no_cycles"
         )
+    # First, so that a core over the edge cap fails before the Kirchhoff routes
+    core = _core(g, bridge_ids)
+    cert = core.certificate
     det_route, tree_route = psi_from_graph(g)
     if det_route != tree_route:
         raise PsiMismatchError(
             "determinant and spanning-tree routes disagree on the Kirchhoff "
             "polynomial"
         )
-    core, core_map = contract_edges(g, bridge_ids)
-    c, cert = threshold(g)
-    contracted_core, gbar = optimal_contraction(core)
-    inv_map = {new: old for old, new in core_map.items()}
+    contracted_core, gbar = _contract_to_optimal(core.matroid, cert)
+    inv_map = {new: old for old, new in core.edge_map.items()}
     contracted_original = tuple(sorted(inv_map[e] for e in contracted_core))
 
     probe_payload = None
     if with_probe:
-        probe_payload = _probe_payload(core, c, probe_seed)
+        probe_payload = _probe_payload(core.graph, cert.m, probe_seed)
 
     return ConvergenceReport(
         graph=g,
         stable=stable,
         bridge_ids=bridge_ids,
         variant="threshold",
-        core=core,
-        core_edge_map=tuple(sorted(core_map.items())),
+        core=core.graph,
+        core_edge_map=tuple(sorted(core.edge_map.items())),
         psi=tree_route,
         psi_routes_agree=True,
-        c=c,
+        c=cert.m,
         certificate=cert,
         contracted_edges=contracted_original,
         optimal_graph=gbar,

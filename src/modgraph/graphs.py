@@ -46,7 +46,7 @@ class Multigraph:
         for eid, (t, h) in enumerate(self.edges):
             if t not in known or h not in known:
                 raise GraphError(f"edge {eid} has a dangling endpoint ({t}, {h})")
-        if _component_count(self.vertices, self.edges) != 1:
+        if any(_components(self.n_vertices, _ends(self))):
             raise GraphError("graph is disconnected")
 
     @property
@@ -74,32 +74,43 @@ class Multigraph:
         }
 
 
-def _component_count(vertices, edges, skip=frozenset()) -> int:
-    """Components of (vertices, edges) ignoring edge ids in `skip`."""
-    index = {v: i for i, (v, _) in enumerate(vertices)}
-    n = len(index)
-    parent = list(range(n))
+def _ends(g: Multigraph) -> list[tuple[int, int]]:
+    """Each edge's (tail, head) as positions in g.vertices."""
+    index = {v: i for i, (v, _) in enumerate(g.vertices)}
+    return [(index[t], index[h]) for t, h in g.edges]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    comps = n
-    for eid, (t, h) in enumerate(edges):
-        if eid in skip:
+def _components(n_vertices: int, ends) -> list[int]:
+    """Component label of each vertex 0..n_vertices-1 under the edges `ends`.
+
+    Components are numbered 0, 1, ... in order of their smallest vertex,
+    each found by one BFS.
+    """
+    adj = [[] for _ in range(n_vertices)]
+    for a, b in ends:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n_vertices
+    count = 0
+    for root in range(n_vertices):
+        if label[root] >= 0:
             continue
-        a, b = find(index[t]), find(index[h])
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return comps
+        label[root] = count
+        queue = [root]
+        for x in queue:
+            for y in adj[x]:
+                if label[y] < 0:
+                    label[y] = count
+                    queue.append(y)
+        count += 1
+    return label
 
 
 def component_count(g: Multigraph, removed_edges=frozenset()) -> int:
     """Number of connected components after deleting `removed_edges`."""
-    return _component_count(g.vertices, g.edges, frozenset(removed_edges))
+    removed = frozenset(removed_edges)
+    kept = [ab for eid, ab in enumerate(_ends(g)) if eid not in removed]
+    return max(_components(g.n_vertices, kept)) + 1
 
 
 def _is_json_int(x) -> bool:
@@ -244,10 +255,7 @@ def bridges(g: Multigraph) -> frozenset[int]:
 
     The edges with a zero cycle column: no cycle passes through them.
     """
-    index = {v: i for i, (v, _) in enumerate(g.vertices)}
-    cols = _cycle_columns(
-        [(index[t], index[h]) for t, h in g.edges], g.n_vertices
-    )
+    cols = _cycle_columns(_ends(g), g.n_vertices)
     return frozenset(k for k, col in enumerate(cols) if not col)
 
 
@@ -266,41 +274,20 @@ def contract_edges(g: Multigraph, contracted) -> tuple[Multigraph, dict[int, int
             raise GraphError(f"unknown edge id {eid}")
         if g.is_loop(eid):
             raise GraphError(f"cannot contract loop edge {eid}; delete it instead")
-    index = {v: i for i, (v, _) in enumerate(g.vertices)}
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in contracted:
-        t, h = g.edges[eid]
-        a, b = find(index[t]), find(index[h])
-        if a != b:
-            parent[a] = b
-
-    new_id: dict[int, int] = {}
-    genus_sum: dict[int, int] = {}
+    ends = _ends(g)
+    new_id = _components(g.n_vertices, [ends[eid] for eid in contracted])
+    genus_sum = [0] * (max(new_id) + 1)
     for i, (_, gen) in enumerate(g.vertices):
-        root = find(i)
-        if root not in new_id:
-            new_id[root] = len(new_id)
-        genus_sum[root] = genus_sum.get(root, 0) + gen
-    vertices = tuple(
-        (new_id[root], genus_sum[root])
-        for root in sorted(new_id, key=new_id.get)
-    )
+        genus_sum[new_id[i]] += gen
 
     edges = []
     edge_map: dict[int, int] = {}
-    for eid, (t, h) in enumerate(g.edges):
+    for eid, (a, b) in enumerate(ends):
         if eid in contracted:
             continue
         edge_map[eid] = len(edges)
-        edges.append((new_id[find(index[t])], new_id[find(index[h])]))
-    return Multigraph(vertices, tuple(edges)), edge_map
+        edges.append((new_id[a], new_id[b]))
+    return Multigraph(tuple(enumerate(genus_sum)), tuple(edges)), edge_map
 
 
 def delete_edges(g: Multigraph, removed) -> tuple[Multigraph, dict[int, int]]:
@@ -340,8 +327,7 @@ def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
     with memoized connectivity for the deletion branch.  Output ordered
     lexicographically by sorted edge ids; loops never belong to a tree.
     """
-    index = {v: i for i, (v, _) in enumerate(g.vertices)}
-    ends = [(index[t], index[h]) for t, h in g.edges]
+    ends = _ends(g)
     e = g.n_edges
     conn_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
 
@@ -353,21 +339,9 @@ def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
         hit = conn_cache.get(key)
         if hit is not None:
             return hit
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = k
-        for j in range(i, e):
-            a, b = find(labels[ends[j][0]]), find(labels[ends[j][1]])
-            if a != b:
-                parent[a] = b
-                comps -= 1
-        res = comps == 1
+        res = not any(
+            _components(k, [(labels[a], labels[b]) for a, b in ends[i:]])
+        )
         conn_cache[key] = res
         return res
 
@@ -408,7 +382,7 @@ def _kruskal(g: Multigraph, order) -> frozenset[int]:
     """Greedy spanning tree: scan edge ids in `order`, keep each edge that
     joins two components.  A minimum-weight tree when `order` sorts by
     weight; loops never join."""
-    index = {v: i for i, (v, _) in enumerate(g.vertices)}
+    ends = _ends(g)
     parent = list(range(g.n_vertices))
 
     def find(x):
@@ -419,8 +393,7 @@ def _kruskal(g: Multigraph, order) -> frozenset[int]:
 
     tree = set()
     for eid in order:
-        t, h = g.edges[eid]
-        a, b = find(index[t]), find(index[h])
+        a, b = find(ends[eid][0]), find(ends[eid][1])
         if a != b:
             parent[a] = b
             tree.add(eid)
@@ -439,12 +412,12 @@ def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:
     the tree path back from h to t; a tree edge traversed tail-to-head gets
     +1, head-to-tail gets -1.
     """
-    index = {v: i for i, (v, _) in enumerate(g.vertices)}
+    ends = _ends(g)
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(g.n_vertices)}
     for eid in sorted(tree):
-        t, h = g.edges[eid]
-        adj[index[t]].append((index[h], eid))
-        adj[index[h]].append((index[t], eid))
+        a, b = ends[eid]
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
 
     rows = []
     for eid in range(g.n_edges):
@@ -452,8 +425,7 @@ def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:
             continue
         row = [0] * g.n_edges
         row[eid] = 1
-        t, h = g.edges[eid]
-        ti, hi = index[t], index[h]
+        ti, hi = ends[eid]
         if ti != hi:
             # BFS rooted at the tail; climbing from the head walks the
             # tree path in the cycle's traversal direction.
@@ -470,8 +442,7 @@ def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:
             x = hi
             while x != ti:
                 px, te = parent_step[x]
-                t2, _ = g.edges[te]
-                row[te] = 1 if index[t2] == x else -1
+                row[te] = 1 if ends[te][0] == x else -1
                 x = px
         rows.append(tuple(row))
     return CycleBasis(tuple(rows), frozenset(tree))

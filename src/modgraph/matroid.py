@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .graphs import Multigraph, _kruskal, betti, bridges
+from .graphs import Multigraph, _ends, _kruskal, betti, bridges
 
 MAX_GROUND_SET = 20
 
@@ -62,9 +62,7 @@ class CographicMatroid:
             )
         self.graph = graph
         self.n_edges = graph.n_edges
-        index = {v: i for i, (v, _) in enumerate(graph.vertices)}
-        self._ends = [(index[t], index[h]) for t, h in graph.edges]
-        self._n_vertices = graph.n_vertices
+        self._ends = _ends(graph)
         self.full_rank = betti(graph)
         self._rank_table: np.ndarray | None = None
 
@@ -88,7 +86,7 @@ class CographicMatroid:
         if self._rank_table is None:
             e = self.n_edges
             _check_size(e)
-            n = self._n_vertices  # <= e <= 20 for a bridgeless graph
+            n = self.graph.n_vertices  # <= e <= 20 for a bridgeless graph
             vertices = np.arange(n, dtype=np.uint8)
             labels = np.empty((1 << e, n), dtype=np.uint8)
             labels[0] = vertices

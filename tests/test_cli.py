@@ -74,6 +74,23 @@ class TestAnalyze:
     def test_max_edges_guard(self, files, capsys):
         assert main(["analyze", files["p3.txt"], "--max-edges", "2"]) == 1
 
+    def test_core_over_cap_exits_1_before_kirchhoff(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import modgraph.convergence as convergence
+        from modgraph import make_doubled_2ngon
+
+        def unreachable(g):
+            raise AssertionError("Kirchhoff routes ran on an oversize core")
+
+        monkeypatch.setattr(convergence, "psi_from_graph", unreachable)
+        path = tmp_path / "d14.json"  # bridgeless, 21 edges
+        path.write_text(json.dumps(make_doubled_2ngon(7).to_json_dict()))
+        assert main(["analyze", str(path), "--max-edges", "21"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "21 edges" in err
+
     def test_byte_identical_reruns(self, files, capsys):
         main(["analyze", files["p3.txt"], "--probe"])
         first = capsys.readouterr().out

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from modgraph import (
     analyze,
     betti,
     bridges,
+    contract_edges,
     decimal6,
     density,
     genus,
@@ -32,6 +35,7 @@ from modgraph.graphs import Multigraph
 from modgraph.selftest import (
     bridged_triangles_graph,
     random_bridgeless_multigraph,
+    random_connected_multigraph,
     theta_graph,
 )
 
@@ -306,7 +310,73 @@ class TestSearch:
             assert c >= 2
 
 
+def cap_graph():
+    """K4 with every edge a 3-path, plus a loop and a pendant bridge:
+    20 edges; the 19-edge core has c = 6."""
+    edges, v = [], 4
+    for a, b in itertools.combinations(range(4), 2):
+        edges += [(a, v), (v, v + 1), (v + 1, b)]
+        v += 2
+    edges += [(0, 0), (1, v)]
+    return Multigraph(tuple((i, 0) for i in range(v + 1)), tuple(edges))
+
+
+def graphs_with_bridges(seed, count):
+    """Seeded random multigraphs with cycles, each with a pendant bridge."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_connected_multigraph(rng, 5, 8)
+        if betti(g) == 0:
+            continue
+        pendant = (rng.randrange(g.n_vertices), g.n_vertices)
+        out.append(Multigraph(g.vertices + ((g.n_vertices, 0),),
+                              g.edges + (pendant,)))
+    return out
+
+
 class TestAnalyze:
+    def test_core_built_once(self, monkeypatch):
+        g = cap_graph()
+        builds = []
+        init = CographicMatroid.__init__
+
+        def counting_init(self, graph):
+            builds.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(CographicMatroid, "__init__", counting_init)
+        on_input = {"bridges": 0, "contract_edges": 0}
+        for name, fn in [("bridges", bridges), ("contract_edges", contract_edges)]:
+            def counted(h, *args, _fn=fn, _name=name):
+                if h is g:
+                    on_input[_name] += 1
+                return _fn(h, *args)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("modgraph") and \
+                        getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        rep = analyze(g)
+        assert rep.c == 6 and rep.core.n_edges == 19
+        assert len(builds) == 2  # the core, and the reduced-graph recheck
+        assert on_input == {"bridges": 1, "contract_edges": 1}
+
+    def test_agrees_with_public_wrappers(self):
+        seen = {"loop": False, "parallel": False}
+        for g in graphs_with_bridges(83, 25):
+            rep = analyze(g)
+            assert rep.bridge_ids
+            seen["loop"] |= any(t == h for t, h in g.edges)
+            seen["parallel"] |= len(set(map(frozenset, g.edges))) < g.n_edges
+            assert (rep.c, rep.certificate) == threshold(g)
+            contracted, gbar = optimal_contraction(rep.core)
+            assert rep.optimal_graph == gbar
+            assert rep.contracted_edges == tuple(sorted(
+                old for old, new in rep.core_edge_map if new in contracted
+            ))
+        assert all(seen.values())
+
     def test_p3_report(self):
         rep = analyze(make_ngon(3))
         d = rep.to_json_dict()

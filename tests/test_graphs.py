@@ -220,6 +220,19 @@ class TestContract:
             out, _ = contract_edges(g, subset)
             assert betti(out) == betti(g) - comp_b
 
+    def test_frozen_renumbering(self):
+        cases = _contraction_cases()
+        assert len(cases) == len(FROZEN_CONTRACTIONS)
+        for (g, contracted), (sums, edges, new_ids) in zip(
+            cases, FROZEN_CONTRACTIONS
+        ):
+            out, emap = contract_edges(g, contracted)
+            assert out.vertices == tuple(enumerate(sums))
+            assert out.edges == edges
+            assert emap == {
+                old: new for old, new in enumerate(new_ids) if new is not None
+            }
+
     def test_delete_edges_keeps_vertices(self):
         g = parse_graph("0 0\n0 1\n0 1")
         out, emap = delete_edges(g, {0})
@@ -230,6 +243,88 @@ class TestContract:
         g = parse_graph("0 1\n1 2")
         with pytest.raises(GraphError, match="disconnected"):
             delete_edges(g, {0})
+
+
+def _contraction_cases():
+    """30 seeded contractions on graphs with 3+ vertices, non-contiguous
+    shuffled vertex ids, nonzero genera and a random loop-free edge set."""
+    rng = random.Random(41)
+    cases = []
+    while len(cases) < 30:
+        base = random_connected_multigraph(rng, 7, 10)
+        if base.n_vertices < 3:
+            continue
+        ids = rng.sample(range(10, 60), base.n_vertices)
+        order = list(range(base.n_vertices))
+        rng.shuffle(order)
+        vertices = tuple((ids[i], rng.randrange(3)) for i in order)
+        g = Multigraph(vertices, tuple((ids[t], ids[h]) for t, h in base.edges))
+        contracted = frozenset(
+            e for e in range(g.n_edges) if not g.is_loop(e) and rng.random() < 0.3
+        )
+        cases.append((g, contracted))
+    return cases
+
+
+# contract_edges on _contraction_cases(), one row per case: the genus sum of
+# each quotient vertex 0, 1, ..., the quotient edges, and the new id of each
+# input edge (None when contracted).  Pins the renumbering of the quotient.
+FROZEN_CONTRACTIONS = [
+    ((5,), ((0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+     (0, 1, 2, None, None, 3, None, 4)),
+    ((2, 0, 2), ((0, 0), (0, 2), (1, 1), (0, 0), (0, 1), (0, 0)),
+     (0, 1, 2, 3, 4, None, 5)),
+    ((0, 1, 2, 2, 0, 1), ((5, 3), (0, 3), (2, 1), (4, 5), (4, 4), (1, 4), (4, 3)),
+     (0, 1, 2, 3, 4, 5, 6)),
+    ((0, 1, 1), ((0, 0), (1, 0), (0, 0), (1, 0), (1, 2), (0, 0), (0, 0)),
+     (0, 1, 2, 3, None, 4, 5, 6, None)),
+    ((2, 4, 0), ((0, 1), (2, 2), (2, 1), (2, 2), (0, 1)),
+     (0, 1, None, None, 2, 3, 4)),
+    ((3, 2), ((0, 0), (1, 0), (1, 1), (1, 0)), (0, None, 1, None, 2, 3)),
+    ((1, 0, 0, 2), ((3, 0), (0, 0), (2, 0), (3, 2), (1, 3)), (0, 1, 2, 3, 4)),
+    ((2, 4, 2), ((0, 1), (1, 1), (1, 1), (1, 1), (1, 2)),
+     (0, None, None, 1, None, 2, 3, 4, None)),
+    ((1, 2, 3), ((2, 1), (1, 1), (2, 0), (1, 2)), (0, 1, None, 2, 3, None)),
+    ((5,), ((0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+     (0, None, 1, 2, 3, 4, None, None)),
+    ((2, 0, 2), ((0, 0), (2, 1), (2, 0), (1, 1)), (0, 1, 2, 3)),
+    ((1, 2, 1, 1, 1),
+     ((1, 1), (3, 0), (0, 3), (0, 1), (3, 1), (2, 1), (0, 1), (4, 0)),
+     (0, 1, 2, 3, 4, 5, None, 6, 7)),
+    ((2, 0, 2), ((2, 1), (0, 2)), (0, 1)),
+    ((4, 1), ((0, 0), (0, 0), (0, 1), (1, 1)), (None, None, None, 0, 1, 2, 3)),
+    ((3, 2, 2, 0, 1), ((4, 2), (3, 0), (0, 2), (3, 1), (2, 0)),
+     (0, None, 1, 2, 3, 4)),
+    ((1, 5), ((0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 1)),
+     (0, 1, 2, None, 3, None, 4, None, 5, None)),
+    ((1, 0, 0, 1, 2, 1), ((5, 3), (3, 4), (1, 0), (2, 3), (0, 2)),
+     (0, None, 1, 2, 3, 4)),
+    ((3, 2, 0), ((1, 2), (1, 1), (0, 0), (0, 0), (1, 0)),
+     (0, 1, 2, 3, None, None, 4, None)),
+    ((0, 0, 4), ((2, 2), (0, 2), (2, 2), (0, 0), (2, 2), (2, 1), (2, 0)),
+     (0, 1, None, 2, 3, 4, 5, None, 6)),
+    ((4, 2, 2), ((2, 0), (2, 0), (0, 0), (0, 1), (2, 0)),
+     (0, None, None, None, 1, 2, 3, None, 4)),
+    ((2,), ((0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+     (0, None, 1, None, 2, 3, 4, None, 5)),
+    ((1,), ((0, 0), (0, 0)), (0, None, None, 1, None, None)),
+    ((3,), ((0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+     (0, 1, 2, None, 3, None, 4, 5, None)),
+    ((2, 2, 0), ((2, 0), (1, 1), (0, 0), (1, 1), (1, 1), (2, 1)),
+     (0, 1, 2, 3, 4, 5)),
+    ((3, 2, 0), ((0, 0), (0, 0), (0, 2), (0, 2), (1, 1), (0, 0), (1, 0), (0, 1)),
+     (0, 1, 2, 3, 4, 5, None, 6, None, 7)),
+    ((0, 2, 0, 2, 1),
+     ((3, 0), (3, 2), (0, 3), (0, 1), (1, 1), (1, 3), (3, 3), (4, 3), (4, 0),
+      (1, 3)),
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+    ((0, 0, 1), ((0, 1), (0, 2)), (None, 0, 1, None, None, None)),
+    ((4, 1, 1, 1), ((1, 0), (3, 1), (2, 0), (0, 3), (0, 3), (0, 1), (2, 1)),
+     (None, 0, 1, 2, 3, 4, None, 5, 6)),
+    ((4, 0, 2), ((2, 0), (0, 2), (1, 0), (0, 1), (0, 0)),
+     (0, 1, None, None, 2, None, 3, None, None, 4)),
+    ((1, 3, 2, 2), ((2, 1), (1, 3), (1, 0), (2, 0)), (0, 1, None, 2, None, 3, None)),
+]
 
 
 def _subgraph_betti(vertices, edges):
