@@ -28,6 +28,7 @@ from .matroid import (
     CertificateError,
     CographicMatroid,
     DensityCertificate,
+    MatroidError,
     build_witness,
     density,
 )
@@ -121,9 +122,11 @@ def _contract_to_optimal(matroid, cert) -> tuple[frozenset[int], Multigraph]:
         raise CertificateError("contraction did not leave exactly T0")
     if betti(reduced) != matroid.corank(cert.t0):
         raise CertificateError("contraction changed the matroid rank of T0")
-    if bridges(reduced):
-        raise CertificateError("optimal contraction produced a bridge")
-    c_bar = density(CographicMatroid(reduced)).m
+    try:
+        reduced_matroid = CographicMatroid(reduced)
+    except MatroidError:
+        raise CertificateError("optimal contraction produced a bridge") from None
+    c_bar = density(reduced_matroid).m
     if c_bar != cert.m:
         raise CertificateError(
             f"threshold changed under contraction: {cert.m} -> {c_bar}"
@@ -230,12 +233,15 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
 
 
 def _gen_edge_lists(v: int, e: int, min_valence: int = 3):
-    """Canonical sorted edge multisets on exactly v vertices with e edges.
+    """Canonical sorted connected edge multisets on v vertices with e edges.
 
     Edges are normalized (a, b) with a <= b and emitted in nondecreasing
-    lexicographic order; a new vertex may only enter as max_used + 1, so
-    every isomorphism class keeps at least one representative (its
-    lexicographically minimal labelling).  Valences are forced >= min_valence.
+    lexicographic order.  After the first edge every tail a is a used
+    vertex and only the head b may open a new one, max_used + 1 (a vertex
+    opened as a tail has no earlier neighbour, and no later edge reaches
+    back).  So every list is connected, and every connected isomorphism
+    class keeps its lexicographically minimal labelling.  Valences are
+    forced >= min_valence.
     """
     exact = min_valence > 0 and 2 * e == min_valence * v  # no slack valence
     deg = [0] * v
@@ -256,12 +262,11 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3):
         first_needy = next(
             (i for i in range(used) if deg[i] < min_valence), used
         )
-        hi_a = min(first_needy, used, v - 1)
+        hi_a = min(first_needy, max(used - 1, 0))
+        hi_b = min(v - 1, max(used, 1))
         for a in range(last_a, hi_a + 1):
-            new_a = a == used
             b_lo = last_b if a == last_a else a
-            b_hi = min(v - 1, (a + 1) if new_a else used)
-            for b in range(b_lo, b_hi + 1):
+            for b in range(b_lo, hi_b + 1):
                 if exact:
                     # Every valence lands exactly on min_valence; a loop
                     # would leave its vertex with one non-loop edge, a bridge.

@@ -310,59 +310,51 @@ def delete_edges(g: Multigraph, removed) -> tuple[Multigraph, dict[int, int]]:
     return Multigraph(g.vertices, tuple(edges)), edge_map
 
 
-def _canon_labels(labels) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
+def _cut_vectors(ends) -> list[int]:
+    """Bits a and b for each edge (a, b) of vertex indices, 0 for a loop: the
+    graphic matroid over GF(2), where forests are the independent sets."""
+    return [(1 << a) ^ (1 << b) for a, b in ends]
+
+
+def _reduce(x: int, basis) -> int:
+    """x reduced against an echelon basis over GF(2); 0 iff x is in its span.
+
+    Build the basis by appending nonzero results of this function: each
+    vector is then zero at the leading bits of the earlier ones, so
+    min(x, x ^ b) clears b's leading bit.
+    """
+    for b in basis:
+        x = min(x, x ^ b)
+    return x
 
 
 def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
-    """All spanning trees as edge-id sets.
+    """All spanning trees as edge-id sets, lexicographic by sorted edge ids.
 
-    Deletion-contraction over edge ids, depth first on an explicit stack,
-    with memoized connectivity for the deletion branch.  Output ordered
-    lexicographically by sorted edge ids; loops never belong to a tree.
+    Include/exclude backtracking (Read & Tarjan, Networks 5, 1975), tree
+    branch first: edge i may join the tree if its cut vector is independent
+    of the tree's, the cotree if its cycle column is independent of the
+    cotree's.  A forest and a disjoint cotree-independent set always extend
+    to a spanning tree between them, so every branch ends in a tree.
     """
     ends = _ends(g)
-    e = g.n_edges
-    conn_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def connects(i: int, labels: tuple[int, ...]) -> bool:
-        k = max(labels) + 1
-        if k == 1:
-            return True
-        key = (i, labels)
-        hit = conn_cache.get(key)
-        if hit is not None:
-            return hit
-        res = not any(
-            _components(k, [(labels[a], labels[b]) for a, b in ends[i:]])
-        )
-        conn_cache[key] = res
-        return res
-
+    cuts = _cut_vectors(ends)
+    cols = _cycle_columns(ends, g.n_vertices)
     # explicit stack, not a recursive closure: a closure that calls itself
-    # is a reference cycle that keeps conn_cache alive until the cyclic GC
+    # is a reference cycle that stays alive until the cyclic GC
     out: list[frozenset[int]] = []
-    stack = [(0, _canon_labels(tuple(range(g.n_vertices))), ())]
+    stack = [(0, (), (), ())]
     while stack:
-        i, labels, chosen = stack.pop()
-        if max(labels) == 0:
+        i, tree_basis, cotree_basis, chosen = stack.pop()
+        if i == len(ends):
             out.append(frozenset(chosen))
             continue
-        if i == e:
-            continue
-        if connects(i + 1, labels):
-            stack.append((i + 1, labels, chosen))
-        a, b = labels[ends[i][0]], labels[ends[i][1]]
-        if a != b:
-            merged = _canon_labels(tuple(a if x == b else x for x in labels))
-            stack.append((i + 1, merged, chosen + (i,)))
-    out.sort(key=lambda s: tuple(sorted(s)))
+        col = _reduce(cols[i], cotree_basis)
+        if col:
+            stack.append((i + 1, tree_basis, cotree_basis + (col,), chosen))
+        cut = _reduce(cuts[i], tree_basis)
+        if cut:
+            stack.append((i + 1, tree_basis + (cut,), cotree_basis, chosen + (i,)))
     return out
 
 
@@ -379,23 +371,16 @@ class CycleBasis:
 
 
 def _kruskal(g: Multigraph, order) -> frozenset[int]:
-    """Greedy spanning tree: scan edge ids in `order`, keep each edge that
-    joins two components.  A minimum-weight tree when `order` sorts by
-    weight; loops never join."""
-    ends = _ends(g)
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Greedy spanning tree: scan edge ids in `order`, keep each edge whose
+    cut vector is independent of the kept edges'.  A minimum-weight tree
+    when `order` sorts by weight; loops never join."""
+    cuts = _cut_vectors(_ends(g))
+    basis: list[int] = []
     tree = set()
     for eid in order:
-        a, b = find(ends[eid][0]), find(ends[eid][1])
-        if a != b:
-            parent[a] = b
+        cut = _reduce(cuts[eid], basis)
+        if cut:
+            basis.append(cut)
             tree.add(eid)
     return frozenset(tree)
 
@@ -410,11 +395,22 @@ def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:
 
     For a non-tree edge e = (t, h) the cycle follows e from t to h and then
     the tree path back from h to t; a tree edge traversed tail-to-head gets
-    +1, head-to-tail gets -1.
+    +1, head-to-tail gets -1.  Raises GraphError unless `tree` is a set of
+    v - 1 edge ids whose cut vectors are independent.
     """
+    tree = frozenset(tree)
+    if len(tree) != g.n_vertices - 1 or not tree <= set(range(g.n_edges)):
+        raise GraphError(f"a spanning tree has v - 1 = {g.n_vertices - 1} edge "
+                         f"ids below {g.n_edges}, got {sorted(tree)}")
     ends = _ends(g)
+    cuts = _cut_vectors(ends)
+    basis: list[int] = []
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(g.n_vertices)}
     for eid in sorted(tree):
+        cut = _reduce(cuts[eid], basis)
+        if not cut:
+            raise GraphError(f"tree edge {eid} closes a cycle")
+        basis.append(cut)
         a, b = ends[eid]
         adj[a].append((b, eid))
         adj[b].append((a, eid))
@@ -445,7 +441,7 @@ def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:
                 row[te] = 1 if ends[te][0] == x else -1
                 x = px
         rows.append(tuple(row))
-    return CycleBasis(tuple(rows), frozenset(tree))
+    return CycleBasis(tuple(rows), tree)
 
 
 def fundamental_cycle_basis(g: Multigraph) -> CycleBasis:

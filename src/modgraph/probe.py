@@ -340,31 +340,15 @@ def _iterated_sum_integral(n: int, s: int, R: float) -> float:
     return total
 
 
-def _gl_sum_integral(n: int, s: float, R: float, nodes: int = 48) -> float:
-    """Gauss-Legendre quadrature of the sum-mode integral in log coordinates."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    half = math.log(R) / 2.0
-    u = half + half * x
-    wu = half * w
-    axes = np.meshgrid(*([u] * n), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=1)
-    y = np.exp(pts)
-    f = y.sum(axis=1) ** (-s) * y.prod(axis=1)
-    wax = np.meshgrid(*([wu] * n), indexing="ij")
-    wprod = np.ones_like(f)
-    for g in wax:
-        wprod *= g.ravel()
-    return float(np.sum(f * wprod))
-
-
 def model_integral(n: int, mode: str, s: float, R: float) -> float:
     """Model integrals calibrating the growth verdicts.
 
     mode "product": the integral of (y_1*...*y_n)^(-s) over [1, R]^n, i.e.
     the n-th power of a one-dimensional closed form; converges for s > 1.
     mode "sum": the integral of (y_1+...+y_n)^(-s) over [1, R]^n, exact by
-    iterated antiderivatives for integer s, Gauss-Legendre quadrature
-    otherwise; converges for s > n and diverges at s = n.
+    iterated antiderivatives for integer s, tensor Gauss-Legendre
+    quadrature otherwise (at most QUADRATURE_MAX_EDGES variables);
+    converges for s > n and diverges at s = n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -381,5 +365,13 @@ def model_integral(n: int, mode: str, s: float, R: float) -> float:
     if mode == "sum":
         if float(s).is_integer():
             return _iterated_sum_integral(n, int(s), R)
-        return _gl_sum_integral(n, float(s), R)
+        if n > QUADRATURE_MAX_EDGES:
+            raise ValueError(
+                f"sum mode with non-integer s supports at most "
+                f"{QUADRATURE_MAX_EDGES} variables"
+            )
+        value, _ = _gl_region(
+            [(i,) for i in range(n)], float(s), [0.0] * n, [math.log(R)] * n, 48
+        )
+        return value
     raise ValueError(f"unknown mode {mode!r}; expected 'product' or 'sum'")

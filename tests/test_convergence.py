@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,12 +27,14 @@ from modgraph import (
 )
 from modgraph.convergence import (
     _connected,
+    _contract_to_optimal,
     _density_reaches,
     _gen_edge_lists,
     _is_bridgeless,
     _series_classes,
 )
 from modgraph.graphs import Multigraph
+from modgraph.matroid import CertificateError, DensityCertificate
 from modgraph.selftest import (
     bridged_triangles_graph,
     random_bridgeless_multigraph,
@@ -127,6 +130,15 @@ class TestOptimalContraction:
         assert gbar.n_edges == 3
         assert betti(gbar) == 1
 
+    def test_bridge_in_reduced_graph_is_a_certificate_error(self):
+        # a stub matroid on a bridged graph, as if the contraction had
+        # produced the bridge
+        g = parse_graph("0 1\n0 1\n1 2")
+        stub = SimpleNamespace(graph=g, corank=lambda subset: betti(g))
+        cert = DensityCertificate(Fraction(3), frozenset(range(3)))
+        with pytest.raises(CertificateError, match="produced a bridge"):
+            _contract_to_optimal(stub, cert)
+
     def test_c_preserved_random(self):
         rng = random.Random(67)
         for _ in range(15):
@@ -159,6 +171,13 @@ class TestGenerator:
                     if _connected(combo, v) is not None:
                         brute.add(_canonical_form(combo, v))
                 assert generated == brute, (v, e)
+
+    @pytest.mark.parametrize("min_valence", [0, 3])
+    def test_every_candidate_connected(self, min_valence):
+        for v in range(1, 6):
+            for e in range(7):
+                for ends in _gen_edge_lists(v, e, min_valence=min_valence):
+                    assert _connected(ends, v) is not None, ends
 
     def test_min_valence_respected(self):
         for ends in _gen_edge_lists(3, 5, min_valence=3):

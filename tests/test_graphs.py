@@ -22,7 +22,7 @@ from modgraph import (
     spanning_trees,
     valences,
 )
-from modgraph.graphs import _cycle_columns, component_count
+from modgraph.graphs import _cycle_columns, _kruskal, component_count
 from modgraph.selftest import (
     random_bridgeless_multigraph,
     random_connected_multigraph,
@@ -396,6 +396,30 @@ class TestSpanningTrees:
         finally:
             gc.enable()
 
+    def test_count_matches_matrix_tree_at_edge_cap(self):
+        from test_convergence import cap_graph
+
+        # the 20-edge cap graph has a loop and a pendant bridge
+        g = cap_graph()
+        assert len(spanning_trees(g)) == laplacian_tree_count(g) == 432
+        d6 = make_doubled_2ngon(6)
+        g = Multigraph(d6.vertices, d6.edges + ((0, 0), (3, 3)))
+        assert g.n_edges == 20
+        assert len(spanning_trees(g)) == laplacian_tree_count(g) == 576
+
+    def test_kruskal_on_weight_order_is_minimum(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            g = random_connected_multigraph(rng, 6, 10)
+            weight = [rng.randint(1, 5) for _ in range(g.n_edges)]
+            order = sorted(range(g.n_edges), key=lambda i: (weight[i], i))
+            tree = _kruskal(g, order)
+            trees = spanning_trees(g)
+            assert tree in trees
+            assert sum(weight[i] for i in tree) == min(
+                sum(weight[i] for i in t) for t in trees
+            )
+
     def test_trees_have_size_v_minus_1_and_no_loops(self):
         rng = random.Random(13)
         for _ in range(25):
@@ -455,6 +479,17 @@ class TestCycleBasis:
             non_tree = [e for e in range(g.n_edges) if e not in basis.tree]
             for row, eid in zip(basis.cycles, non_tree):
                 assert row[eid] == 1
+
+    @pytest.mark.parametrize("tree", [set(), {0, 1}, {0, 1, 2}, {5}])
+    def test_rejects_non_trees_on_theta(self, tree):
+        with pytest.raises(GraphError):
+            cycle_basis_from_tree(theta_graph(), frozenset(tree))
+
+    def test_rejects_v_minus_1_edges_with_a_cycle(self):
+        g = parse_graph("0 1\n0 1\n1 2\n2 3")
+        with pytest.raises(GraphError, match="closes a cycle"):
+            cycle_basis_from_tree(g, frozenset({0, 1, 2}))
+        assert len(cycle_basis_from_tree(g, frozenset({1, 2, 3})).cycles) == 1
 
     def test_alternate_tree_basis(self):
         g = theta_graph()

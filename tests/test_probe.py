@@ -454,6 +454,12 @@ class TestModelIntegral:
         assert inc[2] < 0.5 * inc[1]
         assert vals[-1] < 0.3
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_sum_quadrature_refuses_more_than_four_variables(self, n):
+        # a 48^n tensor grid would need gigabytes at n = 5
+        with pytest.raises(ValueError, match="at most 4 variables"):
+            model_integral(n, "sum", 5.5, math.exp(4.0))
+
     def test_guards(self):
         with pytest.raises(ValueError):
             model_integral(0, "sum", 2.0, 100.0)
