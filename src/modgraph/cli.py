@@ -29,8 +29,7 @@ from .convergence import (
     rational_fields,
     search_divergent,
 )
-from .graphs import GraphError, parse_graph
-from .kirchhoff import psi_trees
+from .graphs import GraphError, parse_graph, spanning_trees
 from .matroid import MAX_GROUND_SET, CertificateError, MatroidError
 from .probe import DEFAULT_GRID, DEFAULT_SEED, ProbeConfig, truncated_J
 from .selftest import run_selftest
@@ -208,7 +207,7 @@ def cmd_search(args) -> int:
             "vertices": g.n_vertices,
             "edges": g.n_edges,
             "c": rational_fields(c),
-            "psi_terms": len(psi_trees(g).terms()),
+            "psi_terms": len(spanning_trees(g)),
         }))
     _emit("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK if hits else EXIT_NO_HITS

@@ -21,9 +21,10 @@ from .graphs import (
     delete_edges,
     genus,
     is_stable,
+    spanning_trees,
     valences,
 )
-from .kirchhoff import IntPolynomial, psi_from_graph, psi_trees
+from .kirchhoff import IntPolynomial, psi_from_graph
 from .matroid import (
     CertificateError,
     CographicMatroid,
@@ -232,8 +233,10 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
     return False
 
 
-def _gen_edge_lists(v: int, e: int, min_valence: int = 3):
-    """Canonical sorted connected edge multisets on v vertices with e edges.
+def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
+                    bridgeless: bool = False):
+    """Canonical sorted connected edge multisets on v vertices with e >= 1
+    edges, each yielded as (ends, cols) with its GF(2) cycle columns.
 
     Edges are normalized (a, b) with a <= b and emitted in nondecreasing
     lexicographic order.  After the first edge every tail a is a used
@@ -241,52 +244,119 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3):
     opened as a tail has no earlier neighbour, and no later edge reaches
     back).  So every list is connected, and every connected isomorphism
     class keeps its lexicographically minimal labelling.  Valences are
-    forced >= min_valence.
+    forced >= min_valence.  Depth-first on an explicit stack, one frame
+    per placed edge, with the valence deficit kept incrementally.
+
+    The edge that opens vertex y is a spanning-tree edge from parent[y] < y.
+    col[y] holds the bits of the non-tree edges that cross y's subtree, so
+    the columns (col[y] for the edge opening y, its own bit for a non-tree
+    edge) represent the cographic matroid, as `_cycle_columns` does on
+    another tree: a zero column is a bridge.
+
+    With bridgeless=True no list is extended that must end with a bridge.
+    When the tail moves up to a, every edge that touches X = {0..a-1} is
+    placed.  A bridge of the quotient that identifies the vertices >= a is
+    a bridge of every completion, and a larger a only refines that
+    quotient, so the first bridged tail ends the node.  The tree edge into
+    y is such a bridge iff col[y] == 0 and y's subtree holds none or all of
+    Z = {a..used-1}.  A list can still close with a bridge among its last
+    tail's edges, so the caller tests the columns.
     """
-    exact = min_valence > 0 and 2 * e == min_valence * v  # no slack valence
+    mv = min_valence
+    exact = mv > 0 and 2 * e == mv * v  # no slack valence
     deg = [0] * v
+    deficit = mv * v  # sum over all v vertices of max(0, mv - valence)
+    parent = [0] * v
+    col = [0] * v
+    sub = [1] + [0] * (v - 1)  # vertex mask of each subtree
     edges: list[tuple[int, int]] = []
-
-    def rec(last_a: int, last_b: int, used: int):
-        placed = len(edges)
-        if placed == e:
-            if used == v and all(d >= min_valence for d in deg):
-                yield tuple(edges)
-            return
-        remaining = e - placed
-        deficit = sum(
-            min_valence - deg[i] for i in range(used) if deg[i] < min_valence
-        ) + min_valence * (v - used)
-        if deficit > 2 * remaining:
-            return
-        first_needy = next(
-            (i for i in range(used) if deg[i] < min_valence), used
-        )
-        hi_a = min(first_needy, max(used - 1, 0))
-        hi_b = min(v - 1, max(used, 1))
-        for a in range(last_a, hi_a + 1):
-            b_lo = last_b if a == last_a else a
-            for b in range(b_lo, hi_b + 1):
-                if exact:
-                    # Every valence lands exactly on min_valence; a loop
-                    # would leave its vertex with one non-loop edge, a bridge.
-                    if a == b:
-                        continue
-                    if deg[a] >= min_valence or deg[b] >= min_valence:
-                        continue
-                edges.append((a, b))
-                deg[a] += 1
-                deg[b] += 1
-                yield from rec(a, b, max(used, b + 1))
-                deg[a] -= 1
-                deg[b] -= 1
-                edges.pop()
-
-    yield from rec(0, 0, 0)
+    opened: list[int] = []  # per edge: the vertex it opened, 0 if non-tree
+    # Frame of the node with len(stack) - 1 edges placed: the next child
+    # (a, b) to try, the node's bounds on a and b, and its used vertices.
+    stack = [[0, 0, 0, min(v - 1, 1), 0]]
+    while stack:
+        frame = stack[-1]
+        removing = len(edges) == len(stack)  # back from a child
+        if removing:
+            a, b = edges.pop()
+            y = opened.pop()
+            deg[a] -= 1
+            deficit += deg[a] < mv
+            deg[b] -= 1
+            deficit += deg[b] < mv
+        else:
+            a, b, hi_a, hi_b, used = frame
+            slack = 2 * (e - len(edges) - 1)  # valence the later edges add
+            while a <= hi_a:
+                if b > hi_b:
+                    a += 1
+                    b = a
+                    if bridgeless and a <= hi_a:
+                        z = (1 << used) - (1 << a)
+                        for y in range(1, used):
+                            s = sub[y] & z
+                            if not col[y] and (not s or s == z):
+                                a = hi_a + 1
+                                break
+                elif exact and (a == b or deg[a] >= mv or deg[b] >= mv):
+                    # every valence lands exactly on min_valence; a loop
+                    # would leave its vertex with one non-loop edge, a bridge
+                    b += 1
+                elif (deficit - (deg[a] < mv) - (deg[b] + (a == b) < mv) > slack
+                      or not slack and b + 1 < v and used < v):
+                    b += 1  # the child misses min_valence or a vertex
+                else:
+                    break
+            if a > hi_a:
+                stack.pop()
+                continue
+            frame[0] = a
+            frame[1] = b + 1
+            deficit -= deg[a] < mv
+            deg[a] += 1
+            deficit -= deg[b] < mv
+            deg[b] += 1
+            y = b if b >= used and b else 0  # the vertex a tree edge opens
+        # placing and removing an edge are the same XORs
+        if y:
+            # y's subtree holds y alone; y joins the subtrees of a's path
+            parent[y] = a
+            col[y] = 0
+            sub[y] = bit = 1 << y
+            x = a
+            while True:
+                sub[x] ^= bit
+                if not x:
+                    break
+                x = parent[x]
+        else:
+            # the non-tree edge's bit crosses the subtrees on its tree path
+            bit = 1 << len(edges)
+            x, w = a, b
+            while x != w:
+                if x > w:
+                    col[x] ^= bit
+                    x = parent[x]
+                else:
+                    col[w] ^= bit
+                    w = parent[w]
+        if removing:
+            continue
+        edges.append((a, b))
+        opened.append(y)
+        used = max(used, b + 1)
+        if not slack:
+            yield tuple(edges), [col[y] if y else 1 << k
+                                 for k, y in enumerate(opened)]
+        else:
+            needy = a  # vertices below the tail are final and not needy
+            while needy < used and deg[needy] >= mv:
+                needy += 1
+            stack.append([a, b, min(needy, used - 1), min(v - 1, used), used])
 
 
 def _connected(ends, n_vertices) -> list[int] | None:
-    """Cycle columns of a candidate, or None when it is disconnected."""
+    """Cycle columns of an edge list, or None when it is disconnected."""
     return _cycle_columns(ends, n_vertices)
 
 
@@ -295,14 +365,12 @@ def _is_bridgeless(cols) -> bool:
     return all(cols)
 
 
-def _fingerprint(g: Multigraph, psi: IntPolynomial):
+def _fingerprint(g: Multigraph):
+    """(v, e, valence sequence, Kirchhoff monomial supports): each spanning
+    tree T gives one squarefree monomial on E - T with coefficient 1."""
     degs = tuple(sorted(valences(g).values()))
-    monos = tuple(
-        sorted(
-            tuple(i for i, p in enumerate(exps) if p)
-            for exps, _ in psi.terms().items()
-        )
-    )
+    all_edges = frozenset(range(g.n_edges))
+    monos = tuple(sorted(tuple(sorted(all_edges - t)) for t in spanning_trees(g)))
     return (g.n_vertices, g.n_edges, degs, monos)
 
 
@@ -312,10 +380,13 @@ def search_divergent(
     """Stable genus-0-vertex graphs with b = target_genus and c >= target.
 
     Enumerates connected bridgeless multigraphs with minimum valence 3 and
-    at most max_edges edges, by recursive edge addition in canonical order.
-    Hits are deduplicated by the cheap fingerprint (v, e, valence sequence,
-    Kirchhoff monomial multiset) only, so isomorphic duplicates can survive;
-    the output is sorted by c descending, then edge count ascending.
+    at most max_edges edges, as canonical edge lists generated depth-first
+    without the prefixes that must end with a bridge; each candidate comes
+    with its cycle columns, which decide bridgelessness and the density
+    pre-filter before the exact density recheck.  Hits are deduplicated by
+    the cheap fingerprint (v, e, valence sequence, Kirchhoff monomial
+    multiset) only, so isomorphic duplicates can survive; the output is
+    sorted by c descending, then edge count ascending.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -332,10 +403,7 @@ def search_divergent(
             break
         if 3 * v > 2 * e:
             continue  # minimum valence 3 unreachable
-        for ends in _gen_edge_lists(v, e):
-            cols = _connected(ends, v)
-            if cols is None:
-                continue
+        for ends, cols in _gen_edge_lists(v, e, bridgeless=True):
             if not _is_bridgeless(cols):
                 continue
             if not _density_reaches(ends, v, cols, target, min_valence_3=True):
@@ -346,7 +414,7 @@ def search_divergent(
                 raise CertificateError(
                     "density pre-filter accepted a graph below the target"
                 )
-            key = _fingerprint(g, psi_trees(g))
+            key = _fingerprint(g)
             if key not in hits:
                 hits[key] = (g, cert.m)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))

@@ -66,14 +66,14 @@ def bridged_triangles_graph() -> Multigraph:
 
 
 def small_connected_multigraphs(max_edges: int):
-    """Every connected multigraph with at most max_edges edges, one labelled
-    representative per isomorphism class (canonical edge-list generation)."""
+    """Every connected multigraph with at most max_edges edges, at least one
+    labelled representative per isomorphism class (canonical edge-list
+    generation)."""
     yield Multigraph(((0, 0),), ())
     for e in range(1, max_edges + 1):
         for v in range(1, e + 2):
-            for ends in _gen_edge_lists(v, e, min_valence=0):
-                if _connected(ends, v) is not None:
-                    yield Multigraph(tuple((i, 0) for i in range(v)), ends)
+            for ends, _ in _gen_edge_lists(v, e, min_valence=0):
+                yield Multigraph(tuple((i, 0) for i in range(v)), ends)
 
 
 def random_connected_multigraph(rng: random.Random, max_vertices: int,

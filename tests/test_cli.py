@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -265,6 +266,21 @@ class TestSearch:
     def test_guard_violation(self, capsys):
         assert main(["search", "--genus", "2", "--max-edges", "99",
                      "--target", "1"]) == 1
+
+    @pytest.mark.parametrize("genus, max_edges, target, lines, digest", [
+        ("4", "9", "2", 169,
+         "735668bb6a2dc049add0f527a825d495e10b903f8c779c220fbfca84ad5cad5f"),
+        ("3", "7", "1", 14,
+         "3bd3d88976d6bcfee12a656f75d83dc3f0b0e7a46de57fe2bcd8367022be406a"),
+    ], ids=["g4e9t2", "g3e7t1"])
+    def test_frozen_stdout(self, capsys, genus, max_edges, target, lines,
+                           digest):
+        # recorded before the generator pruned bridged prefixes
+        assert main(["search", "--genus", genus, "--max-edges", max_edges,
+                     "--target", target]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOutputFile:

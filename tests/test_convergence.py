@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -33,7 +34,7 @@ from modgraph.convergence import (
     _is_bridgeless,
     _series_classes,
 )
-from modgraph.graphs import Multigraph
+from modgraph.graphs import Multigraph, _cycle_columns
 from modgraph.matroid import CertificateError, DensityCertificate
 from modgraph.selftest import (
     bridged_triangles_graph,
@@ -160,7 +161,7 @@ class TestGenerator:
             pairs = [(a, b) for a in range(v) for b in range(a, v)]
             for e in range(1, 5):
                 generated = set()
-                for ends in _gen_edge_lists(v, e, min_valence=0):
+                for ends, _ in _gen_edge_lists(v, e, min_valence=0):
                     if _connected(ends, v) is not None:
                         generated.add(_canonical_form(ends, v))
                 brute = set()
@@ -176,16 +177,76 @@ class TestGenerator:
     def test_every_candidate_connected(self, min_valence):
         for v in range(1, 6):
             for e in range(7):
-                for ends in _gen_edge_lists(v, e, min_valence=min_valence):
-                    assert _connected(ends, v) is not None, ends
+                for bridgeless in (False, True):
+                    for ends, _ in _gen_edge_lists(v, e, min_valence=min_valence,
+                                                   bridgeless=bridgeless):
+                        assert _connected(ends, v) is not None, ends
 
     def test_min_valence_respected(self):
-        for ends in _gen_edge_lists(3, 5, min_valence=3):
+        for ends, _ in _gen_edge_lists(3, 5, min_valence=3):
             deg = [0, 0, 0]
             for a, b in ends:
                 deg[a] += 1
                 deg[b] += 1
             assert min(deg) >= 3
+
+    @pytest.mark.parametrize("min_valence", [0, 1, 2, 3])
+    def test_pruning_keeps_every_bridgeless_list(self, min_valence):
+        # the pruned generator, filtered by an independent bridge test,
+        # equals the bridgeless subsequence of the unpruned one, in order
+        def bridgeless(lists, v):
+            return [ends for ends, _ in lists if all(_cycle_columns(ends, v))]
+
+        for v in range(1, 8):
+            for e in range(1, 10):
+                full = _gen_edge_lists(v, e, min_valence=min_valence)
+                pruned = _gen_edge_lists(v, e, min_valence=min_valence,
+                                         bridgeless=True)
+                assert bridgeless(pruned, v) == bridgeless(full, v), (v, e)
+
+    @pytest.mark.parametrize("bridgeless", [False, True])
+    @pytest.mark.parametrize("min_valence", [0, 3])
+    def test_columns_represent_the_cographic_matroid(self, min_valence,
+                                                     bridgeless):
+        # the generator's columns come from another spanning tree than
+        # _cycle_columns: same zero pattern, series classes and GF(2) ranks
+        rng = random.Random(79)
+        cases = 0
+        for v in range(1, 7):
+            for e in range(1, 9):
+                for ends, cols in _gen_edge_lists(v, e, min_valence=min_valence,
+                                                  bridgeless=bridgeless):
+                    ref = _cycle_columns(ends, v)
+                    assert len(cols) == e
+                    assert [not c for c in cols] == [not c for c in ref], ends
+                    assert _series_classes(cols) == _series_classes(ref), ends
+                    for _ in range(4):
+                        subset = [k for k in range(e) if rng.random() < 0.5]
+                        assert (_gf2_rank(cols[k] for k in subset)
+                                == _gf2_rank(ref[k] for k in subset)), ends
+                    cases += 1
+        assert cases > 1000
+
+    def test_yield_counts(self):
+        # v <= 6, e <= 8, minimum valence 3: pruning drops 1,156 of the
+        # 2,497 lists; 1,241 are bridgeless and 100 keep a last-tail bridge
+        grid = [(v, e) for v in range(1, 7) for e in range(1, 9)]
+        full = [x for v, e in grid for x, _ in _gen_edge_lists(v, e)]
+        pruned = [(x, cols) for v, e in grid
+                  for x, cols in _gen_edge_lists(v, e, bridgeless=True)]
+        assert len(full) == 2497
+        assert len(pruned) == 1341
+        assert sum(all(cols) for _, cols in pruned) == 1241
+
+
+def _gf2_rank(vectors) -> int:
+    basis: list[int] = []
+    for x in vectors:
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+    return len(basis)
 
 
 def _canonical_form(ends, v):
@@ -208,7 +269,7 @@ class TestDensityDecision:
         cases = 0
         for v in range(2, 5):
             for e in range(v + 1, min(v + 4, 9)):
-                for ends in _gen_edge_lists(v, e, min_valence=3):
+                for ends, _ in _gen_edge_lists(v, e, min_valence=3):
                     cols = _connected(ends, v)
                     if cols is None or not _is_bridgeless(cols):
                         continue
@@ -261,7 +322,7 @@ class TestDensityDecision:
         cases = 0
         for v in range(2, 7):
             for e in range(v + 1, v + 4):
-                for ends in _gen_edge_lists(v, e, min_valence=3):
+                for ends, _ in _gen_edge_lists(v, e, min_valence=3):
                     if all(a != b for a, b in ends):
                         continue
                     cols = _connected(ends, v)
@@ -327,6 +388,22 @@ class TestSearch:
             assert not bridges(g)
             assert c == density(CographicMatroid(g)).m
             assert c >= 2
+
+    def test_frozen_hits(self):
+        # recorded before the generator pruned bridged prefixes: the exact
+        # (edges, c) list, order included, as sha256 of its compact JSON
+        hits = search_divergent(5, 11, Fraction(3))
+        assert len(hits) == 470
+        assert hits[0] == (hits[0][0], Fraction(4))
+        assert hits[0][0].edges == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 3),
+                                    (2, 2), (2, 3), (3, 3))
+        assert hits[-1][0].edges == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5),
+                                     (1, 5), (2, 6), (2, 6), (3, 4), (3, 4),
+                                     (5, 6))
+        text = json.dumps([[[list(p) for p in g.edges], str(c)] for g, c in hits],
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "78adaf3e427dd88bbe5fe628b41c49695fde2f73b4fe2186ed8c7732650c5db5")
 
 
 def cap_graph():
