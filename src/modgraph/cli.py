@@ -29,7 +29,7 @@ from .convergence import (
     rational_fields,
     search_divergent,
 )
-from .graphs import GraphError, parse_graph, spanning_trees
+from .graphs import GraphError, parse_graph
 from .matroid import MAX_GROUND_SET, CertificateError, MatroidError
 from .probe import DEFAULT_GRID, DEFAULT_SEED, ProbeConfig, truncated_J
 from .selftest import run_selftest
@@ -195,19 +195,22 @@ def cmd_search(args) -> int:
     except (ValueError, ZeroDivisionError):
         sys.stderr.write(f"error: bad --target {args.target!r}\n")
         return EXIT_INPUT
+    tree_counts: list[int] = []
     try:
-        hits = search_divergent(args.genus, args.max_edges, target)
+        hits = search_divergent(
+            args.genus, args.max_edges, target, tree_counts=tree_counts
+        )
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     lines = []
-    for g, c in hits:
+    for (g, c), n_trees in zip(hits, tree_counts):
         lines.append(json.dumps({
             "graph": g.to_json_dict(),
             "vertices": g.n_vertices,
             "edges": g.n_edges,
             "c": rational_fields(c),
-            "psi_terms": len(spanning_trees(g)),
+            "psi_terms": n_trees,
         }))
     _emit("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK if hits else EXIT_NO_HITS

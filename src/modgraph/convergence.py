@@ -375,7 +375,7 @@ def _fingerprint(g: Multigraph):
 
 
 def search_divergent(
-    target_genus: int, max_edges: int, target
+    target_genus: int, max_edges: int, target, *, tree_counts=None
 ) -> list[tuple[Multigraph, Fraction]]:
     """Stable genus-0-vertex graphs with b = target_genus and c >= target.
 
@@ -386,7 +386,10 @@ def search_divergent(
     pre-filter before the exact density recheck.  Hits are deduplicated by
     the cheap fingerprint (v, e, valence sequence, Kirchhoff monomial
     multiset) only, so isomorphic duplicates can survive; the output is
-    sorted by c descending, then edge count ascending.
+    sorted by c descending, then edge count ascending.  If tree_counts is a
+    list, the number of spanning trees of each hit (its Kirchhoff monomials,
+    already enumerated for the fingerprint) is appended to it in output
+    order.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -418,6 +421,8 @@ def search_divergent(
             if key not in hits:
                 hits[key] = (g, cert.m)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))
+    if tree_counts is not None:
+        tree_counts.extend(len(key[3]) for key, _ in out)
     return [pair for _, pair in out]
 
 

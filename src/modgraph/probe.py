@@ -18,8 +18,12 @@ Log-divergence drives the ratios to 1; convergent tails decay
 geometrically; the dead zone avoids overclaiming.  The thresholds are
 configuration, not truth.
 
-Monte Carlo strata keep one random stream each and are evaluated in
-bounded blocks (see _mc_region).
+Each Monte Carlo stratum still draws from its own stream, PCG64 seeded by
+SeedSequence(seed, spawn_key=(region, stratum)); only the set-up is
+batched: the states of all strata of a region are derived in one numpy
+pass (_stream_states) and the strata are evaluated in bounded blocks (see
+_mc_region).  Tensor quadrature broadcasts its per-axis coordinates rather
+than materialising the grid (see _gl_region).
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ MAX_SAMPLES = 10_000_000
 # points per Monte Carlo integrand call; bounds memory whatever the samples
 BLOCK_POINTS = 1 << 16
 QUADRATURE_MAX_EDGES = 4
+# Gauss-Legendre nodes per axis; 48^4 = 5.3 million quadrature points
+MAX_NODES = 48
 DEFAULT_SEED = 53771
 DEFAULT_GRID = (
     math.exp(4.0),
@@ -47,6 +53,19 @@ DEFAULT_GRID = (
     math.exp(8.0),
     math.exp(10.0),
 )
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (O'Neill 2014), for _stream_states
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -73,8 +92,14 @@ class ProbeConfig:
             raise ValueError("every grid radius must be >= e (so ln >= 1)")
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ValueError("r_grid must be strictly increasing")
-        if self.method == "monte_carlo" and self.samples < 1000:
-            raise ValueError("Monte Carlo needs at least 1000 samples per box")
+        for name in ("samples", "nodes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise ValueError(f"nodes must be in 1..{MAX_NODES}, got {self.nodes}")
+        if self.samples < 1000:
+            raise ValueError(f"samples must be at least 1000, got {self.samples}")
         if self.samples > MAX_SAMPLES:
             raise ValueError(
                 f"samples must be at most {MAX_SAMPLES}, got {self.samples}"
@@ -103,82 +128,154 @@ def _term_supports(psi: IntPolynomial) -> list[tuple[int, ...]]:
     return supports
 
 
-def _psi_values(supports, log_points: np.ndarray) -> np.ndarray:
-    # one contiguous row per variable; each term is multiplied out in place
-    # over its support, in the same order as a row-wise np.prod
-    y = log_points.T.copy()
-    np.exp(y, out=y)
-    acc = np.zeros(log_points.shape[0])
-    term = np.empty_like(acc)
+def _integrand(supports, s: float, usum: np.ndarray, ys) -> np.ndarray:
+    """f(u) = exp(sum u) * psi(exp(u))^(-s) on the log-coordinate box.
+
+    usum is the 1-D coordinate sum of every point; ys holds one factor
+    exp(u_d) per variable, each broadcasting to the points (flattened in C
+    order), so the quadrature grid never materialises its coordinates.
+    Each psi term is multiplied out over its support in the order of a
+    row-wise np.prod.
+    """
+    vals = np.zeros(np.broadcast_shapes(*(y.shape for y in ys)))
     for first, *rest in supports:
-        np.copyto(term, y[first])
+        term = ys[first]
         for col in rest:
-            term *= y[col]
-        acc += term
-    return acc
-
-
-def _integrand(supports, s: float, u: np.ndarray) -> np.ndarray:
-    # f(u) = exp(sum u) * psi(exp(u))^(-s) on the log-coordinate box
-    vals = _psi_values(supports, u)
+            term = term * ys[col]
+        vals += term
+    vals = vals.reshape(usum.shape)
     if np.any(vals <= 0):
         raise RuntimeError(
             "Kirchhoff polynomial evaluated non-positive on the positive "
             "orthant; impossible for a connected bridgeless graph"
         )
-    return np.exp(u.sum(axis=1)) * vals ** (-s)
+    return np.exp(usum) * vals ** (-s)
 
 
 def _strata_per_axis(dim: int) -> int:
     return max(1, int(round(256 ** (1.0 / dim))))
 
 
+def _uint32_words(n: int) -> list[int]:
+    # SeedSequence's coercion of a non-negative int: little-endian 32-bit words
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashed(value, const: int, mult: int):
+    # one step of SeedSequence's hash on uint32 rows, and the next constant
+    nxt = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return value ^ (value >> np.uint32(16)), nxt
+
+
+def _stream_states(seed: int, region: int, strata):
+    """PCG64 (state, inc) of SeedSequence(seed, spawn_key=(region, k)) for
+    every k in strata, as two lists of ints, derived in one pass.
+
+    This is numpy's SeedSequence algorithm followed by PCG64's srandom
+    step, both stable by NumPy's policy (NEP 19).  The pool mixed from the
+    seed alone is SeedSequence(seed).pool; the spawn key's words (the
+    region's, then the stratum's: one word, as each stratum is below
+    2**32) are then mixed into it, and generate_state hashes the pool into
+    the 128-bit seed and increment.  Only the stratum word varies, so each
+    step runs on uint32 rows with one entry per stratum and wraps modulo
+    2**32 as the C code does.
+    """
+    strata = np.asarray(strata, dtype=np.uint32)
+    pool = [np.full(strata.size, word, dtype=np.uint32)
+            for word in np.random.SeedSequence(seed).pool]
+    # mixing the padded seed stepped the hash constant _POOL_SIZE times a word
+    calls = _POOL_SIZE * max(_POOL_SIZE, len(_uint32_words(seed)))
+    hash_const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+    spawn_words = [np.full_like(strata, w) for w in _uint32_words(region)]
+    for word in spawn_words + [strata]:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hashed(word, hash_const, _MULT_A)
+            value = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+            pool[dst] = value ^ (value >> np.uint32(16))
+    # generate_state(4, np.uint64): eight words hashed from the cycled pool
+    hash_const = _INIT_B
+    words = np.empty((8, strata.size), dtype=np.uint64)
+    for i in range(8):
+        words[i], hash_const = _hashed(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+    seed64 = (words[0::2] | (words[1::2] << np.uint64(32))).astype(object)
+    # pcg64_set_seed: the first uint64 is the high half of each 128-bit value
+    init_state = (seed64[0] << 64) | seed64[1]
+    inc = (((seed64[2] << 64) | seed64[3]) << 1 | 1) & _MASK128
+    state = ((inc + init_state) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
 def _mc_region(supports, s, lo, hi, samples, seed, region_index):
     """Stratified Monte Carlo estimate of one log-coordinate box.
 
-    Per-stratum seeding keeps the estimate reproducible for a given seed
-    regardless of evaluation order or worker count.  Strata are evaluated
-    in blocks of at most BLOCK_POINTS points, one integrand call per block;
-    each stratum keeps its own stream, and its mean and variance enter the
-    totals in stratum order, so the result does not depend on the block
-    size.
+    Each stratum draws its points from its own stream, PCG64 seeded by
+    SeedSequence(seed, spawn_key=(region_index, stratum)), so the estimate
+    is reproducible for a given seed regardless of evaluation order or
+    worker count.  The streams' states are derived for all strata at once
+    (_stream_states) and loaded into one reused generator; each stratum's
+    draws are mapped to its cell as cell_lo + span * r, the operations of
+    Generator.uniform.  Strata are evaluated in blocks of at most
+    BLOCK_POINTS points, one integrand call per block, and their means and
+    variances enter the totals in stratum order, so the result does not
+    depend on the block size.
     """
     dim = len(lo)
     splits = _strata_per_axis(dim)
     n_strata = splits**dim
     per = max(2, samples // n_strata)
     block = max(1, BLOCK_POINTS // per)
-    widths = [(h - l) / splits for l, h in zip(lo, hi)]
+    lo = np.asarray(lo, dtype=float)
+    widths = (np.asarray(hi, dtype=float) - lo) / splits
+    # digit d of a stratum's index in base `splits` is its cell along axis d
+    k = np.arange(n_strata)[:, None] // splits ** np.arange(dim) % splits
+    cell_lo = lo + k * widths
+    span = lo + (k + 1) * widths - cell_lo
+    vols = span[:, 0].copy()  # left to right, as math.prod
+    for d in range(1, dim):
+        vols *= span[:, d]
+    states, incs = _stream_states(seed, region_index, range(n_strata))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
     total = 0.0
     var_total = 0.0
     for first in range(0, n_strata, block):
         count = min(block, n_strata - first)
         u = np.empty((count, per, dim))
-        vols = []
-        for i, stratum in enumerate(range(first, first + count)):
-            cell_lo = []
-            cell_hi = []
-            idx = stratum
-            for d in range(dim):
-                k = idx % splits
-                idx //= splits
-                cell_lo.append(lo[d] + k * widths[d])
-                cell_hi.append(lo[d] + (k + 1) * widths[d])
-            vols.append(math.prod(h - l for l, h in zip(cell_lo, cell_hi)))
-            seq = np.random.SeedSequence(seed, spawn_key=(region_index, stratum))
-            rng = np.random.Generator(np.random.PCG64(seq))
-            u[i] = rng.uniform(cell_lo, cell_hi, size=(per, dim))
-        f = _integrand(supports, s, u.reshape(count * per, dim)).reshape(count, per)
+        for i in range(count):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": states[first + i], "inc": incs[first + i]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.random(out=u[i])
+        u *= span[first : first + count, None, :]
+        u += cell_lo[first : first + count, None, :]
+        flat = u.reshape(count * per, dim)
+        ys = flat.T.copy()
+        np.exp(ys, out=ys)
+        f = _integrand(supports, s, flat.sum(axis=1), ys).reshape(count, per)
         means = f.mean(axis=1).tolist()
         variances = f.var(axis=1, ddof=1).tolist()
-        for vol, mean, var in zip(vols, means, variances):
+        block_vols = vols[first : first + count].tolist()
+        for vol, mean, var in zip(block_vols, means, variances):
             total += vol * mean
             var_total += vol * vol * var / per
     return total, math.sqrt(var_total)
 
 
 def _gl_region(supports, s, lo, hi, nodes):
-    """Tensor Gauss-Legendre estimate of one log-coordinate box."""
+    """Tensor Gauss-Legendre estimate of one log-coordinate box.
+
+    The grid stays sparse: the coordinate sum is broadcast as
+    ((u_0 + u_1) + u_2) + ..., the left-to-right order of a row sum, and
+    exp runs once per axis node rather than once per grid point.
+    """
     dim = len(lo)
     x, w = np.polynomial.legendre.leggauss(nodes)
     axes = []
@@ -188,11 +285,11 @@ def _gl_region(supports, s, lo, hi, nodes):
         mid = (hi[d] + lo[d]) / 2.0
         axes.append(mid + half * x)
         weights.append(half * w)
-    u = np.empty((nodes,) * dim + (dim,))
-    for d, grid in enumerate(np.meshgrid(*axes, indexing="ij", copy=False)):
-        u[..., d] = grid
-    f = _integrand(supports, s, u.reshape(-1, dim))
-    del u
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
+    usum = grid[0]
+    for g in grid[1:]:
+        usum = usum + g
+    f = _integrand(supports, s, usum.ravel(), [np.exp(g) for g in grid])
     wprod = 1.0
     for g in np.meshgrid(*weights, indexing="ij", sparse=True):
         wprod = wprod * g

@@ -34,7 +34,7 @@ from modgraph.convergence import (
     _is_bridgeless,
     _series_classes,
 )
-from modgraph.graphs import Multigraph, _cycle_columns
+from modgraph.graphs import Multigraph, _cycle_columns, spanning_trees
 from modgraph.matroid import CertificateError, DensityCertificate
 from modgraph.selftest import (
     bridged_triangles_graph,
@@ -380,6 +380,13 @@ class TestSearch:
         hits = search_divergent(3, 7, Fraction(1))
         keys = [(-c, g.n_edges) for g, c in hits]
         assert keys == sorted(keys)
+
+    def test_tree_counts_match_enumeration(self):
+        counts = [-1]
+        hits = search_divergent(3, 7, Fraction(1), tree_counts=counts)
+        assert hits == search_divergent(3, 7, Fraction(1))
+        assert counts[0] == -1 and len(counts) == len(hits) + 1
+        assert counts[1:] == [len(spanning_trees(g)) for g, _ in hits]
 
     def test_all_hits_satisfy_contract(self):
         for g, c in search_divergent(3, 7, Fraction(2)):

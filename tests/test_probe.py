@@ -16,10 +16,12 @@ from modgraph.probe import (
     BLOCK_POINTS,
     DEFAULT_GRID,
     DEFAULT_SEED,
+    MAX_NODES,
     MAX_SAMPLES,
     PROBE_MAX_EDGES,
     GrowthVerdict,
     _gl_region,
+    _stream_states,
     _term_supports,
 )
 from modgraph.kirchhoff import psi_trees
@@ -44,6 +46,11 @@ class TestProbeConfig:
         with pytest.raises(ValueError):
             ProbeConfig(s=1.0, samples=10)
 
+    def test_sample_floor_quadrature(self):
+        # quadrature ignores samples but reports it, so a bad value is refused
+        with pytest.raises(ValueError, match="at least 1000"):
+            ProbeConfig(s=1.0, samples=-5, method="tensor_quadrature")
+
     def test_samples_ceiling(self):
         assert ProbeConfig(s=1.0, samples=MAX_SAMPLES).samples == MAX_SAMPLES
         with pytest.raises(ValueError, match="at most"):
@@ -57,6 +64,39 @@ class TestProbeConfig:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             ProbeConfig(s=1.0, method="laplace")
+
+    @pytest.mark.parametrize("name", ["samples", "nodes"])
+    @pytest.mark.parametrize("value", [150_000.0, 32.0, True, "32", None])
+    def test_samples_and_nodes_must_be_int(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProbeConfig(s=1.0, **{name: value})
+
+    @pytest.mark.parametrize("nodes", [0, -3, MAX_NODES + 1])
+    def test_nodes_range(self, nodes):
+        with pytest.raises(ValueError, match=f"nodes must be in 1..{MAX_NODES}"):
+            ProbeConfig(s=1.0, method="tensor_quadrature", nodes=nodes)
+
+    def test_nodes_bounds_accepted(self):
+        for nodes in (1, MAX_NODES):
+            assert ProbeConfig(s=1.0, nodes=nodes).nodes == nodes
+
+
+class TestStreamStates:
+    """The batched stream derivation against numpy's own seeding."""
+
+    SEEDS = [0, 1, 53771, 2**32 - 1, 2**32, 2**40 + 5, 2**96 + 3,
+             (1 << 199) + 0x5DEECE66D]
+    REGIONS = [0, 1, 18, 2**33 + 1]
+    STRATA = [0, 1, 728, 2**31]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy(self, seed):
+        for region in self.REGIONS:
+            states, incs = _stream_states(seed, region, self.STRATA)
+            for k, state, inc in zip(self.STRATA, states, incs):
+                seq = np.random.SeedSequence(seed, spawn_key=(region, k))
+                expected = np.random.PCG64(seq).state["state"]
+                assert (state, inc) == (expected["state"], expected["inc"])
 
 
 class TestTruncatedJ:
@@ -370,15 +410,222 @@ class TestFrozenOutputs:
         cfg = ProbeConfig(s=s, method=method, seed=seed)
         assert truncated_J(self.GRAPHS[name](), cfg) == self.EXPECTED[key]
 
+    # Recorded the same way from the per-stratum implementation, before the
+    # stream set-up was batched and the quadrature grid broadcast: a
+    # multi-word and a 200-bit seed, seed 0, two points per stratum, and
+    # quadrature at 1 and 2 dimensions and away from 32 nodes.
+    CONFIG_GRAPHS = {
+        **GRAPHS,
+        "loop": lambda: parse_graph('{"edges": [[0, 0]]}'),
+        "banana2": lambda: Multigraph(((0, 0), (1, 0)), ((0, 1),) * 2),
+    }
+
+    EXPECTED_CONFIG = {
+        ("monte_carlo", "theta", 1.5, 2**64 + 3, 100_000, 32): GrowthVerdict(
+            values=(
+                7.513211660099237, 17.380778649066155, 28.895731813435177,
+                41.094303236594456,
+            ),
+            stderrs=(
+                0.0024128540578884994, 0.006041954228175395, 0.011920704608045597,
+                0.019990700103975138,
+            ),
+            increments=(9.867566988966917, 11.514953164369022, 12.198571423159281),
+            ratios=(1.1669495811119472, 1.0593678714131114),
+            verdict="diverging",
+            decay_ratio=1.0593678714131114,
+        ),
+        ("monte_carlo", "theta", 2.0, 2**200 + 7, 100_000, 32): GrowthVerdict(
+            values=(
+                0.6849368855733609, 0.8241855107507763, 0.8556439958922766,
+                0.8616517960743569,
+            ),
+            stderrs=(
+                0.0004731677311761636, 0.0004837474573903602, 0.0004848109653152857,
+                0.0004848797231192142,
+            ),
+            increments=(0.13924862517741549, 0.03145848514150025, 0.00600780018208039),
+            ratios=(0.22591594783373453, 0.19097550804043192),
+            verdict="saturating",
+            decay_ratio=0.19097550804043192,
+        ),
+        ("monte_carlo", "K4", 2.5, 0, 100_000, 32): GrowthVerdict(
+            values=(
+                0.04713890014908858, 0.06213610054620382, 0.06421396328311789,
+                0.06440171226416955,
+            ),
+            stderrs=(
+                0.00012616628824299188, 0.00013957767355567946,
+                0.00014016161925777223, 0.0001401724091671249,
+            ),
+            increments=(
+                0.014997200397115237, 0.0020778627369140773, 0.00018774898105165287,
+            ),
+            ratios=(0.13855004146732355, 0.09035677752731969),
+            verdict="saturating",
+            decay_ratio=0.09035677752731969,
+        ),
+        ("monte_carlo", "K4", 2.0, 1, 1000, 32): GrowthVerdict(
+            values=(
+                3.6459666781615403, 13.247223559233765, 25.83585372216313,
+                39.58945351827013,
+            ),
+            stderrs=(
+                0.04298080535471777, 0.11625286499141586, 0.28087829315360024,
+                0.6106199166992412,
+            ),
+            increments=(9.601256881072224, 12.588630162929366, 13.753599796107007),
+            ratios=(1.3111439802997464, 1.0925414138075333),
+            verdict="diverging",
+            decay_ratio=1.0925414138075333,
+        ),
+        ("tensor_quadrature", "loop", 1.5, None, 100_000, 32): GrowthVerdict(
+            values=(
+                1.7293294335267753, 1.9004258632642728, 1.9633687222225322,
+                1.9865241060018297,
+            ),
+            stderrs=(0.0, 0.0, 0.0, 0.0),
+            increments=(0.1710964297374975, 0.06294285895825953, 0.023155383779297427),
+            ratios=(0.36787944117144233, 0.3678794411714423),
+            verdict="saturating",
+            decay_ratio=0.3678794411714423,
+        ),
+        ("tensor_quadrature", "banana2", 1.5, None, 100_000, 32): GrowthVerdict(
+            values=(
+                12.195665973147761, 41.60551125512068, 122.34782539861999,
+                342.1237603032225,
+            ),
+            stderrs=(0.0, 0.0, 0.0, 0.0),
+            increments=(29.40984528197292, 80.74231414349931, 219.77593490460254),
+            ratios=(2.745417847981376, 2.7219424812868955),
+            verdict="diverging",
+            decay_ratio=2.7219424812868955,
+        ),
+        ("tensor_quadrature", "theta", 1.75, None, 100_000, 20): GrowthVerdict(
+            values=(
+                2.11522575309256, 3.2079906781312344, 3.7472144514475403,
+                3.977050799098911,
+            ),
+            stderrs=(0.0, 0.0, 0.0, 0.0),
+            increments=(1.0927649250386742, 0.5392237733163057, 0.22983634765137068),
+            ratios=(0.4934490126476396, 0.4262355612361882),
+            verdict="saturating",
+            decay_ratio=0.4262355612361882,
+        ),
+        ("tensor_quadrature", "banana4", 4 / 3, None, 100_000, 16): GrowthVerdict(
+            values=(
+                23.716545630019112, 76.83193003980269, 155.91233110922775,
+                251.42766263523237,
+            ),
+            stderrs=(0.0, 0.0, 0.0, 0.0),
+            increments=(53.11538440978357, 79.08040106942505, 95.51533152600463),
+            ratios=(1.4888417348036525, 1.2078255830057218),
+            verdict="diverging",
+            decay_ratio=1.2078255830057218,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "key", list(EXPECTED_CONFIG), ids=lambda k: "-".join(map(str, k))
+    )
+    def test_bit_identical_config(self, key):
+        method, name, s, seed, samples, nodes = key
+        seed = DEFAULT_SEED if seed is None else seed
+        cfg = ProbeConfig(s=s, method=method, seed=seed, samples=samples, nodes=nodes)
+        assert truncated_J(self.CONFIG_GRAPHS[name](), cfg) == self.EXPECTED_CONFIG[key]
+
+    # model_integral's sum mode at non-integer s: 48-node quadrature
+    EXPECTED_SUM = {
+        (1, 1.5): 1.9004258632642774,
+        (2, 2.5): 0.857147465279153,
+        (3, 3.5): 0.2694198821823962,
+        (4, 4.25): 0.18426097250717657,
+    }
+
+    @pytest.mark.parametrize("n,s", sorted(EXPECTED_SUM))
+    def test_model_sum_bit_identical(self, n, s):
+        assert model_integral(n, "sum", s, math.exp(6.0)) == self.EXPECTED_SUM[(n, s)]
+
+
+class TestReferenceKernels:
+    """The region kernels against straightforward loop versions, exactly.
+
+    The references draw each stratum with its own SeedSequence, generator
+    and uniform call, and evaluate the quadrature on the materialised
+    (nodes^dim, dim) point array; the arithmetic is the same, so the
+    results must be equal, not merely close.
+    """
+
+    @staticmethod
+    def _f(supports, s, u):
+        y = np.exp(u.T)
+        psi = sum(np.prod(y[list(t)], axis=0) for t in supports)
+        return np.exp(u.sum(axis=1)) * psi ** (-s)
+
+    def _mc(self, supports, s, lo, hi, samples, seed, region):
+        dim = len(lo)
+        splits = probe._strata_per_axis(dim)
+        n_strata = splits**dim
+        per = max(2, samples // n_strata)
+        widths = [(h - l) / splits for l, h in zip(lo, hi)]
+        total = var_total = 0.0
+        for stratum in range(n_strata):
+            digits = [stratum // splits**d % splits for d in range(dim)]
+            cell_lo = [l + k * w for l, k, w in zip(lo, digits, widths)]
+            cell_hi = [l + (k + 1) * w for l, k, w in zip(lo, digits, widths)]
+            vol = math.prod(h - l for l, h in zip(cell_lo, cell_hi))
+            seq = np.random.SeedSequence(seed, spawn_key=(region, stratum))
+            rng = np.random.Generator(np.random.PCG64(seq))
+            f = self._f(supports, s, rng.uniform(cell_lo, cell_hi, size=(per, dim)))
+            total += vol * f.mean()
+            var_total += vol * vol * f.var(ddof=1) / per
+        return total, math.sqrt(var_total)
+
+    def _gl(self, supports, s, lo, hi, nodes):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        axes = [(h + l) / 2.0 + (h - l) / 2.0 * x for l, h in zip(lo, hi)]
+        u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        f = self._f(supports, s, u.reshape(-1, len(lo)))
+        wprod = 1.0
+        for l, h in zip(lo, hi):
+            wprod = np.multiply.outer(wprod, (h - l) / 2.0 * w)
+        return float(np.sum(f * np.ravel(wprod))), 0.0
+
+    @staticmethod
+    def _case(dim, salt):
+        rng = np.random.default_rng([dim, salt])
+        lo = rng.uniform(0.0, 3.0, dim).tolist()
+        hi = (np.array(lo) + rng.uniform(0.5, 4.0, dim)).tolist()
+        supports = [tuple(sorted(rng.choice(dim, rng.integers(1, dim + 1),
+                                            replace=False).tolist()))
+                    for _ in range(3)]
+        return supports, lo, hi
+
+    @pytest.mark.parametrize("dim", range(1, PROBE_MAX_EDGES + 1))
+    @pytest.mark.parametrize("samples, seed, region", [
+        (1000, 0, 0), (5000, 2**64 + 3, 7), (3000, (1 << 199) + 1, 2**33 + 1),
+    ], ids=["one-word-seed", "three-word-seed", "seven-word-seed"])
+    def test_monte_carlo(self, dim, samples, seed, region):
+        supports, lo, hi = self._case(dim, samples)
+        args = (supports, 1.7, lo, hi, samples, seed, region)
+        assert probe._mc_region(*args) == self._mc(*args)
+
+    @pytest.mark.parametrize("dim", range(1, probe.QUADRATURE_MAX_EDGES + 1))
+    @pytest.mark.parametrize("nodes", [1, 7, 20, 32])
+    def test_quadrature(self, dim, nodes):
+        supports, lo, hi = self._case(dim, nodes)
+        args = (supports, 2.3, lo, hi, nodes)
+        assert _gl_region(*args) == self._gl(*args)
+
 
 class TestBlocks:
     @staticmethod
     def _record(monkeypatch):
         sizes = []
 
-        def integrand(supports, s, u):
-            sizes.append(u.shape[0])
-            return np.ones(u.shape[0])
+        def integrand(supports, s, usum, ys):
+            sizes.append(usum.shape[0])
+            return np.ones(usum.shape[0])
 
         monkeypatch.setattr(probe, "_integrand", integrand)
         return sizes
