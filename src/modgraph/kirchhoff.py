@@ -1,21 +1,23 @@
 """Exact sparse integer polynomials and the Kirchhoff polynomial.
 
 The Kirchhoff (first Symanzik) polynomial of a connected multigraph is
-computed two independent ways: as the determinant of the cycle intersection
-form, and as the sum over spanning trees of the complement monomials.  Both
-routes are exact over the integers; agreement of the two is a standing
-cross-check used throughout the package.
+computed two independent ways, both exact over the integers; agreement of
+the two is a standing cross-check used throughout the package.
 
-Polynomial arithmetic has one multiplication (`_mul`) and one exact
-division (`_divexact`, heap division after Monagan and Pearce, "Sparse
-polynomial division using a heap", 2011), both on packed monomials.
-`IntPolynomial` packs its tuple-keyed terms for them, and `psi_det` runs
-Bareiss elimination on packed entries throughout.
+* `psi_trees` sums, over the spanning trees, the monomial of the edges
+  outside the tree.
+* `psi_det` is the determinant of the cycle intersection form C X C^T,
+  taken by Cauchy-Binet: the sum over b-subsets S of the edges of
+  det(C_S)^2 x^S, where C is the b x e signed cycle matrix.  C is totally
+  unimodular (a network matrix), so every det(C_S) is 0 or +-1, and
+  batched integer elimination decides it in int8 without overflow: every
+  intermediate entry is itself a minor divided by a minor of +-1.
+  It never enumerates spanning trees and never takes a GF(2) rank.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +32,10 @@ from .graphs import (
 )
 
 
+# subsets of cycle-matrix columns per batched elimination in psi_det
+DET_BLOCK = 1 << 16
+
+
 class PolynomialError(ValueError):
     """Dimension mismatch or invalid polynomial operation."""
 
@@ -37,96 +43,6 @@ class PolynomialError(ValueError):
 def _grlex_key(item):
     exps, _ = item
     return (sum(exps), exps)
-
-
-# Packed monomials.  An exponent vector becomes one int: variable i takes a
-# field of `width` bits, the top one a guard bit that is kept clear, with
-# variable 0 in the most significant field; the total degree sits above all
-# of them.  Integer order on the keys is then grlex order, and multiplying
-# monomials is adding their keys, as long as no exponent reaches the guard.
-
-
-def _width(bound: int) -> int:
-    """Field width (guard bit included) that holds exponents up to bound."""
-    return bound.bit_length() + 1
-
-
-def _guards(nvars: int, width: int) -> int:
-    return sum(1 << (i * width + width - 1) for i in range(nvars))
-
-
-def _pack(terms: dict, width: int) -> dict[int, int]:
-    out = {}
-    for exps, coeff in terms.items():
-        key = sum(exps)
-        for x in exps:
-            key = (key << width) | x
-        out[key] = coeff
-    return out
-
-
-def _unpack(data: dict, nvars: int, width: int) -> dict[tuple[int, ...], int]:
-    mask = (1 << width) - 1
-    shifts = [(nvars - 1 - i) * width for i in range(nvars)]
-    return {tuple((key >> s) & mask for s in shifts): c
-            for key, c in data.items() if c}
-
-
-def _mul(a: dict, b: dict, out: dict | None = None, sign: int = 1) -> dict:
-    """Add sign*a*b into out (a new dict by default); packed operands.
-
-    Cancelled terms stay behind as zero coefficients."""
-    if out is None:
-        out = {}
-    get = out.get
-    b = list(b.items())
-    for k1, c1 in a.items():
-        c1 *= sign
-        for k2, c2 in b:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return out
-
-
-def _divexact(a: dict, d: dict, guards: int) -> dict[int, int]:
-    """Exact quotient a/d of packed polynomials (heap division).
-
-    The leading remainder term is popped from a max-heap of remainder keys;
-    a key whose coefficient cancels stays in the heap and is skipped when it
-    comes up.  Every term a step adds lies below the popped one in grlex
-    order, so no key is pushed twice.  Zero coefficients in `a` are allowed.
-    Raises PolynomialError on a negative quotient exponent (a borrow through
-    a guard bit) or on a coefficient that does not divide.
-    """
-    dkey = max(d)
-    dc = d[dkey]
-    rest = [(k, c) for k, c in d.items() if k != dkey]
-    rem = dict(a)
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    out = {}
-    while heap:
-        key = -pop(heap)
-        rc = rem.pop(key)
-        if not rc:
-            continue
-        if ((key | guards) - dkey) & guards != guards:
-            raise PolynomialError("inexact polynomial division")
-        qc, r = divmod(rc, dc)
-        if r:
-            raise PolynomialError("inexact polynomial division")
-        qkey = key - dkey
-        out[qkey] = qc
-        for k2, c2 in rest:
-            k = qkey + k2
-            c = rem.get(k)
-            if c is None:
-                rem[k] = -qc * c2
-                push(heap, -k)
-            else:
-                rem[k] = c - qc * c2
-    return out
 
 
 class IntPolynomial:
@@ -200,9 +116,6 @@ class IntPolynomial:
             return 0
         return max(sum(e) for e in self._terms)
 
-    def _max_exponent(self) -> int:
-        return max((max(e, default=0) for e in self._terms), default=0)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self._terms}
         return len(degs) <= 1
@@ -234,10 +147,10 @@ class IntPolynomial:
                 out[exps] = s
             elif exps in out:
                 del out[exps]
-        return self._wrap(out)
+        return self._of(self.nvars, out)
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self._terms.items()})
+        return self._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -246,11 +159,15 @@ class IntPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return IntPolynomial.zero(self.nvars)
-            return self._wrap({e: c * other for e, c in self._terms.items()})
+            return self._of(self.nvars,
+                            {e: c * other for e, c in self._terms.items()})
         other = self._coerce(other)
-        width = _width(self._max_exponent() + other._max_exponent())
-        out = _mul(_pack(self._terms, width), _pack(other._terms, width))
-        return self._wrap(_unpack(out, self.nvars, width))
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._of(self.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -263,26 +180,42 @@ class IntPolynomial:
             raise PolynomialError("variable-count mismatch")
         return other
 
-    def _wrap(self, data: dict) -> "IntPolynomial":
+    @staticmethod
+    def _of(nvars: int, data: dict) -> "IntPolynomial":
+        """A polynomial on a dict of nonzero terms, taken without checks."""
         p = IntPolynomial.__new__(IntPolynomial)
-        p.nvars = self.nvars
+        p.nvars = nvars
         p._terms = data
         p._key = None
         return p
 
     def divexact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Exact division; raises PolynomialError if the division has a remainder."""
+        """Exact division; raises PolynomialError if the division has a remainder.
+
+        Schoolbook division by the grlex-leading term of the divisor: each
+        step cancels the leading remainder term and adds only lower ones.
+        """
         divisor = self._coerce(divisor)
         if divisor.is_zero:
             raise PolynomialError("division by zero polynomial")
-        if self.is_zero:
-            return IntPolynomial.zero(self.nvars)
-        # Every remainder term has total degree at most deg(self), so no
-        # exponent met on the way, even of an inexact division, passes it.
-        width = _width(max(self.degree(), divisor._max_exponent()))
-        out = _divexact(_pack(self._terms, width), _pack(divisor._terms, width),
-                        _guards(self.nvars, width))
-        return self._wrap(_unpack(out, self.nvars, width))
+        (lead, lc), *rest = divisor.sorted_terms()
+        rem = dict(self._terms)
+        out = {}
+        while rem:
+            key, c = max(rem.items(), key=_grlex_key)
+            del rem[key]
+            q = tuple(a - b for a, b in zip(key, lead))
+            if min(q, default=0) < 0 or c % lc:
+                raise PolynomialError("inexact polynomial division")
+            out[q] = qc = c // lc
+            for e, c2 in rest:
+                e = tuple(a + b for a, b in zip(q, e))
+                s = rem.get(e, 0) - qc * c2
+                if s:
+                    rem[e] = s
+                else:
+                    rem.pop(e, None)
+        return self._of(self.nvars, out)
 
     def evaluate(self, point) -> float:
         """Numeric evaluation; fsum keeps the accumulation well conditioned."""
@@ -377,52 +310,121 @@ def cycle_form(g: Multigraph, basis: CycleBasis) -> CycleForm:
     return CycleForm(e, tuple(entries))
 
 
-def psi_det(form: CycleForm) -> IntPolynomial:
-    """Exact determinant of a cycle form.
+def _cycle_columns_of(form: CycleForm) -> np.ndarray:
+    """The signed cycle matrix read back from a cycle form, transposed.
 
-    Bareiss fraction-free elimination on packed monomials for every size
-    (there is no cofactor expansion for small forms), with a row swap when a
-    pivot is zero: every step is one packed multiply-subtract and one
-    exact heap division by the previous pivot, so no rational-function
-    intermediate appears.  Each entry after step k is a minor of the form,
-    so no exponent of x_v met on the way exceeds twice the sum over rows of
-    its largest exponent in the row; that sets the field width.  The result is
-    unpacked once at the end.  Spanning trees are never enumerated, which
-    keeps this route independent of `psi_trees`.
+    Row v is the column c_v of variable x_v: the coefficient matrix of x_v
+    must be c_v * c_v^T with c_v in {-1, 0, 1}^b (up to the sign of c_v).
+    Raises PolynomialError for any other form.
     """
-    b = form.size
+    b, nvars = form.size, form.nvars
+    coef = np.zeros((nvars, b, b), dtype=np.int8)
+    for i, row in enumerate(form.entries):
+        for j, p in enumerate(row):
+            for exps, c in p._terms.items():
+                if sum(exps) != 1 or c not in (-1, 1):
+                    raise PolynomialError(
+                        f"entry ({i}, {j}) is not a sum of +-x_v: {p}")
+                coef[exps.index(1), i, j] = c
+    diag = coef[:, range(b), range(b)]
+    cols = coef[np.arange(nvars), diag.argmax(axis=1)]
+    if not np.array_equal(coef, cols[:, :, None] * cols[:, None, :]):
+        raise PolynomialError("a variable's coefficient matrix is not c*c^T "
+                              "with c in {-1, 0, 1}^b")
+    return cols
+
+
+def _nonsingular(mats: np.ndarray) -> np.ndarray:
+    """Indices of the nonsingular matrices in a batch of square int8
+    matrices whose minors all lie in {-1, 0, 1}.
+
+    Gaussian elimination with a row pivot per matrix; a matrix leaves the
+    batch at the first column with no pivot.  After step k every entry is
+    a minor through the leading k x k block divided by that block's minor,
+    the product of k pivots of +-1, so every entry stays in {-1, 0, 1} and
+    int8 is exact.  Raises PolynomialError if an entry leaves that range:
+    it is a minor of +-2, so the matrices are not totally unimodular.
+    """
+    n, b, _ = mats.shape
+    index = np.arange(n)
+    for k in range(b):
+        nonzero = mats[:, k:, k] != 0
+        live = nonzero.any(axis=1)
+        if not live.all():
+            mats, index, nonzero = mats[live], index[live], nonzero[live]
+        batch = np.arange(len(index))
+        pivot_row = k + nonzero.argmax(axis=1)
+        row = mats[batch, pivot_row]
+        mats[batch, pivot_row] = mats[:, k]
+        # a pivot is +-1, so dividing by it is multiplying by it
+        factor = mats[:, k + 1:, k] * row[:, None, k]
+        rest = mats[:, k + 1:, k + 1:]
+        rest -= factor[:, :, None] * row[:, None, k + 1:]
+        if rest.size and (rest.max() > 1 or rest.min() < -1):
+            raise PolynomialError("cycle matrix is not totally unimodular")
+    return index
+
+
+def psi_det(form: CycleForm) -> IntPolynomial:
+    """Determinant of a cycle form by Cauchy-Binet over its cycle matrix.
+
+    A cycle form is C X C^T for the b x e signed cycle matrix C and
+    X = diag(x), so det = sum over b-subsets S of the columns of
+    det(C_S)^2 x^S (Kirchhoff's theorem; Bogner & Weinzierl, "Feynman graph
+    polynomials", arXiv:1002.3458).  C is read back from the form one
+    column per variable (`_cycle_columns_of`).  Zero columns (bridges) are
+    dropped; a column that is the only nonzero entry of some row (a loop,
+    for one) lies in every nonsingular S, so its variable is factored out
+    and the row and column deleted, repeatedly.  The remaining subsets are
+    decided in blocks of `DET_BLOCK` by batched int8 elimination
+    (`_nonsingular`), the rows of C with the fewest nonzeros first, so that
+    most singular subsets leave the batch in the first steps.
+
+    C is a network matrix, hence totally unimodular: every det(C_S) is 0
+    or +-1, so every coefficient is 1, and every elimination intermediate
+    is a minor divided by a minor of +-1, so int8 is exact and cannot
+    overflow.  Spanning trees are never enumerated and no GF(2) rank is
+    taken, which keeps this route independent of `psi_trees`.
+    """
     nvars = form.nvars
-    if b == 0:
+    if form.size == 0:
         return IntPolynomial.constant(nvars, 1)
-    bound = 0
-    for v in range(nvars):
-        bound = max(bound, sum(max((e[v] for p in row for e in p._terms),
-                                   default=0) for row in form.entries))
-    width = _width(2 * bound)
-    guards = _guards(nvars, width)
-    m = [[_pack(p._terms, width) for p in row] for row in form.entries]
-    sign = 1
-    prev = {0: 1}
-    for k in range(b - 1):
-        if not m[k][k]:
-            for r in range(k + 1, b):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPolynomial.zero(nvars)
-        pivot, row_k = m[k][k], m[k]
-        for i in range(k + 1, b):
-            row_i = m[i]
-            for j in range(k + 1, b):
-                acc = _mul(pivot, row_i[j])
-                _mul(row_i[k], row_k[j], acc, -1)
-                row_i[j] = _divexact(acc, prev, guards)
-            row_i[k] = {}
-        prev = pivot
-    det = IntPolynomial(nvars, _unpack(m[b - 1][b - 1], nvars, width))
-    return det if sign == 1 else -det
+    cols = _cycle_columns_of(form)
+    keep = [v for v in range(nvars) if cols[v].any()]
+    rows = list(range(form.size))
+    factored = []
+    while rows:
+        sub = cols[np.ix_(keep, rows)] != 0
+        counts = sub.sum(axis=0)
+        if not counts.all():
+            return IntPolynomial.zero(nvars)
+        single = np.flatnonzero(counts == 1)
+        if not single.size:
+            break
+        i = single[0]
+        factored.append(keep.pop(int(np.flatnonzero(sub[:, i])[0])))
+        del rows[i]
+    b = len(rows)
+    base = np.zeros(nvars, dtype=np.int8)
+    base[factored] = 1
+    if b == 0:
+        return IntPolynomial._of(nvars, {tuple(base.tolist()): 1})
+    mat = cols[np.ix_(keep, rows)]
+    mat = mat[:, np.argsort((mat != 0).sum(axis=0), kind="stable")]
+    keep = np.array(keep)
+    subsets = itertools.combinations(range(len(keep)), b)
+    terms = {}
+    while True:
+        block = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, DET_BLOCK)),
+            dtype=np.intp).reshape(-1, b)
+        if not block.size:
+            break
+        chosen = block[_nonsingular(mat[block])]
+        exps = np.repeat(base[None, :], len(chosen), axis=0)
+        exps[np.arange(len(chosen))[:, None], keep[chosen]] = 1
+        terms.update(dict.fromkeys(map(tuple, exps.tolist()), 1))
+    return IntPolynomial._of(nvars, terms)
 
 
 def psi_trees(g: Multigraph) -> IntPolynomial:

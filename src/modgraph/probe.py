@@ -29,6 +29,7 @@ than materialising the grid (see _gl_region).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +69,11 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _is_real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     s: float
@@ -78,10 +84,14 @@ class ProbeConfig:
     nodes: int = 32  # Gauss-Legendre nodes per axis for quadrature
 
     def __post_init__(self):
-        if not math.isfinite(self.s) or self.s <= 0:
+        if not _is_real(self.s) or not math.isfinite(self.s) or self.s <= 0:
             raise ValueError(f"s must be a positive finite number, got {self.s!r}")
         if self.method not in ("monte_carlo", "tensor_quadrature"):
             raise ValueError(f"unknown probe method {self.method!r}")
+        if (not isinstance(self.r_grid, (tuple, list))
+                or not all(map(_is_real, self.r_grid))):
+            raise ValueError(
+                f"r_grid must be a sequence of numbers, got {self.r_grid!r}")
         grid = tuple(float(r) for r in self.r_grid)
         object.__setattr__(self, "r_grid", grid)
         if len(grid) < 3:

@@ -47,6 +47,10 @@ THETA = (((0, 0), (1, 0)), ((0, 1), (0, 1), (0, 1)))
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 DOUBLE_TRIANGLE = ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0))
 BRIDGED_TRIANGLES = ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3))
+# bridgeless, 20 edges, v = 11, b = 10, 10,122 spanning trees
+DENSE_CORE = ((0, 1), (0, 2), (2, 3), (2, 4), (1, 5), (5, 6), (3, 7), (4, 8),
+              (8, 9), (3, 10), (10, 7), (5, 6), (8, 9), (3, 4), (8, 5), (8, 1),
+              (3, 7), (10, 2), (8, 3), (6, 0))
 
 
 def theta_graph() -> Multigraph:
@@ -63,6 +67,10 @@ def double_triangle_graph() -> Multigraph:
 
 def bridged_triangles_graph() -> Multigraph:
     return Multigraph(tuple((i, 0) for i in range(6)), BRIDGED_TRIANGLES)
+
+
+def dense_core_graph() -> Multigraph:
+    return Multigraph(tuple((i, 0) for i in range(11)), DENSE_CORE)
 
 
 def small_connected_multigraphs(max_edges: int):
@@ -123,8 +131,8 @@ def corpus_graphs(rng_seed: int = 9418) -> list[tuple[str, Multigraph]]:
 
 def criterion_1_kirchhoff_identity() -> tuple[bool, str]:
     """Determinant route equals tree route exactly: exhaustively on every
-    connected multigraph with <= 5 edges, and on 200 seeded random connected
-    multigraphs with <= 9 edges."""
+    connected multigraph with <= 5 edges, on 200 seeded random connected
+    multigraphs with <= 9 edges, and on a dense 20-edge core."""
     count = 0
     for g in small_connected_multigraphs(5):
         det, tree = psi_det(cycle_form(g, fundamental_cycle_basis(g))), psi_trees(g)
@@ -137,7 +145,11 @@ def criterion_1_kirchhoff_identity() -> tuple[bool, str]:
         det = psi_det(cycle_form(g, fundamental_cycle_basis(g)))
         if det != psi_trees(g):
             return False, f"mismatch on random graph {g.edges}"
-    return True, f"{count} exhaustive graphs (<=5 edges) + 200 random (<=9 edges)"
+    g = dense_core_graph()
+    if psi_det(cycle_form(g, fundamental_cycle_basis(g))) != psi_trees(g):
+        return False, "mismatch on the dense 20-edge core"
+    return True, (f"{count} exhaustive graphs (<=5 edges) + 200 random "
+                  "(<=9 edges) + a dense 20-edge core (b = 10)")
 
 
 def criterion_2_ngon_thresholds() -> tuple[bool, str]:

@@ -1,9 +1,11 @@
 import math
 import random
+import time
 
 import pytest
 
 from modgraph import (
+    CycleForm,
     IntPolynomial,
     Multigraph,
     PolynomialError,
@@ -13,6 +15,7 @@ from modgraph import (
     cycle_form,
     fundamental_cycle_basis,
     inverse_decay_check,
+    analyze,
     make_doubled_2ngon,
     optimal_contraction,
     parse_graph,
@@ -22,10 +25,27 @@ from modgraph import (
     spanning_trees,
 )
 from modgraph.selftest import (
+    dense_core_graph,
     random_connected_multigraph,
     small_connected_multigraphs,
     theta_graph,
 )
+
+def complete_graph(n):
+    return parse_graph("\n".join(f"{i} {j}" for i in range(n)
+                                 for j in range(i + 1, n)))
+
+
+def cap_graph():
+    """K4 with every edge subdivided into a 3-path (18 edges), one loop
+    (edge 18) and one pendant bridge (edge 19)."""
+    edges, v = [], 4
+    for a in range(4):
+        for b in range(a + 1, 4):
+            edges += [(a, v), (v, v + 1), (v + 1, b)]
+            v += 2
+    edges += [(0, 0), (1, v)]
+    return parse_graph("\n".join(f"{a} {b}" for a, b in edges))
 
 
 class TestIntPolynomial:
@@ -122,8 +142,8 @@ class TestIntPolynomial:
 
     def test_divexact_inexact_with_growing_exponents(self):
         # Dividing x0^4*x1^4 by x0*x1 + x2^2 walks the remainder down to
-        # -x2^8, an exponent above both operands' largest ones; the packed
-        # fields must hold it and the division must still fail cleanly.
+        # -x2^8, an exponent above both operands' largest ones; the division
+        # must still fail cleanly.
         p = self._poly({(4, 4, 0): 1})
         d = self._poly({(1, 1, 0): 1, (0, 0, 2): 1})
         with pytest.raises(PolynomialError, match="inexact"):
@@ -133,8 +153,8 @@ class TestIntPolynomial:
         assert q * d == p - self._poly({(0, 0, 8): 1})
 
     def test_mul_and_divexact_match_tuple_reference(self):
-        # Packed arithmetic against the schoolbook product on exponent
-        # tuples, over random polynomials with exponents up to 6.
+        # Products and quotients against a product summed one term pair at
+        # a time, over random polynomials with exponents up to 6.
         rng = random.Random(2011)
 
         def rand_poly():
@@ -272,11 +292,10 @@ class TestPsi:
         import modgraph.graphs
         import modgraph.kirchhoff
 
-        k6 = parse_graph("\n".join(f"{i} {j}" for i in range(6)
-                                   for j in range(i + 1, 6)))
+        k6 = complete_graph(6)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("determinant route enumerated trees")
+            raise AssertionError("determinant route used a GF(2) helper")
 
         with monkeypatch.context() as patch:
             patch.setattr(modgraph.graphs, "spanning_trees", refuse)
@@ -286,6 +305,100 @@ class TestPsi:
         assert form.size == 10
         assert det == psi_trees(k6)
         assert len(det.terms()) == 1296
+        # The form's spanning tree comes from Kruskal, which reduces cut
+        # vectors over GF(2); once the form is built, the determinant must
+        # not reduce any vector over GF(2) either.
+        for g in (k6, dense_core_graph(), cap_graph()):
+            form = cycle_form(g, fundamental_cycle_basis(g))
+            with monkeypatch.context() as patch:
+                patch.setattr(modgraph.graphs, "spanning_trees", refuse)
+                patch.setattr(modgraph.graphs, "_reduce", refuse)
+                patch.setattr(modgraph.graphs, "_cycle_columns", refuse)
+                patch.setattr(modgraph.kirchhoff, "spanning_trees", refuse)
+                det = psi_det(form)
+            assert det == psi_trees(g)
+
+    def test_dense_core_at_the_edge_cap(self):
+        # v = 11, b = 10: C(20, 10) = 184,756 column subsets, more than
+        # one block of DET_BLOCK, decided in well under a second
+        from modgraph.kirchhoff import DET_BLOCK
+
+        g = dense_core_graph()
+        assert (g.n_edges, g.n_vertices, betti(g)) == (20, 11, 10)
+        assert not bridges(g)
+        assert math.comb(20, 10) > DET_BLOCK
+        det, tree = psi_from_graph(g)
+        assert det == tree
+        assert len(tree.terms()) == 10122
+        budget = 15.0
+        start = time.perf_counter()
+        report = analyze(g)
+        elapsed = time.perf_counter() - start
+        assert report.psi_routes_agree
+        assert elapsed < budget, f"analyze took {elapsed:.1f} s"
+
+    def test_cap_graph_with_loop_and_bridge(self):
+        g = cap_graph()
+        assert (g.n_edges, betti(g)) == (20, 4)
+        assert len(bridges(g)) == 1
+        det, tree = psi_from_graph(g)
+        assert det == tree
+        assert all(exps[18] == 1 for exps in det.terms())  # the loop
+
+    def test_loops_and_bridges_random(self):
+        rng = random.Random(8675309)
+        for _ in range(40):
+            g = random_connected_multigraph(rng, 7, 10)
+            loops = rng.randint(0, 2)
+            v0 = g.vertices[0][0]
+            g = Multigraph(g.vertices, g.edges + ((v0, v0),) * loops)
+            det, tree = psi_from_graph(g)
+            assert det == tree, g.edges
+
+
+def _form(nvars, entries):
+    return CycleForm(nvars, tuple(tuple(IntPolynomial(nvars, e) for e in row)
+                                  for row in entries))
+
+
+class TestDetContract:
+    """psi_det reads the cycle matrix back from the form and refuses any
+    form that is not C X C^T for a totally unimodular C."""
+
+    def test_not_rank_one(self):
+        # x0 has coefficient matrix [[1, 1], [1, 0]]
+        form = _form(2, [[{(1, 0): 1}, {(1, 0): 1}],
+                         [{(1, 0): 1}, {(0, 1): 1}]])
+        with pytest.raises(PolynomialError, match="c\\*c\\^T"):
+            psi_det(form)
+
+    def test_coefficient_two(self):
+        with pytest.raises(PolynomialError, match="not a sum"):
+            psi_det(_form(1, [[{(1,): 2}]]))
+
+    @pytest.mark.parametrize("term", [{(0, 0): 1}, {(1, 1): 1}, {(2, 0): 1}])
+    def test_not_linear(self, term):
+        with pytest.raises(PolynomialError, match="not a sum"):
+            psi_det(_form(2, [[term]]))
+
+    def test_not_totally_unimodular(self):
+        # columns (1, 1) and (1, -1): det = 4*x0*x1, a minor of -2
+        form = _form(2, [[{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}],
+                         [{(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1}]])
+        with pytest.raises(PolynomialError, match="totally unimodular"):
+            psi_det(form)
+
+    def test_singular_form_is_zero(self):
+        # both rows are x0 only: rank one, so the determinant vanishes
+        form = _form(2, [[{(1, 0): 1}, {(1, 0): 1}],
+                         [{(1, 0): 1}, {(1, 0): 1}]])
+        assert psi_det(form).is_zero
+
+    def test_loops_factor_out(self):
+        # two loops and a triangle: psi = x0 * x1 * (x2 + x3 + x4)
+        g = parse_graph("0 0\n1 1\n0 1\n1 2\n2 0")
+        det = psi_det(cycle_form(g, fundamental_cycle_basis(g)))
+        assert str(det) == "x0*x1*x2 + x0*x1*x3 + x0*x1*x4"
 
 
 class TestSubstitutionProperty:

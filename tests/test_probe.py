@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ class TestProbeConfig:
             ProbeConfig(s=1.0, r_grid=(60.0, 50.0, 400.0))
         with pytest.raises(ValueError):
             ProbeConfig(s=1.0, r_grid=(60.0, 400.0))  # too short
+
+    @pytest.mark.parametrize("grid", [("100", "200", "300"),
+                                      (100.0, True, 300.0), "123", 5])
+    def test_grid_entries_must_be_numbers(self, grid):
+        with pytest.raises(ValueError, match="r_grid must be a sequence"):
+            ProbeConfig(s=1.0, r_grid=grid)
+
+    @pytest.mark.parametrize("s", [True, "1.0", None])
+    def test_s_must_be_a_number(self, s):
+        with pytest.raises(ValueError, match="s must be a positive finite"):
+            ProbeConfig(s=s)
+
+    def test_numeric_types_accepted(self):
+        cfg = ProbeConfig(s=Fraction(3, 2), r_grid=(np.int64(100), 200, 300.0))
+        assert cfg.r_grid == (100.0, 200.0, 300.0)
+        assert all(type(r) is float for r in cfg.r_grid)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
