@@ -91,10 +91,13 @@ def _emit(text: str, out_path: str | None):
 
 def _load_graph(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise GraphError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     try:
         return parse_graph(text)
     except GraphError as exc:

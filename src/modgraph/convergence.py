@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .graphs import (
     Multigraph,
-    _cycle_columns,
     betti,
     bridges,
     contract_edges,
@@ -353,11 +352,6 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
             while needy < used and deg[needy] >= mv:
                 needy += 1
             stack.append([a, b, min(needy, used - 1), min(v - 1, used), used])
-
-
-def _connected(ends, n_vertices) -> list[int] | None:
-    """Cycle columns of an edge list, or None when it is disconnected."""
-    return _cycle_columns(ends, n_vertices)
 
 
 def _is_bridgeless(cols) -> bool:

@@ -57,9 +57,6 @@ class Multigraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.vertices)
-
     def genus_of(self) -> dict[int, int]:
         return {v: g for v, g in self.vertices}
 
@@ -138,6 +135,8 @@ def from_json_dict(data) -> Multigraph:
             raise GraphError(f"edge {k} has non-integer endpoints")
         edges.append(tuple(pair))
     if "vertices" in data and data["vertices"] is not None:
+        if not isinstance(data["vertices"], list):
+            raise GraphError("'vertices' must be an array of vertex objects")
         vertices = []
         for entry in data["vertices"]:
             if not isinstance(entry, dict) or "id" not in entry:
@@ -163,6 +162,8 @@ def parse_graph(text: str) -> Multigraph:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise GraphError(f"bad JSON: {exc}") from None
+        except RecursionError:
+            raise GraphError("bad JSON: arrays or objects nested too deeply") from None
         return from_json_dict(data)
     edges = []
     for ln, line in enumerate(stripped.splitlines(), start=1):

@@ -1,4 +1,4 @@
-"""Exact sparse integer polynomials and the Kirchhoff polynomial.
+"""The Kirchhoff polynomial and cycle forms as exact integer values.
 
 The Kirchhoff (first Symanzik) polynomial of a connected multigraph is
 computed two independent ways, both exact over the integers; agreement of
@@ -13,6 +13,8 @@ the two is a standing cross-check used throughout the package.
   batched integer elimination decides it in int8 without overflow: every
   intermediate entry is itself a minor divided by a minor of +-1.
   It never enumerates spanning trees and never takes a GF(2) rank.
+
+`IntPolynomial` holds both as exact values; it has no ring arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ DET_BLOCK = 1 << 16
 
 
 class PolynomialError(ValueError):
-    """Dimension mismatch or invalid polynomial operation."""
+    """A malformed polynomial, cycle form, point or direction."""
 
 
 def _grlex_key(item):
@@ -46,11 +48,12 @@ def _grlex_key(item):
 
 
 class IntPolynomial:
-    """Sparse multivariate polynomial over the integers.
+    """An exact sparse integer polynomial, held as a value, not a ring.
 
     Terms map dense exponent tuples (length nvars) to nonzero integer
-    coefficients.  Instances are immutable by convention; all arithmetic
-    returns new polynomials with exact arbitrary-precision coefficients.
+    coefficients.  Instances are immutable by convention and have no
+    arithmetic: they are read term by term, compared, hashed, evaluated
+    and printed.
     """
 
     __slots__ = ("nvars", "_terms", "_key")
@@ -85,21 +88,6 @@ class IntPolynomial:
     def constant(cls, nvars: int, c: int) -> "IntPolynomial":
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "IntPolynomial":
-        if not 0 <= i < nvars:
-            raise PolynomialError(f"variable index {i} out of range")
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, support, coeff: int = 1) -> "IntPolynomial":
-        exps = [0] * nvars
-        for i in support:
-            exps[i] += 1
-        return cls(nvars, {tuple(exps): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -116,15 +104,6 @@ class IntPolynomial:
             return 0
         return max(sum(e) for e in self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
-
-    def variables_used(self) -> frozenset[int]:
-        return frozenset(
-            i for exps in self._terms for i in range(self.nvars) if exps[i]
-        )
-
     def _canonical(self):
         if self._key is None:
             self._key = tuple(self.sorted_terms())
@@ -138,48 +117,6 @@ class IntPolynomial:
     def __hash__(self):
         return hash((self.nvars, self._canonical()))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return self._of(self.nvars, out)
-
-    def __neg__(self):
-        return self._of(self.nvars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return IntPolynomial.zero(self.nvars)
-            return self._of(self.nvars,
-                            {e: c * other for e, c in self._terms.items()})
-        other = self._coerce(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return self._of(self.nvars, {e: c for e, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial.constant(self.nvars, other)
-        if not isinstance(other, IntPolynomial):
-            raise PolynomialError(f"cannot combine with {type(other).__name__}")
-        if other.nvars != self.nvars:
-            raise PolynomialError("variable-count mismatch")
-        return other
-
     @staticmethod
     def _of(nvars: int, data: dict) -> "IntPolynomial":
         """A polynomial on a dict of nonzero terms, taken without checks."""
@@ -188,34 +125,6 @@ class IntPolynomial:
         p._terms = data
         p._key = None
         return p
-
-    def divexact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Exact division; raises PolynomialError if the division has a remainder.
-
-        Schoolbook division by the grlex-leading term of the divisor: each
-        step cancels the leading remainder term and adds only lower ones.
-        """
-        divisor = self._coerce(divisor)
-        if divisor.is_zero:
-            raise PolynomialError("division by zero polynomial")
-        (lead, lc), *rest = divisor.sorted_terms()
-        rem = dict(self._terms)
-        out = {}
-        while rem:
-            key, c = max(rem.items(), key=_grlex_key)
-            del rem[key]
-            q = tuple(a - b for a, b in zip(key, lead))
-            if min(q, default=0) < 0 or c % lc:
-                raise PolynomialError("inexact polynomial division")
-            out[q] = qc = c // lc
-            for e, c2 in rest:
-                e = tuple(a + b for a, b in zip(q, e))
-                s = rem.get(e, 0) - qc * c2
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return self._of(self.nvars, out)
 
     def evaluate(self, point) -> float:
         """Numeric evaluation; fsum keeps the accumulation well conditioned."""

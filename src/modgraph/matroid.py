@@ -247,7 +247,7 @@ def cover_lp_oracle(g: Multigraph) -> Fraction:
     ))
     while True:
         a = [[int(i not in tree) for tree in trees] for i in edges]
-        value, x, y = simplex._solve([1] * len(trees), a, [1] * e)
+        value, x, y = simplex.minimize([1] * len(trees), a, [1] * e)
         light = _kruskal(g, sorted(edges, key=lambda i: (y[i], i)))
         if sum(y) - sum(y[i] for i in light) <= 1:
             break

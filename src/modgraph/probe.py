@@ -349,14 +349,16 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
 
     piece = [0.0] * len(logs)
     piece_var = [0.0] * len(logs)
-    for ridx, (lo, hi) in enumerate(regions):
-        if cfg.method == "monte_carlo":
-            n = cfg.samples if shell_of[ridx] == 0 else max(1000, cfg.samples // e)
-            est, err = _mc_region(supports, cfg.s, lo, hi, n, cfg.seed, ridx)
-        else:
-            est, err = _gl_region(supports, cfg.s, lo, hi, cfg.nodes)
-        piece[shell_of[ridx]] += est
-        piece_var[shell_of[ridx]] += err * err
+    # an overflow is reported below as a non-finite verdict, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ridx, (lo, hi) in enumerate(regions):
+            if cfg.method == "monte_carlo":
+                n = cfg.samples if shell_of[ridx] == 0 else max(1000, cfg.samples // e)
+                est, err = _mc_region(supports, cfg.s, lo, hi, n, cfg.seed, ridx)
+            else:
+                est, err = _gl_region(supports, cfg.s, lo, hi, cfg.nodes)
+            piece[shell_of[ridx]] += est
+            piece_var[shell_of[ridx]] += err * err
 
     values = []
     stderrs = []
@@ -378,6 +380,11 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
     ratios = tuple(
         increments[i + 1] / increments[i] for i in range(len(increments) - 1)
     )
+    if not all(map(math.isfinite, (*values, *stderrs, *increments, *ratios))):
+        raise ValueError(
+            f"F, its standard error or a ratio is not finite at s = {cfg.s!r} "
+            "on this grid (float overflow); the probe cannot resolve growth"
+        )
 
     last_two = ratios[-2:]
     noisy = any(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergence import (
-    _connected,
     _gen_edge_lists,
     analyze,
     make_doubled_2ngon,
@@ -25,6 +24,7 @@ from .convergence import (
 )
 from .graphs import (
     Multigraph,
+    _cycle_columns,
     betti,
     bridges,
     contract_edges,
@@ -96,7 +96,7 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int,
         ends = tuple(
             (rng.randrange(v), rng.randrange(v)) for _ in range(e)
         )
-        if _connected(ends, v) is not None:
+        if _cycle_columns(ends, v) is not None:
             return Multigraph(tuple((i, 0) for i in range(v)), ends)
 
 

@@ -2,7 +2,7 @@
 
 Solves  min c.x  subject to  A x >= b, x >= 0  entirely in Fractions.
 Two-phase tableau method with Bland's rule, so termination is guaranteed
-even on degenerate problems.  `_solve` also returns an optimal dual y
+even on degenerate problems.  `minimize` also returns an optimal dual y
 (max b.y subject to A^T y <= c, y >= 0): y_i is the final reduced cost of
 the surplus column of row i, whether or not that row was flipped to make
 its right-hand side nonnegative.  Sized for desk-scale instances: tens of
@@ -65,18 +65,12 @@ def _run_simplex(tab, basis, ncols):
 
 
 def minimize(c, A, b):
-    """Exact optimum of min c.x, A x >= b, x >= 0.
+    """Exact optimum of min c.x, A x >= b, x >= 0, with an optimal dual.
 
-    Returns (value, x) as Fractions.  Raises InfeasibleError or
-    UnboundedError when the LP has no optimum.
+    Returns (value, x, y) as Fractions, with y >= 0, A^T y <= c and
+    b.y = value.  Raises InfeasibleError or UnboundedError when the LP has
+    no optimum.
     """
-    value, x, _ = _solve(c, A, b)
-    return value, x
-
-
-def _solve(c, A, b):
-    """`minimize`, plus an optimal dual: returns (value, x, y) as Fractions,
-    with y >= 0, A^T y <= c and b.y = value."""
     c = [Fraction(v) for v in c]
     A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]

@@ -211,6 +211,15 @@ class TestProbe:
         assert err.startswith("error: the increments of F underflow to 0.0")
         assert err.count("\n") == 1
 
+    def test_overflowing_grid_rejected(self, files, capsys):
+        assert main(["probe", files["p3.txt"], "--s", "0.5",
+                     "--grid", "10", "100", "1e300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: F, its standard error or a ratio is "
+                              "not finite at s = 0.5")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("radius", ["inf", "nan"])
     def test_non_finite_grid_rejected(self, files, capsys, radius):
         assert main(["probe", files["loop.json"], "--s", "1.5",
@@ -244,6 +253,26 @@ class TestGraphInput:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"vertices": 5, "edges": [[0, 1], [1, 0]]}',
+         "'vertices' must be an array"),
+        (b"\xff\xfe\x00", "not UTF-8 text"),
+        (b'{"edges": ' + b"[" * 200_000, "nested too deeply"),
+    ], ids=["vertices-int", "not-utf8", "deep-nesting"])
+    @pytest.mark.parametrize("command", [["analyze"], ["probe", "--s", "1.5"]],
+                             ids=["analyze", "probe"])
+    def test_malformed_file_exits_one(self, tmp_path, capsys, content,
+                                      message, command):
+        path = tmp_path / "graph.json"
+        path.write_bytes(content)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSearch:

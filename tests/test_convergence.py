@@ -27,7 +27,6 @@ from modgraph import (
     threshold,
 )
 from modgraph.convergence import (
-    _connected,
     _contract_to_optimal,
     _density_reaches,
     _gen_edge_lists,
@@ -162,14 +161,14 @@ class TestGenerator:
             for e in range(1, 5):
                 generated = set()
                 for ends, _ in _gen_edge_lists(v, e, min_valence=0):
-                    if _connected(ends, v) is not None:
+                    if _cycle_columns(ends, v) is not None:
                         generated.add(_canonical_form(ends, v))
                 brute = set()
                 for combo in itertools.combinations_with_replacement(pairs, e):
                     used = {x for pair in combo for x in pair}
                     if len(used) != v:
                         continue
-                    if _connected(combo, v) is not None:
+                    if _cycle_columns(combo, v) is not None:
                         brute.add(_canonical_form(combo, v))
                 assert generated == brute, (v, e)
 
@@ -180,7 +179,7 @@ class TestGenerator:
                 for bridgeless in (False, True):
                     for ends, _ in _gen_edge_lists(v, e, min_valence=min_valence,
                                                    bridgeless=bridgeless):
-                        assert _connected(ends, v) is not None, ends
+                        assert _cycle_columns(ends, v) is not None, ends
 
     def test_min_valence_respected(self):
         for ends, _ in _gen_edge_lists(3, 5, min_valence=3):
@@ -270,7 +269,7 @@ class TestDensityDecision:
         for v in range(2, 5):
             for e in range(v + 1, min(v + 4, 9)):
                 for ends, _ in _gen_edge_lists(v, e, min_valence=3):
-                    cols = _connected(ends, v)
+                    cols = _cycle_columns(ends, v)
                     if cols is None or not _is_bridgeless(cols):
                         continue
                     g = Multigraph(tuple((i, 0) for i in range(v)), ends)
@@ -288,7 +287,7 @@ class TestDensityDecision:
             ends = tuple(
                 (gidx(g, t), gidx(g, h)) for t, h in g.edges
             )
-            cols = _connected(ends, g.n_vertices)
+            cols = _cycle_columns(ends, g.n_vertices)
             m = density(CographicMatroid(g)).m
             for t in (m, m + 1, Fraction(1, 2)):
                 got = _density_reaches(
@@ -308,7 +307,7 @@ class TestDensityDecision:
             (2, theta + ((0, 0),) * 6 + ((1, 1),) * 6),  # 15 classes
         ]
         for v, ends in cases:
-            cols = _connected(ends, v)
+            cols = _cycle_columns(ends, v)
             assert len(_series_classes(cols)) > 13
             g = Multigraph(tuple((i, 0) for i in range(v)), ends)
             m = density(CographicMatroid(g)).m
@@ -325,7 +324,7 @@ class TestDensityDecision:
                 for ends, _ in _gen_edge_lists(v, e, min_valence=3):
                     if all(a != b for a, b in ends):
                         continue
-                    cols = _connected(ends, v)
+                    cols = _cycle_columns(ends, v)
                     if cols is None or not _is_bridgeless(cols):
                         continue
                     g = Multigraph(tuple((i, 0) for i in range(v)), ends)

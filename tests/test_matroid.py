@@ -323,12 +323,12 @@ class TestCoverLP:
         assert cover_lp_oracle(k5_graph()) == Fraction(5, 3)
 
     def test_corrupted_dual_raises(self, monkeypatch):
-        solve = simplex._solve
+        solve = simplex.minimize
 
         def scaled_dual(*args):
             value, x, y = solve(*args)
             return value, x, [yi * Fraction(8, 7) for yi in y]
 
-        monkeypatch.setattr(simplex, "_solve", scaled_dual)
+        monkeypatch.setattr(simplex, "minimize", scaled_dual)
         with pytest.raises(CertificateError):
             cover_lp_oracle(k5_graph())

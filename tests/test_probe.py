@@ -152,6 +152,14 @@ class TestTruncatedJ:
         with pytest.raises(ValueError, match="at least one edge"):
             truncated_J(g, ProbeConfig(s=2.0))
 
+    @pytest.mark.parametrize("method", ["monte_carlo", "tensor_quadrature"])
+    def test_overflowing_grid_rejected(self, method):
+        # F grows like R^(5/2) on the triangle at s = 1/2, so R = 1e300
+        # overflows float: the verdict would hold inf and nan
+        cfg = ProbeConfig(s=0.5, r_grid=(10.0, 100.0, 1e300), method=method)
+        with pytest.raises(ValueError, match="not finite"):
+            truncated_J(make_ngon(3), cfg)
+
     def test_quadrature_guard(self):
         from modgraph import make_doubled_2ngon
 

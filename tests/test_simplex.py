@@ -5,12 +5,12 @@ import pytest
 
 from modgraph.graphs import spanning_trees
 from modgraph.selftest import k4_graph
-from modgraph.simplex import InfeasibleError, UnboundedError, _solve, minimize
+from modgraph.simplex import InfeasibleError, UnboundedError, minimize
 
 
 def test_simple_cover():
     # min x1 + x2 with x1 >= 1, x2 >= 2
-    value, x = minimize([1, 1], [[1, 0], [0, 1]], [1, 2])
+    value, x, _ = minimize([1, 1], [[1, 0], [0, 1]], [1, 2])
     assert value == 3
     assert x == [1, 2]
 
@@ -18,14 +18,14 @@ def test_simple_cover():
 def test_fractional_optimum():
     # min x1 + x2 + x3 subject to pairwise sums >= 1: optimum 3/2
     a = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
-    value, x = minimize([1, 1, 1], a, [1, 1, 1])
+    value, x, _ = minimize([1, 1, 1], a, [1, 1, 1])
     assert value == Fraction(3, 2)
     assert all(xi >= 0 for xi in x)
     assert all(sum(ai * xi for ai, xi in zip(row, x)) >= 1 for row in a)
 
 
 def test_exactness_no_float_drift():
-    value, _ = minimize(
+    value, _, _ = minimize(
         [Fraction(1, 3), Fraction(1, 7)],
         [[Fraction(2, 5), Fraction(1, 9)]],
         [Fraction(11, 13)],
@@ -38,7 +38,7 @@ def test_exactness_no_float_drift():
 def test_degenerate_terminates():
     # redundant constraints force degenerate pivots; Bland must terminate
     a = [[1, 1], [1, 1], [2, 2], [1, 0]]
-    value, x = minimize([1, 2], a, [1, 1, 2, 0])
+    value, x, _ = minimize([1, 2], a, [1, 1, 2, 0])
     assert value == 1
     assert x == [1, 0]
 
@@ -59,7 +59,7 @@ def test_dimension_check():
 
 
 # (c, A, b) and the exact (value, x) that minimize returned before it
-# became a wrapper of _solve; the last two have rows with negative b.
+# also returned the dual; the last two have rows with negative b.
 FROZEN = [
     (([1, 1], [[1, 0], [0, 1]], [1, 2]),
      (Fraction(3), [Fraction(1), Fraction(2)])),
@@ -80,10 +80,9 @@ FROZEN = [
 
 @pytest.mark.parametrize("lp, expected", FROZEN)
 def test_minimize_unchanged(lp, expected):
-    value, x = minimize(*lp)
+    value, x, y = minimize(*lp)
     assert (value, x) == expected
-    assert all(type(v) is Fraction for v in [value, *x])
-    assert _solve(*lp)[:2] == expected
+    assert all(type(v) is Fraction for v in [value, *x, *y])
 
 
 def assert_optimal_pair(c, a, b, value, x, y):
@@ -111,11 +110,10 @@ def test_dual_on_random_covering_lps():
         b = [rng.randint(-3, 3) for _ in range(m)]
         c = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
         try:
-            value, x, y = _solve(c, a, b)
+            value, x, y = minimize(c, a, b)
         except InfeasibleError:
             continue
         assert_optimal_pair(c, a, b, value, x, y)
-        assert minimize(c, a, b) == (value, x)
         solved += 1
         flipped_binding += any(bi < 0 and yi > 0 for bi, yi in zip(b, y))
     assert solved >= 100
@@ -128,7 +126,7 @@ def test_dual_of_tree_cover():
     trees = spanning_trees(k4_graph())
     assert len(trees) == 16
     a = [[int(i not in t) for t in trees] for i in range(6)]
-    value, x, y = _solve([1] * 16, a, [1] * 6)
+    value, x, y = minimize([1] * 16, a, [1] * 6)
     assert value == 2
     assert y == [Fraction(1, 3)] * 6
     assert_optimal_pair([1] * 16, a, [1] * 6, value, x, y)
