@@ -243,6 +243,18 @@ def cmd_selftest(args) -> int:
     return run_selftest(quick=args.quick)
 
 
+def _edge_limit(text: str) -> int:
+    """--max-edges of analyze: an int of at least 1."""
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if limit < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {limit}")
+    return limit
+
+
 class _Parser(argparse.ArgumentParser):
     """A bad flag is an input error: one `error:` line and exit code 1."""
 
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", action="store_true",
                    help="run growth probes at s = c and s = c + 1/2")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--max-edges", type=int, default=20,
+    p.add_argument("--max-edges", type=_edge_limit, default=20,
                    help="refuse graphs with more edges (default 20)")
     p.add_argument("--seed", type=int, default=None,
                    help="probe seed (default: MODGRAPH_SEED or built-in)")

@@ -10,9 +10,10 @@ density denominator q (every coordinate lies in (1/q)Z for m = p/q), and
 the membership test scales by the lcm of its denominators, switching to
 Python ints (object arrays) where magnitudes could pass 2^62.  Results
 leave the module as Python ints and Fractions.  An independent
-covering-LP oracle computes the same constant in exact rational arithmetic
-by column generation: it reads neither the rank table nor the density
-scan, and it prices columns with Kruskal instead of listing spanning trees.
+covering-LP oracle computes the same constant exactly by column
+generation, its master solved by the integer-pivoting simplex in
+`simplex.py`: it reads neither the rank table nor the density scan, and it
+prices columns with Kruskal instead of listing spanning trees.
 """
 
 from __future__ import annotations
@@ -229,17 +230,20 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
 def cover_lp_oracle(g: Multigraph) -> Fraction:
     """Covering-LP value: min sum c_T with sum_T c_T * v_T >= (1,...,1).
 
-    v_T is the indicator of the complement of spanning tree T.  Column
-    generation in exact Fractions, independent of the density route: the
-    restricted master is solved by the exact simplex with its dual y, and
-    the tree maximizing y(E - T) is a minimum-weight tree, found by one
-    Kruskal on y.  It stops when that maximum is <= 1, which is the dual
-    feasibility check; x is rechecked as a cover and y against strong
-    duality.  No spanning-tree list is built.
+    v_T is the indicator of the complement of spanning tree T.  Exact
+    column generation, independent of the density route: the restricted
+    master is solved by the exact simplex (integer pivoting over a common
+    denominator) with its dual y, and the tree maximizing y(E - T) is a
+    minimum-weight tree, found by one Kruskal on y.  It stops when that
+    maximum is <= 1, which is the dual feasibility check; x is rechecked as
+    a cover and y against strong duality.  No spanning-tree list is built.
+    An edgeless graph raises MatroidError, as `density` does.
     """
     if bridges(g):
         raise MatroidError("covering LP needs a bridgeless graph")
     e = g.n_edges
+    if e == 0:
+        raise MatroidError("empty ground set")
     edges = range(e)
     # Edge i last: a bridgeless graph's greedy tree then avoids it.
     trees = list(dict.fromkeys(

@@ -73,6 +73,17 @@ def dense_core_graph() -> Multigraph:
     return Multigraph(tuple((i, 0) for i in range(11)), DENSE_CORE)
 
 
+def cap_core_graph() -> Multigraph:
+    """K4 with every edge a 3-path, plus a loop at vertex 0: 19 edges,
+    16 vertices, c = 6; the core of the 20-edge cap graph, which adds one
+    pendant bridge."""
+    edges, v = [], 4
+    for a, b in K4_EDGES:
+        edges += [(a, v), (v, v + 1), (v + 1, b)]
+        v += 2
+    return Multigraph(tuple((i, 0) for i in range(v)), (*edges, (0, 0)))
+
+
 def small_connected_multigraphs(max_edges: int):
     """Every connected multigraph with at most max_edges edges, at least one
     labelled representative per isomorphism class (canonical edge-list
@@ -195,19 +206,23 @@ def criterion_3_doubled_family() -> tuple[bool, str]:
 
 def criterion_4_lp_agreement() -> tuple[bool, str]:
     """Covering-LP value equals the density m exactly on the corpus, on K6
-    (1,296 spanning trees) and on the doubled 12-gon (18 edges).  The LP
-    prices columns by Kruskal and lists no spanning trees, so these two run
-    past the old 500-tree guard inside the budget."""
+    (1,296 spanning trees), on the doubled 12-gon (18 edges), on the 19-edge
+    cap core (c = 6) and on the 20-edge dense core (c = 2, 10,122 spanning
+    trees).  The LP prices columns by Kruskal and lists no spanning trees,
+    so these run past the old 500-tree guard inside the budget."""
     k6 = Multigraph(tuple((i, 0) for i in range(6)),
                     tuple((i, j) for i in range(6) for j in range(i + 1, 6)))
     graphs = corpus_graphs() + [("K6", k6),
-                                ("doubled_12gon", make_doubled_2ngon(6))]
+                                ("doubled_12gon", make_doubled_2ngon(6)),
+                                ("cap_core", cap_core_graph()),
+                                ("dense_core", dense_core_graph())]
     for name, g in graphs:
         m = density(CographicMatroid(g)).m
         lp = cover_lp_oracle(g)
         if m != lp:
             return False, f"{name}: density {m} != LP {lp}"
-    return True, "cover LP = density m on the corpus, K6 and the doubled 12-gon"
+    return True, ("cover LP = density m on the corpus, K6, the doubled "
+                  "12-gon and the cap and dense cores")
 
 
 def criterion_5_witness_certificates() -> tuple[bool, str]:

@@ -176,6 +176,15 @@ class TestProbe:
                      "argument --seed: invalid int value: 'abc'", id="probe-seed"),
         pytest.param(["probe", "p3.txt", "--s", "3", "--format", "xml"],
                      "argument --format: invalid choice: 'xml'", id="probe-format"),
+        pytest.param(["analyze", "p3.txt", "--max-edges", "0"],
+                     "argument --max-edges: must be at least 1, got 0",
+                     id="analyze-max-edges-zero"),
+        pytest.param(["analyze", "p3.txt", "--max-edges", "-5"],
+                     "argument --max-edges: must be at least 1, got -5",
+                     id="analyze-max-edges-negative"),
+        pytest.param(["analyze", "p3.txt", "--max-edges", "2.5"],
+                     "argument --max-edges: invalid int value: '2.5'",
+                     id="analyze-max-edges-float"),
     ])
     def test_bad_flag_exits_one(self, files, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,8 @@ from modgraph import simplex
 from modgraph.graphs import component_count
 from modgraph.matroid import CertificateError
 from modgraph.selftest import (
+    cap_core_graph,
+    dense_core_graph,
     double_triangle_graph,
     k4_graph,
     random_bridgeless_multigraph,
@@ -44,18 +46,13 @@ def k5_graph():
     return graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 
 
+def k6_graph():
+    return graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+
+
 def wheel6_plus_chord():
     rim = [(i, (i + 1) % 6) for i in range(6)]
     return graph(7, rim + [(i, 6) for i in range(6)] + [(0, 3)])
-
-
-def subdivided_k4_with_loop():
-    """K4 with every edge a 3-path, plus a loop: 19 edges, 16 vertices."""
-    edges, v = [], 4
-    for a, b in itertools.combinations(range(4), 2):
-        edges += [(a, v), (v, v + 1), (v + 1, b)]
-        v += 2
-    return graph(v, edges + [(0, 0)])
 
 
 def fractional_witness_graph():
@@ -121,7 +118,7 @@ class TestRankTable:
                 assert table[mask] == rank_by_components(g, mask)
 
     def test_matches_component_count_sampled_19_edges(self):
-        g = subdivided_k4_with_loop()
+        g = cap_core_graph()
         m = CographicMatroid(g)
         table = m.rank_table()
         assert len(table) == 1 << 19
@@ -263,7 +260,7 @@ class TestWitness:
             (k5_graph(), "5/3", range(10), ["1"] * 10),
             (make_doubled_2ngon(5), "5", [1, 3, 5, 7, 9], d5),
             (wheel6_plus_chord(), "13/7", range(13), ["1"] * 13),
-            (subdivided_k4_with_loop(), "6", range(18), cap),
+            (cap_core_graph(), "6", range(18), cap),
             (fractional_witness_graph(), "4/3", [1, 2, 3, 4, 6, 7, 9, 10], frac),
         ]
         for g, c, t0, witness in cases:
@@ -298,16 +295,48 @@ class TestCoverLP:
         assert cover_lp_oracle(make_doubled_2ngon(5)) == 5
 
     @pytest.mark.parametrize("make", [
-        lambda: graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+        k6_graph,
         wheel6_plus_chord,
         lambda: make_doubled_2ngon(6),
-        subdivided_k4_with_loop,
+        cap_core_graph,
         lambda: graph(12, make_doubled_2ngon(6).edges + ((0, 0), (5, 5))),
-    ], ids=["K6", "W6+chord", "D6", "cap19", "cap20"])
+        dense_core_graph,
+    ], ids=["K6", "W6+chord", "D6", "cap19", "cap20", "dense20"])
     def test_beyond_the_old_tree_guard(self, make):
-        # K6 has 1,296 spanning trees and W6+chord 576; the LP lists none.
+        # K6 has 1,296 spanning trees, W6+chord 576 and the dense core
+        # 10,122; the LP lists none.
         g = make()
         assert cover_lp_oracle(g) == density(CographicMatroid(g)).m
+
+    @pytest.mark.parametrize("make, value, pivots", [
+        (k4_graph, 2, 37),
+        (k5_graph, Fraction(5, 3), 168),
+        (k6_graph, Fraction(3, 2), 566),
+        (wheel6_plus_chord, Fraction(13, 7), 211),
+        (cap_core_graph, 6, 505),
+        (dense_core_graph, 2, 429),
+    ], ids=["K4", "K5", "K6", "W6+chord", "cap19", "dense20"])
+    def test_frozen_pivot_counts(self, monkeypatch, make, value, pivots):
+        # Recorded over the Fraction tableau: the integer one must take the
+        # same Bland path, pivot for pivot.
+        count = 0
+        pivot = simplex._pivot
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return pivot(*args)
+
+        monkeypatch.setattr(simplex, "_pivot", counted)
+        assert cover_lp_oracle(make()) == value
+        assert count == pivots
+
+    def test_edgeless_graph_raises(self):
+        for g in (Multigraph(((0, 0),), ()), Multigraph(((0, 2),), ())):
+            with pytest.raises(MatroidError, match="empty ground set"):
+                cover_lp_oracle(g)
+            with pytest.raises(MatroidError, match="empty ground set"):
+                density(CographicMatroid(g))
 
     def test_independent_of_other_routes(self, monkeypatch):
         def forbidden(*args, **kwargs):

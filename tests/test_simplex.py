@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from modgraph import simplex
 from modgraph.graphs import spanning_trees
 from modgraph.selftest import k4_graph
 from modgraph.simplex import InfeasibleError, UnboundedError, minimize
@@ -130,3 +132,150 @@ def test_dual_of_tree_cover():
     assert value == 2
     assert y == [Fraction(1, 3)] * 6
     assert_optimal_pair([1] * 16, a, [1] * 6, value, x, y)
+
+
+# The same two-phase method over a Fraction tableau, as the reference for
+# the integer one: every pivot (row, col) is appended to `pivots`.
+
+
+def _fraction_pivot(tab, basis, row, col, pivots):
+    pivots.append((row, col))
+    inv = Fraction(1) / tab[row][col]
+    tab[row] = [x * inv for x in tab[row]]
+    prow = tab[row]
+    for r, line in enumerate(tab):
+        if r != row and line[col]:
+            factor = line[col]
+            tab[r] = [a - factor * b for a, b in zip(line, prow)]
+    basis[row] = col
+
+
+def _fraction_run(tab, basis, ncols, pivots):
+    while True:
+        obj = tab[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return
+        rows = [r for r in range(len(tab) - 1) if tab[r][col] > 0]
+        if not rows:
+            raise UnboundedError("objective unbounded below")
+        row = min(rows, key=lambda r: (tab[r][-1] / tab[r][col], basis[r]))
+        _fraction_pivot(tab, basis, row, col, pivots)
+
+
+def fraction_minimize(c, A, b, pivots):
+    c = [Fraction(v) for v in c]
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    m, n = len(A), len(c)
+    ncols = n + 2 * m
+    tab = []
+    for i in range(m):
+        row = list(A[i]) + [Fraction(0)] * (2 * m) + [b[i]]
+        row[n + i] = Fraction(-1)
+        if row[-1] < 0:
+            row = [-x for x in row]
+        row[n + m + i] = Fraction(1)
+        tab.append(row)
+    basis = [n + m + i for i in range(m)]
+    phase1 = [Fraction(0)] * (n + m) + [Fraction(1)] * m + [Fraction(0)]
+    for line in tab:
+        phase1 = [x - y for x, y in zip(phase1, line)]
+    tab.append(phase1)
+    _fraction_run(tab, basis, ncols, pivots)
+    if tab[-1][-1] != 0:
+        raise InfeasibleError("no feasible point")
+    tab.pop()
+    for r in range(m):
+        if basis[r] >= n + m:
+            col = next((j for j in range(n + m) if tab[r][j] != 0), None)
+            if col is not None:
+                _fraction_pivot(tab, basis, r, col, pivots)
+    obj = c + [Fraction(0)] * (2 * m + 1)
+    for r in range(m):
+        factor = obj[basis[r]]
+        if factor:
+            obj = [a - factor * t for a, t in zip(obj, tab[r])]
+    tab.append(obj)
+    _fraction_run(tab, basis, n + m, pivots)
+    x = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tab[r][-1]
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    return value, x, tab[-1][n:n + m]
+
+
+def random_lp(rng):
+    """A small LP mixing int and Fraction data, negative right-hand sides
+    (flipped rows), repeated rows (degenerate) and negative costs."""
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    exact = rng.random() < 0.5
+
+    def num(values):
+        v = rng.choice(values)
+        return Fraction(v, rng.randint(1, 4)) if exact else v
+
+    a = [[num([-1, 0, 0, 1, 1, 2]) for _ in range(n)] for _ in range(m)]
+    b = [num([-3, -1, 0, 0, 1, 2, 3]) for _ in range(m)]
+    if rng.random() < 0.3:
+        i = rng.randrange(m)
+        a.append(list(a[i]))
+        b.append(b[i])
+    c = [num([-1, 1, 2, 3, 5]) for _ in range(n)]
+    return c, a, b
+
+
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """Every (row, col, entry) that the integer tableau pivots on."""
+    log = []
+    pivot = simplex._pivot
+
+    def spy(tab, basis, row, col, d):
+        log.append((row, col, tab[row][col]))
+        return pivot(tab, basis, row, col, d)
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    return log
+
+
+def solve(solver, *args):
+    try:
+        return solver(*args)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc)
+
+
+def test_matches_the_fraction_tableau(pivot_log):
+    rng = random.Random(1968)
+    seen = Counter()
+    for _ in range(400):
+        c, a, b = random_lp(rng)
+        expected_pivots = []
+        expected = solve(fraction_minimize, c, a, b, expected_pivots)
+        pivot_log.clear()
+        got = solve(minimize, c, a, b)
+        assert got == expected
+        assert [(r, s) for r, s, _ in pivot_log] == expected_pivots
+        if isinstance(got, tuple):
+            assert all(type(v) is Fraction for v in [got[0], *got[1], *got[2]])
+            seen["solved"] += 1
+            seen["flipped"] += any(bi < 0 for bi in b)
+            seen["repeated row"] += len(a) > len({tuple(r) for r in a})
+            seen["fraction"] += any(type(v) is Fraction for v in c)
+        else:
+            seen[got.__name__] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
+def test_drive_out_pivots_on_a_negative_entry(pivot_log):
+    # Phase 1 leaves the artificial of row 2 basic at level 0; its row's
+    # only nonzero entry left of the artificials is negative.
+    c, a, b = [2, 2], [[-1, 0], [0, 1], [2, 0]], [0, 1, 0]
+    expected_pivots = []
+    expected = fraction_minimize(c, a, b, expected_pivots)
+    assert minimize(c, a, b) == expected
+    assert [(r, s) for r, s, _ in pivot_log] == expected_pivots
+    assert any(entry < 0 for _, _, entry in pivot_log)
+    assert_optimal_pair(c, a, b, *expected)
