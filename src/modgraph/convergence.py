@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import (
     Multigraph,
     betti,
@@ -20,7 +22,6 @@ from .graphs import (
     delete_edges,
     genus,
     is_stable,
-    spanning_trees,
     valences,
 )
 from .kirchhoff import IntPolynomial, psi_from_graph
@@ -29,6 +30,7 @@ from .matroid import (
     CographicMatroid,
     DensityCertificate,
     MatroidError,
+    _subset_sums,
     build_witness,
     density,
 )
@@ -167,50 +169,58 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
     k <= (3v - 6)/(4*target - 6); graphs with loops get the weaker bound
     k <= (v - 2)/(target - 2) (single-vertex components may keep loops and
     pay only their >= 2 non-loop endpoints, which bridgelessness forces).
-    For k <= 3 the flats spanned by at most k class vectors are weighed
-    directly; otherwise every union of series classes is scanned, its
+    The bound comes first: for k <= 1 only a series class (a group of
+    equal columns) can reach the target.  For k <= 3 the flats are weighed
+    in closed form over class vectors u, v, x: the line {u, v, u^v}, and
+    the plane that adds the coset {x, x^u, x^v, x^u^v} of a class x off
+    the line; a coset holds at most 4 classes, so a line whose weight plus
+    4 times the largest class stays below 3 * target has no reaching
+    plane.  Otherwise every union of series classes is scanned, its
     weight and GF(2) rank carried over from a union with one class fewer.
     """
     p, q = target.numerator, target.denominator
-    classes = _series_classes(cols)
-    sizes = [len(c) for c in classes]
-    if max(sizes) * q >= p:
-        return True
-    vecs = [cols[c[0]] for c in classes]
-    ncls = len(classes)
-    n_edges = len(cols)
-
+    k_bound = None
     if min_valence_3:
         has_loop = any(a == b for a, b in ends)
         if not has_loop and 4 * p > 6 * q:
             k_bound = ((3 * n_vertices - 6) * q) // (4 * p - 6 * q)
         elif has_loop and p > 2 * q:
             k_bound = ((n_vertices - 2) * q) // (p - 2 * q)
-        else:
-            k_bound = None
         if k_bound is not None:
+            n_edges = len(cols)
             k_bound = min(k_bound, n_edges * q // p, n_edges - n_vertices + 1)
             if k_bound <= 1:
-                return False
-            if k_bound <= 3:
-                # Flats spanned by up to k_bound independent class vectors:
-                # each new vector's coset brings the classes it holds.
-                size_of = dict(zip(vecs, sizes))
-                stack = [(0, [0], 0)]
-                while stack:
-                    start, span, weight = stack.pop()
-                    rank = len(span).bit_length()  # after adding one vector
-                    for c in range(start, ncls):
-                        vec = vecs[c]
-                        if vec in span:
-                            continue
-                        coset = [x ^ vec for x in span]
-                        w = weight + sum(size_of.get(x, 0) for x in coset)
-                        if w * q >= p * rank:
-                            return True
-                        if rank < k_bound:
-                            stack.append((c + 1, span + coset, w))
-                return False
+                # the largest class is at most e - (number of classes) + 1
+                return ((len(cols) - len(set(cols)) + 1) * q >= p
+                        and max(map(cols.count, cols)) * q >= p)
+    classes = _series_classes(cols)
+    sizes = [len(c) for c in classes]
+    if max(sizes) * q >= p:
+        return True
+    vecs = [cols[c[0]] for c in classes]
+    ncls = len(classes)
+
+    if k_bound is not None and k_bound <= 3:
+        size_of = dict(zip(vecs, sizes)).get
+        plane_cap = 3 * p - 4 * max(sizes) * q
+        for i in range(ncls):
+            u = vecs[i]
+            for j in range(i + 1, ncls):
+                v = vecs[j]
+                uv = u ^ v
+                line = sizes[i] + sizes[j] + size_of(uv, 0)
+                if line * q >= 2 * p:
+                    return True
+                if k_bound == 2 or line * q < plane_cap:
+                    continue
+                for k in range(j + 1, ncls):
+                    x = vecs[k]
+                    if x != uv and (
+                        line + sizes[k] + size_of(x ^ u, 0)
+                        + size_of(x ^ v, 0) + size_of(x ^ uv, 0)
+                    ) * q >= 3 * p:
+                        return True
+        return False
 
     # Weighted scan over unions of series classes: exact, since every
     # maximizer is such a union.  A union extends the one without its
@@ -359,13 +369,23 @@ def _is_bridgeless(cols) -> bool:
     return all(cols)
 
 
-def _fingerprint(g: Multigraph):
+def _fingerprint(matroid: CographicMatroid):
     """(v, e, valence sequence, Kirchhoff monomial supports): each spanning
-    tree T gives one squarefree monomial on E - T with coefficient 1."""
+    tree T gives one squarefree monomial on E - T with coefficient 1.
+
+    The supports E - T are the bases of the cographic matroid, read from
+    its rank table as the masks of popcount b and rank b, and listed as
+    sorted edge ids.
+    """
+    g = matroid.graph
+    e, b = matroid.n_edges, matroid.full_rank
+    masks = np.flatnonzero(
+        (matroid.rank_table() == b) & (_subset_sums([1] * e, np.int64) == b)
+    )
+    ids = np.nonzero(masks[:, None] >> np.arange(e) & 1)[1].reshape(-1, b)
+    monos = tuple(sorted(map(tuple, ids.tolist())))
     degs = tuple(sorted(valences(g).values()))
-    all_edges = frozenset(range(g.n_edges))
-    monos = tuple(sorted(tuple(sorted(all_edges - t)) for t in spanning_trees(g)))
-    return (g.n_vertices, g.n_edges, degs, monos)
+    return (g.n_vertices, e, degs, monos)
 
 
 def search_divergent(
@@ -377,13 +397,15 @@ def search_divergent(
     at most max_edges edges, as canonical edge lists generated depth-first
     without the prefixes that must end with a bridge; each candidate comes
     with its cycle columns, which decide bridgelessness and the density
-    pre-filter before the exact density recheck.  Hits are deduplicated by
-    the cheap fingerprint (v, e, valence sequence, Kirchhoff monomial
-    multiset) only, so isomorphic duplicates can survive; the output is
-    sorted by c descending, then edge count ascending.  If tree_counts is a
-    list, the number of spanning trees of each hit (its Kirchhoff monomials,
-    already enumerated for the fingerprint) is appended to it in output
-    order.
+    pre-filter (flat-rank bound first, then series classes, lines and
+    planes in closed form) before the exact density recheck.  Hits are
+    deduplicated by the cheap fingerprint (v, e, valence sequence,
+    Kirchhoff monomial multiset) only, so isomorphic duplicates can
+    survive; the monomial supports are the bases of the recheck's rank
+    table, so no spanning tree is enumerated.  The output is sorted by c
+    descending, then edge count ascending.  If tree_counts is a list, the
+    number of spanning trees of each hit (its Kirchhoff monomials, already
+    listed for the fingerprint) is appended to it in output order.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -406,12 +428,13 @@ def search_divergent(
             if not _density_reaches(ends, v, cols, target, min_valence_3=True):
                 continue
             g = Multigraph(tuple((i, 0) for i in range(v)), ends)
-            cert = density(CographicMatroid(g))
+            matroid = CographicMatroid(g)
+            cert = density(matroid)
             if cert.m < target:
                 raise CertificateError(
                     "density pre-filter accepted a graph below the target"
                 )
-            key = _fingerprint(g)
+            key = _fingerprint(matroid)
             if key not in hits:
                 hits[key] = (g, cert.m)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))

@@ -310,10 +310,16 @@ class TestSearch:
          "735668bb6a2dc049add0f527a825d495e10b903f8c779c220fbfca84ad5cad5f"),
         ("3", "7", "1", 14,
          "3bd3d88976d6bcfee12a656f75d83dc3f0b0e7a46de57fe2bcd8367022be406a"),
-    ], ids=["g4e9t2", "g3e7t1"])
+        ("6", "11", "5", 7,
+         "78dc73c6f180ecb07ab0277e56e34ae912a8fb8c63c6e82a22dae3e87a73f66d"),
+        ("5", "13", "3", 506,
+         "890855cc952948fb00c07b0cc2ce0ab4fd57ad4b606bcc726f69a188cf5fc422"),
+    ], ids=["g4e9t2", "g3e7t1", "g6e11t5", "g5e13t3"])
     def test_frozen_stdout(self, capsys, genus, max_edges, target, lines,
                            digest):
-        # recorded before the generator pruned bridged prefixes
+        # g4e9t2 and g3e7t1 were recorded before the generator pruned bridged
+        # prefixes; g6e11t5 and g5e13t3 are the benchmark's search ops, with
+        # the digests of modbench/reference_digests.json
         assert main(["search", "--genus", genus, "--max-edges", max_edges,
                      "--target", target]) == 0
         out = capsys.readouterr().out

@@ -26,14 +26,17 @@ from modgraph import (
     search_divergent,
     threshold,
 )
+import modgraph.convergence
+import modgraph.graphs
 from modgraph.convergence import (
     _contract_to_optimal,
     _density_reaches,
+    _fingerprint,
     _gen_edge_lists,
     _is_bridgeless,
     _series_classes,
 )
-from modgraph.graphs import Multigraph, _cycle_columns, spanning_trees
+from modgraph.graphs import Multigraph, _cycle_columns, spanning_trees, valences
 from modgraph.matroid import CertificateError, DensityCertificate
 from modgraph.selftest import (
     bridged_triangles_graph,
@@ -336,6 +339,38 @@ class TestDensityDecision:
                     cases += 1
         assert cases > 100
 
+    def test_lines_and_planes_at_genus_5(self):
+        # the search's genus-5 layers: every bridgeless candidate, at targets
+        # whose flat-rank bound leaves lines (k = 2) or planes (k = 3)
+        targets = (Fraction(5, 2), Fraction(3), Fraction(10, 3), Fraction(7, 2))
+        loopless_bounds = set()
+        for v in range(4, 8):
+            e = v + 4
+            for ends, cols in _gen_edge_lists(v, e, bridgeless=True):
+                if not _is_bridgeless(cols):
+                    continue
+                g = Multigraph(tuple((i, 0) for i in range(v)), ends)
+                m = density(CographicMatroid(g)).m
+                loopless = all(a != b for a, b in ends)
+                for t in targets:
+                    got = _density_reaches(ends, v, cols, t, min_valence_3=True)
+                    assert got == (m >= t), (ends, t, m)
+                    if loopless:
+                        # the loopless flat-rank bound of _density_reaches
+                        p, q = t.numerator, t.denominator
+                        loopless_bounds.add(min(
+                            (3 * v - 6) * q // (4 * p - 6 * q), e * q // p, 5))
+        assert {2, 3} <= loopless_bounds
+
+
+def tree_fingerprint(g):
+    """The search's hit key read from a spanning-tree enumeration."""
+    degs = tuple(sorted(valences(g).values()))
+    all_edges = frozenset(range(g.n_edges))
+    monos = tuple(sorted(tuple(sorted(all_edges - t))
+                         for t in spanning_trees(g)))
+    return (g.n_vertices, g.n_edges, degs, monos)
+
 
 def gidx(g, vid):
     return {v: i for i, (v, _) in enumerate(g.vertices)}[vid]
@@ -386,6 +421,23 @@ class TestSearch:
         assert hits == search_divergent(3, 7, Fraction(1))
         assert counts[0] == -1 and len(counts) == len(hits) + 1
         assert counts[1:] == [len(spanning_trees(g)) for g, _ in hits]
+
+    def test_enumerates_no_spanning_trees(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("search enumerated spanning trees")
+
+        counts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(modgraph.graphs, "spanning_trees", refuse)
+            patch.setattr(modgraph.convergence, "spanning_trees", refuse,
+                          raising=False)
+            hits = search_divergent(4, 9, 2, tree_counts=counts)
+        assert len(hits) == len(counts) == 169
+        # the rank table's bases are the complements of the spanning trees
+        for (g, _), n_trees in zip(hits, counts):
+            key = _fingerprint(CographicMatroid(g))
+            assert key == tree_fingerprint(g)
+            assert n_trees == len(key[3]) == len(spanning_trees(g))
 
     def test_all_hits_satisfy_contract(self):
         for g, c in search_divergent(3, 7, Fraction(2)):
