@@ -105,7 +105,10 @@ def _load_graph(path: str):
 
 
 def cmd_analyze(args) -> int:
-    seed = _probe_seed(args.seed)  # before any analysis runs
+    # both checks come before any analysis runs
+    if args.probe and args.format == "csv":
+        raise InputError("--probe has no CSV columns; use --format json")
+    seed = _probe_seed(args.seed)
     reports = []
     for path in args.paths:
         try:
@@ -276,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis of one or more graphs")
     p.add_argument("paths", nargs="+", help="graph files (JSON or edge list)")
     p.add_argument("--probe", action="store_true",
-                   help="run growth probes at s = c and s = c + 1/2")
+                   help="run growth probes at s = c and s = c + 1/2 "
+                        "(JSON output only)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--max-edges", type=_edge_limit, default=20,
                    help="refuse graphs with more edges (default 20)")

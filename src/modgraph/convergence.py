@@ -16,6 +16,7 @@ import numpy as np
 
 from .graphs import (
     Multigraph,
+    _reduce,
     betti,
     bridges,
     contract_edges,
@@ -225,16 +226,13 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
     # Weighted scan over unions of series classes: exact, since every
     # maximizer is such a union.  A union extends the one without its
     # lowest class by that class's vector, reduced against the smaller
-    # union's basis (each basis vector is zero at the leading bits of the
-    # earlier ones, so min(x, x ^ b) clears b's leading bit).
+    # union's echelon basis.
     stack = [(ncls, 0, ())]
     while stack:
         limit, weight, basis = stack.pop()
         for c in range(limit):
             w = weight + sizes[c]
-            vec = vecs[c]
-            for b in basis:
-                vec = min(vec, vec ^ b)
+            vec = _reduce(vecs[c], basis)
             grown = basis + (vec,) if vec else basis
             if w * q >= p * len(grown):
                 return True

@@ -209,11 +209,12 @@ def is_stable(g: Multigraph) -> bool:
 def _cycle_columns(ends, n_vertices) -> list[int] | None:
     """Columns of a fundamental cycle matrix over GF(2), one int per edge.
 
-    `ends` holds (a, b) vertex indices in 0..n_vertices-1.  Bit k of a
-    column stands for the fundamental cycle of non-tree edge k of one BFS
-    spanning tree (b bits in use), so the columns represent the cographic
-    matroid: a bridge is a zero column, a series class is a group of equal
-    columns and the rank of an edge set is the GF(2) rank of its columns.
+    `ends` holds (a, b) vertex indices in 0..n_vertices-1.  Bit i of a
+    column stands for the fundamental cycle of the i-th non-tree edge, in
+    edge-id order, of one BFS spanning tree (b bits in use), so the columns
+    represent the cographic matroid: a bridge is a zero column, a series
+    class is a group of equal columns and the rank of an edge set is the
+    GF(2) rank of its columns.
     Returns None when the graph is disconnected.  O(v + e) word operations.
     """
     adj = [[] for _ in range(n_vertices)]
@@ -239,12 +240,13 @@ def _cycle_columns(ends, n_vertices) -> list[int] | None:
     # A non-tree edge owns its bit and marks both endpoints; a tree edge
     # carries the bits of the non-tree edges leaving the subtree below it.
     label = [0] * n_vertices
+    bit = 1
     for k, (a, b) in enumerate(ends):
         if not in_tree[k]:
-            bit = 1 << k
             cols[k] = bit
             label[a] ^= bit
             label[b] ^= bit
+            bit <<= 1
     for y in reversed(order[1:]):
         cols[parent_edge[y]] = label[y]
         label[parent[y]] ^= label[y]

@@ -14,7 +14,8 @@ the two is a standing cross-check used throughout the package.
   intermediate entry is itself a minor divided by a minor of +-1.
   It never enumerates spanning trees and never takes a GF(2) rank.
 
-`IntPolynomial` holds both as exact values; it has no ring arithmetic.
+`CycleForm` holds C itself; `IntPolynomial` holds both polynomials as
+exact values and has no ring arithmetic.
 """
 
 from __future__ import annotations
@@ -173,74 +174,35 @@ class IntPolynomial:
 
 @dataclass(frozen=True)
 class CycleForm:
-    """Symmetric b x b matrix of linear forms in the edge variables."""
+    """The cycle intersection form C X C^T, held as its signed cycle matrix.
+
+    cycles: the b rows of C, each with nvars entries in {-1, 0, 1}, and
+    X = diag(x_0, ..., x_{nvars-1}); entry (i, j) of the form is
+    sum_e C[i][e] * C[j][e] * x_e, so the form is symmetric by construction.
+    """
 
     nvars: int
-    entries: tuple[tuple[IntPolynomial, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        b = len(self.entries)
-        for row in self.entries:
-            if len(row) != b:
-                raise PolynomialError("cycle form must be square")
-            for p in row:
-                if p.nvars != self.nvars:
-                    raise PolynomialError("entry variable count mismatch")
-        for i in range(b):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise PolynomialError("cycle form must be symmetric")
+        for row in self.cycles:
+            if len(row) != self.nvars:
+                raise PolynomialError(
+                    f"cycle row length {len(row)} != nvars {self.nvars}")
+            if any(c not in (-1, 0, 1) for c in row):
+                raise PolynomialError("cycle entries must lie in {-1, 0, 1}")
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.cycles)
 
 
 def cycle_form(g: Multigraph, basis: CycleBasis) -> CycleForm:
     """Intersection form of a cycle basis: entry (i,j) = sum_e c_i[e]*c_j[e]*x_e."""
-    e = g.n_edges
-    b = betti(g)
-    if len(basis.cycles) != b or any(len(row) != e for row in basis.cycles):
+    if len(basis.cycles) != betti(g) or any(
+            len(row) != g.n_edges for row in basis.cycles):
         raise PolynomialError("cycle basis does not match the graph")
-    rows = basis.cycles
-    entries = []
-    for i in range(b):
-        line = []
-        for j in range(b):
-            terms = {}
-            for k in range(e):
-                c = rows[i][k] * rows[j][k]
-                if c:
-                    exps = [0] * e
-                    exps[k] = 1
-                    terms[tuple(exps)] = c
-            line.append(IntPolynomial(e, terms))
-        entries.append(tuple(line))
-    return CycleForm(e, tuple(entries))
-
-
-def _cycle_columns_of(form: CycleForm) -> np.ndarray:
-    """The signed cycle matrix read back from a cycle form, transposed.
-
-    Row v is the column c_v of variable x_v: the coefficient matrix of x_v
-    must be c_v * c_v^T with c_v in {-1, 0, 1}^b (up to the sign of c_v).
-    Raises PolynomialError for any other form.
-    """
-    b, nvars = form.size, form.nvars
-    coef = np.zeros((nvars, b, b), dtype=np.int8)
-    for i, row in enumerate(form.entries):
-        for j, p in enumerate(row):
-            for exps, c in p._terms.items():
-                if sum(exps) != 1 or c not in (-1, 1):
-                    raise PolynomialError(
-                        f"entry ({i}, {j}) is not a sum of +-x_v: {p}")
-                coef[exps.index(1), i, j] = c
-    diag = coef[:, range(b), range(b)]
-    cols = coef[np.arange(nvars), diag.argmax(axis=1)]
-    if not np.array_equal(coef, cols[:, :, None] * cols[:, None, :]):
-        raise PolynomialError("a variable's coefficient matrix is not c*c^T "
-                              "with c in {-1, 0, 1}^b")
-    return cols
+    return CycleForm(g.n_edges, basis.cycles)
 
 
 def _nonsingular(mats: np.ndarray) -> np.ndarray:
@@ -280,11 +242,11 @@ def psi_det(form: CycleForm) -> IntPolynomial:
     A cycle form is C X C^T for the b x e signed cycle matrix C and
     X = diag(x), so det = sum over b-subsets S of the columns of
     det(C_S)^2 x^S (Kirchhoff's theorem; Bogner & Weinzierl, "Feynman graph
-    polynomials", arXiv:1002.3458).  C is read back from the form one
-    column per variable (`_cycle_columns_of`).  Zero columns (bridges) are
-    dropped; a column that is the only nonzero entry of some row (a loop,
-    for one) lies in every nonsingular S, so its variable is factored out
-    and the row and column deleted, repeatedly.  The remaining subsets are
+    polynomials", arXiv:1002.3458).  C is taken from the form as an int8
+    array, one row per variable.  Zero columns (bridges) are dropped; a
+    column that is the only nonzero entry of some row (a loop, for one)
+    lies in every nonsingular S, so its variable is factored out and the
+    row and column deleted, repeatedly.  The remaining subsets are
     decided in blocks of `DET_BLOCK` by batched int8 elimination
     (`_nonsingular`), the rows of C with the fewest nonzeros first, so that
     most singular subsets leave the batch in the first steps.
@@ -292,13 +254,15 @@ def psi_det(form: CycleForm) -> IntPolynomial:
     C is a network matrix, hence totally unimodular: every det(C_S) is 0
     or +-1, so every coefficient is 1, and every elimination intermediate
     is a minor divided by a minor of +-1, so int8 is exact and cannot
-    overflow.  Spanning trees are never enumerated and no GF(2) rank is
-    taken, which keeps this route independent of `psi_trees`.
+    overflow.  A caller's C that is not totally unimodular is refused by
+    `_nonsingular` with PolynomialError.  Spanning trees are never
+    enumerated and no GF(2) rank is taken, which keeps this route
+    independent of `psi_trees`.
     """
     nvars = form.nvars
     if form.size == 0:
         return IntPolynomial.constant(nvars, 1)
-    cols = _cycle_columns_of(form)
+    cols = np.ascontiguousarray(np.array(form.cycles, dtype=np.int8).T)
     keep = [v for v in range(nvars) if cols[v].any()]
     rows = list(range(form.size))
     factored = []
@@ -377,12 +341,11 @@ def inverse_decay_check(form: CycleForm, direction, t_grid) -> list[float]:
         grid[i] >= grid[i + 1] for i in range(len(grid) - 1)
     ):
         raise PolynomialError("t_grid must be increasing with entries >= 1")
+    cycles = np.array(form.cycles, dtype=float).reshape(form.size, form.nvars)
+    ray = np.array(direction)
     out = []
     for t in grid:
-        point = [t * x for x in direction]
-        mat = np.array(
-            [[p.evaluate(point) for p in row] for row in form.entries], dtype=float
-        )
+        mat = (cycles * (t * ray)) @ cycles.T  # C X C^T at x = t*direction
         if mat.size == 0:
             out.append(0.0)
             continue

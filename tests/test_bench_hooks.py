@@ -1,0 +1,37 @@
+"""The benchmark's tracer finds every public function it wraps.
+
+`modbench/tracer.py` raises when a public hook is missing, so a change
+that drops or renames a hooked name fails here, not only in the bench.
+The tracer patches module namespaces, so it runs in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import modgraph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+INSTALL = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import modgraph.cli
+import tracer
+t = tracer.Tracer()
+tracer.install(t)
+print(json.dumps(t.absent))
+"""
+
+
+def test_tracer_installs_every_hook():
+    src = os.path.dirname(os.path.dirname(modgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", INSTALL, str(ROOT / "modbench")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["convergence._connected"]

@@ -72,6 +72,21 @@ class TestAnalyze:
         assert out[0].startswith("input,vertices,edges")
         assert out[1].split(",")[7] == "3"  # c column
 
+    def test_csv_with_probe_exits_1_before_analysis(self, files, capsys,
+                                                    monkeypatch):
+        import modgraph.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("analysis ran before the flag check")
+
+        monkeypatch.setattr(cli, "analyze", unreachable)
+        assert main(["analyze", files["p3.txt"], "--format", "csv",
+                     "--probe"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--probe" in err
+
     def test_max_edges_guard(self, files, capsys):
         assert main(["analyze", files["p3.txt"], "--max-edges", "2"]) == 1
 

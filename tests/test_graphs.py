@@ -557,6 +557,15 @@ class TestCycleColumns:
             checked += 1
         assert checked == len(bridgeless) > 120
 
+    def test_columns_are_b_bits_wide(self):
+        for g in kernel_corpus():
+            cols = _cycle_columns(g.edges, g.n_vertices)
+            assert max(cols, default=0).bit_length() <= betti(g), g.edges
+        # one cycle: one bit, wherever the BFS leaves its non-tree edge
+        n = 2000
+        ring = tuple((k, (k + 1) % n) for k in range(n))
+        assert _cycle_columns(ring, n) == [1] * n
+
     def test_none_exactly_when_disconnected(self):
         for g in kernel_corpus():
             for eid in range(g.n_edges):

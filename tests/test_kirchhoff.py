@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from modgraph import (
@@ -68,23 +69,40 @@ class TestIntPolynomial:
             p.evaluate((1.0, 1.0))
 
 
+def _form_values(form, x):
+    """(C diag(x)) C^T as nested lists."""
+    c = np.array(form.cycles, dtype=float).reshape(form.size, form.nvars)
+    return ((c * np.array(x, dtype=float)) @ c.T).tolist()
+
+
 class TestCycleForm:
     def test_p3_form(self):
         g = parse_graph("0 1\n1 2\n2 0")
         form = cycle_form(g, fundamental_cycle_basis(g))
         assert form.size == 1
-        assert str(form.entries[0][0]) == "x0 + x1 + x2"
+        assert form.cycles == ((1, 1, 1),)
+        assert _form_values(form, (1, 2, 3)) == [[6.0]]  # x0 + x1 + x2
 
     def test_theta_form(self):
         g = theta_graph()
         form = cycle_form(g, fundamental_cycle_basis(g))
-        rendered = [[str(p) for p in row] for row in form.entries]
-        assert rendered == [["x0 + x1", "x0"], ["x0", "x0 + x2"]]
+        assert form.cycles == ((-1, 1, 0), (-1, 0, 1))
+        # [[x0 + x1, x0], [x0, x0 + x2]]
+        assert _form_values(form, (1, 2, 3)) == [[3.0, 1.0], [1.0, 4.0]]
 
     def test_single_loop_form(self):
         g = parse_graph('{"edges": [[0, 0]]}')
         form = cycle_form(g, fundamental_cycle_basis(g))
-        assert str(form.entries[0][0]) == "x0"
+        assert form.cycles == ((1,),)
+        assert _form_values(form, (1,)) == [[1.0]]  # x0
+
+    def test_entry_outside_signs_rejected(self):
+        with pytest.raises(PolynomialError, match="-1, 0, 1"):
+            CycleForm(2, ((1, 2),))
+
+    def test_short_row_rejected(self):
+        with pytest.raises(PolynomialError, match="row length 1 != nvars 2"):
+            CycleForm(2, ((1, 0), (1,)))
 
 
 class TestPsi:
@@ -244,43 +262,18 @@ class TestPsi:
             assert det == tree, g.edges
 
 
-def _form(nvars, entries):
-    return CycleForm(nvars, tuple(tuple(IntPolynomial(nvars, e) for e in row)
-                                  for row in entries))
-
-
 class TestDetContract:
-    """psi_det reads the cycle matrix back from the form and refuses any
-    form that is not C X C^T for a totally unimodular C."""
-
-    def test_not_rank_one(self):
-        # x0 has coefficient matrix [[1, 1], [1, 0]]
-        form = _form(2, [[{(1, 0): 1}, {(1, 0): 1}],
-                         [{(1, 0): 1}, {(0, 1): 1}]])
-        with pytest.raises(PolynomialError, match="c\\*c\\^T"):
-            psi_det(form)
-
-    def test_coefficient_two(self):
-        with pytest.raises(PolynomialError, match="not a sum"):
-            psi_det(_form(1, [[{(1,): 2}]]))
-
-    @pytest.mark.parametrize("term", [{(0, 0): 1}, {(1, 1): 1}, {(2, 0): 1}])
-    def test_not_linear(self, term):
-        with pytest.raises(PolynomialError, match="not a sum"):
-            psi_det(_form(2, [[term]]))
+    """psi_det takes C from the form and refuses a C that is not totally
+    unimodular."""
 
     def test_not_totally_unimodular(self):
         # columns (1, 1) and (1, -1): det = 4*x0*x1, a minor of -2
-        form = _form(2, [[{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}],
-                         [{(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1}]])
         with pytest.raises(PolynomialError, match="totally unimodular"):
-            psi_det(form)
+            psi_det(CycleForm(2, ((1, 1), (1, -1))))
 
     def test_singular_form_is_zero(self):
         # both rows are x0 only: rank one, so the determinant vanishes
-        form = _form(2, [[{(1, 0): 1}, {(1, 0): 1}],
-                         [{(1, 0): 1}, {(1, 0): 1}]])
-        assert psi_det(form).is_zero
+        assert psi_det(CycleForm(2, ((1, 0), (1, 0)))).is_zero
 
     def test_loops_factor_out(self):
         # two loops and a triangle: psi = x0 * x1 * (x2 + x3 + x4)
