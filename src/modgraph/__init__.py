@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .kirchhoff import (
     CycleForm,
-    IntPolynomial,
+    KirchhoffPolynomial,
     PolynomialError,
     cycle_form,
     inverse_decay_check,
@@ -75,7 +75,7 @@ __all__ = [
     "DensityCertificate",
     "GraphError",
     "GrowthVerdict",
-    "IntPolynomial",
+    "KirchhoffPolynomial",
     "MatroidError",
     "Multigraph",
     "NoCyclesError",

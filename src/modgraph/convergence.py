@@ -25,7 +25,7 @@ from .graphs import (
     is_stable,
     valences,
 )
-from .kirchhoff import IntPolynomial, psi_from_graph
+from .kirchhoff import KirchhoffPolynomial, psi_from_graph
 from .matroid import (
     CertificateError,
     CographicMatroid,
@@ -398,7 +398,7 @@ def search_divergent(
     pre-filter (flat-rank bound first, then series classes, lines and
     planes in closed form) before the exact density recheck.  Hits are
     deduplicated by the cheap fingerprint (v, e, valence sequence,
-    Kirchhoff monomial multiset) only, so isomorphic duplicates can
+    Kirchhoff monomial set) only, so isomorphic duplicates can
     survive; the monomial supports are the bases of the recheck's rank
     table, so no spanning tree is enumerated.  The output is sorted by c
     descending, then edge count ascending.  If tree_counts is a list, the
@@ -477,7 +477,7 @@ class ConvergenceReport:
     variant: str  # "threshold" or "no_cycles"
     core: Multigraph | None = None
     core_edge_map: tuple[tuple[int, int], ...] = ()
-    psi: IntPolynomial | None = None
+    psi: KirchhoffPolynomial | None = None
     psi_routes_agree: bool = False
     c: Fraction | None = None
     certificate: DensityCertificate | None = None

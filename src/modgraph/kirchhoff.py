@@ -1,4 +1,4 @@
-"""The Kirchhoff polynomial and cycle forms as exact integer values.
+"""The Kirchhoff polynomial and cycle forms as exact values.
 
 The Kirchhoff (first Symanzik) polynomial of a connected multigraph is
 computed two independent ways, both exact over the integers; agreement of
@@ -14,14 +14,15 @@ the two is a standing cross-check used throughout the package.
   intermediate entry is itself a minor divided by a minor of +-1.
   It never enumerates spanning trees and never takes a GF(2) rank.
 
-`CycleForm` holds C itself; `IntPolynomial` holds both polynomials as
-exact values and has no ring arithmetic.
+Either way the polynomial is a sum of distinct squarefree monomials with
+coefficient 1, so `KirchhoffPolynomial` holds one bit mask per monomial;
+each route builds its own, and the two meet only at ==.  `CycleForm`
+holds C itself.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,136 +41,62 @@ DET_BLOCK = 1 << 16
 
 
 class PolynomialError(ValueError):
-    """A malformed polynomial, cycle form, point or direction."""
+    """A malformed polynomial, cycle form or direction."""
 
 
-def _grlex_key(item):
-    exps, _ = item
-    return (sum(exps), exps)
+@dataclass(frozen=True)
+class KirchhoffPolynomial:
+    """A sum of distinct squarefree monomials, each with coefficient 1.
 
-
-class IntPolynomial:
-    """An exact sparse integer polynomial, held as a value, not a ring.
-
-    Terms map dense exponent tuples (length nvars) to nonzero integer
-    coefficients.  Instances are immutable by convention and have no
-    arithmetic: they are read term by term, compared, hashed, evaluated
-    and printed.
+    masks: one int per monomial, bit i set when x_i divides it (Python
+    ints, so nvars is not bounded by a machine word); mask 0 is the
+    constant 1, and no masks is the zero polynomial.  The constructor puts
+    them in display order: higher degree first, and within a degree
+    ascending lexicographic on the supports, which is graded
+    lexicographic order with the leading term first.
     """
 
-    __slots__ = ("nvars", "_terms", "_key")
+    nvars: int
+    masks: tuple[int, ...]
 
-    def __init__(self, nvars: int, terms=()):
-        self.nvars = int(nvars)
-        data: dict[tuple[int, ...], int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, coeff in items:
-            exps = tuple(int(x) for x in exps)
-            if len(exps) != self.nvars:
-                raise PolynomialError(
-                    f"exponent vector length {len(exps)} != nvars {self.nvars}"
-                )
-            if any(x < 0 for x in exps):
-                raise PolynomialError("negative exponent")
-            coeff = int(coeff)
-            if coeff:
-                c = data.get(exps, 0) + coeff
-                if c:
-                    data[exps] = c
-                elif exps in data:
-                    del data[exps]
-        self._terms = data
-        self._key = None
+    def __post_init__(self):
+        masks = list(self.masks)
+        if len(set(masks)) != len(masks):
+            raise PolynomialError("repeated monomial")
+        if masks and (min(masks) < 0 or max(masks) >> self.nvars):
+            raise PolynomialError(f"monomial outside {self.nvars} variables")
+        # reversed binary digits put bit 0 first, so within a degree
+        # descending strings are ascending supports (a shorter string sorts
+        # as if padded with '0's); the stable second sort groups by degree
+        masks.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
+        masks.sort(key=int.bit_count, reverse=True)
+        object.__setattr__(self, "masks", tuple(masks))
 
-    @classmethod
-    def zero(cls, nvars: int) -> "IntPolynomial":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, c: int) -> "IntPolynomial":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded-lexicographic order, leading term first."""
-        return sorted(self._terms.items(), key=_grlex_key, reverse=True)
+    def terms(self) -> tuple[int, ...]:
+        """The monomial masks, in display order."""
+        return self.masks
 
     def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(int.bit_count, self.masks), default=0)
 
-    def _canonical(self):
-        if self._key is None:
-            self._key = tuple(self.sorted_terms())
-        return self._key
-
-    def __eq__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.nvars, self._canonical()))
-
-    @staticmethod
-    def _of(nvars: int, data: dict) -> "IntPolynomial":
-        """A polynomial on a dict of nonzero terms, taken without checks."""
-        p = IntPolynomial.__new__(IntPolynomial)
-        p.nvars = nvars
-        p._terms = data
-        p._key = None
-        return p
-
-    def evaluate(self, point) -> float:
-        """Numeric evaluation; fsum keeps the accumulation well conditioned."""
-        point = list(point)
-        if len(point) != self.nvars:
-            raise PolynomialError(
-                f"point length {len(point)} != nvars {self.nvars}"
-            )
-        vals = []
-        for exps, coeff in self._terms.items():
-            term = float(coeff)
-            for x, p in zip(point, exps):
-                if p:
-                    term *= x**p
-            vals.append(term)
-        return math.fsum(vals)
+    def supports(self) -> list[tuple[int, ...]]:
+        """The variable indices of each monomial, ascending, in display order."""
+        return [_support(m) for m in self.masks]
 
     def __str__(self):
-        if not self._terms:
+        if not self.masks:
             return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for i, p in enumerate(exps):
-                if p == 1:
-                    factors.append(f"x{i}")
-                elif p > 1:
-                    factors.append(f"x{i}^{p}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{mag}*" + "*".join(factors)
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return " + ".join("*".join(f"x{i}" for i in support) or "1"
+                          for support in self.supports())
 
-    def __repr__(self):
-        return f"IntPolynomial({self.nvars}, {self!s})"
+
+def _support(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -236,7 +163,7 @@ def _nonsingular(mats: np.ndarray) -> np.ndarray:
     return index
 
 
-def psi_det(form: CycleForm) -> IntPolynomial:
+def psi_det(form: CycleForm) -> KirchhoffPolynomial:
     """Determinant of a cycle form by Cauchy-Binet over its cycle matrix.
 
     A cycle form is C X C^T for the b x e signed cycle matrix C and
@@ -261,32 +188,31 @@ def psi_det(form: CycleForm) -> IntPolynomial:
     """
     nvars = form.nvars
     if form.size == 0:
-        return IntPolynomial.constant(nvars, 1)
+        return KirchhoffPolynomial(nvars, (0,))
     cols = np.ascontiguousarray(np.array(form.cycles, dtype=np.int8).T)
     keep = [v for v in range(nvars) if cols[v].any()]
     rows = list(range(form.size))
-    factored = []
+    base = 0  # the factored variables
     while rows:
         sub = cols[np.ix_(keep, rows)] != 0
         counts = sub.sum(axis=0)
         if not counts.all():
-            return IntPolynomial.zero(nvars)
+            return KirchhoffPolynomial(nvars, ())
         single = np.flatnonzero(counts == 1)
         if not single.size:
             break
         i = single[0]
-        factored.append(keep.pop(int(np.flatnonzero(sub[:, i])[0])))
+        base |= 1 << keep.pop(int(np.flatnonzero(sub[:, i])[0]))
         del rows[i]
     b = len(rows)
-    base = np.zeros(nvars, dtype=np.int8)
-    base[factored] = 1
     if b == 0:
-        return IntPolynomial._of(nvars, {tuple(base.tolist()): 1})
+        return KirchhoffPolynomial(nvars, (base,))
     mat = cols[np.ix_(keep, rows)]
     mat = mat[:, np.argsort((mat != 0).sum(axis=0), kind="stable")]
-    keep = np.array(keep)
+    # object dtype: the masks are Python ints, however many variables
+    bits = np.array([1 << v for v in keep], dtype=object)
     subsets = itertools.combinations(range(len(keep)), b)
-    terms = {}
+    masks = []
     while True:
         block = np.fromiter(
             itertools.chain.from_iterable(itertools.islice(subsets, DET_BLOCK)),
@@ -294,30 +220,28 @@ def psi_det(form: CycleForm) -> IntPolynomial:
         if not block.size:
             break
         chosen = block[_nonsingular(mat[block])]
-        exps = np.repeat(base[None, :], len(chosen), axis=0)
-        exps[np.arange(len(chosen))[:, None], keep[chosen]] = 1
-        terms.update(dict.fromkeys(map(tuple, exps.tolist()), 1))
-    return IntPolynomial._of(nvars, terms)
+        masks += (bits[chosen].sum(axis=1) | base).tolist()
+    return KirchhoffPolynomial(nvars, masks)
 
 
-def psi_trees(g: Multigraph) -> IntPolynomial:
+def psi_trees(g: Multigraph) -> KirchhoffPolynomial:
     """Kirchhoff polynomial as the spanning-tree expansion.
 
     Sum over spanning trees of the squarefree monomial on the complement
     edge set; all coefficients +1.
     """
-    e = g.n_edges
-    all_edges = frozenset(range(e))
-    terms: dict[tuple[int, ...], int] = {}
+    bits = [1 << eid for eid in range(g.n_edges)]
+    full = sum(bits)
+    masks = []
     for tree in spanning_trees(g):
-        exps = [0] * e
-        for eid in all_edges - tree:
-            exps[eid] = 1
-        terms[tuple(exps)] = 1
-    return IntPolynomial(e, terms)
+        cotree = full
+        for eid in tree:
+            cotree -= bits[eid]
+        masks.append(cotree)
+    return KirchhoffPolynomial(g.n_edges, masks)
 
 
-def psi_from_graph(g: Multigraph) -> tuple[IntPolynomial, IntPolynomial]:
+def psi_from_graph(g: Multigraph) -> tuple[KirchhoffPolynomial, KirchhoffPolynomial]:
     """Both routes to the Kirchhoff polynomial: (determinant, tree expansion)."""
     form = cycle_form(g, fundamental_cycle_basis(g))
     return psi_det(form), psi_trees(g)

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Multigraph, bridges
-from .kirchhoff import IntPolynomial, psi_trees
+from .kirchhoff import psi_trees
 
 PROBE_MAX_EDGES = 6
 # 100x the default; at this ceiling a stratum holds at most 46,296 points
@@ -127,15 +127,6 @@ class GrowthVerdict:
     ratios: tuple[float, ...]
     verdict: str  # "saturating" | "diverging" | "inconclusive"
     decay_ratio: float
-
-
-def _term_supports(psi: IntPolynomial) -> list[tuple[int, ...]]:
-    supports = []
-    for exps, coeff in psi.sorted_terms():
-        if coeff != 1:
-            raise RuntimeError("Kirchhoff polynomial with non-unit coefficient")
-        supports.append(tuple(i for i, p in enumerate(exps) if p))
-    return supports
 
 
 def _integrand(supports, s: float, usum: np.ndarray, ys) -> np.ndarray:
@@ -337,7 +328,7 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
         raise ValueError(
             f"tensor quadrature supports at most {QUADRATURE_MAX_EDGES} edges"
         )
-    supports = _term_supports(psi_trees(g))
+    supports = psi_trees(g).supports()
     logs = [math.log(r) for r in cfg.r_grid]
 
     regions: list[tuple[list[float], list[float]]] = [([0.0] * e, [logs[0]] * e)]

@@ -5,6 +5,7 @@ that drops or renames a hooked name fails here, not only in the bench.
 The tracer patches module namespaces, so it runs in a subprocess.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import modgraph
+from modgraph import cycle_form, fundamental_cycle_basis, psi_det, psi_trees
+from modgraph.selftest import k4_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +38,14 @@ def test_tracer_installs_every_hook():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["convergence._connected"]
+
+
+def test_tracer_counts_kirchhoff_terms():
+    # the tracer's kirchhoff.psi.terms counter reads the polynomial's terms()
+    spec = importlib.util.spec_from_file_location(
+        "modbench_tracer", ROOT / "modbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    g = k4_graph()
+    det = psi_det(cycle_form(g, fundamental_cycle_basis(g)))
+    assert tracer._terms((), det) == tracer._terms((), psi_trees(g)) == 16

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -7,7 +9,7 @@ import pytest
 
 from modgraph import (
     CycleForm,
-    IntPolynomial,
+    KirchhoffPolynomial,
     Multigraph,
     PolynomialError,
     bridges,
@@ -25,7 +27,9 @@ from modgraph import (
     psi_trees,
     spanning_trees,
 )
+from modgraph.cli import main
 from modgraph.selftest import (
+    cap_core_graph,
     dense_core_graph,
     random_connected_multigraph,
     small_connected_multigraphs,
@@ -49,24 +53,25 @@ def cap_graph():
     return parse_graph("\n".join(f"{a} {b}" for a, b in edges))
 
 
-class TestIntPolynomial:
-    def test_zero_coefficients_dropped(self):
-        p = IntPolynomial(2, {(1, 0): 3, (0, 1): 0})
-        assert p.terms() == {(1, 0): 3}
+class TestKirchhoffPolynomial:
+    def test_display_order(self):
+        # x0*x1, x1*x2, x0, 1: degree first, then ascending supports
+        p = KirchhoffPolynomial(3, (0b001, 0b110, 0, 0b011))
+        assert p.masks == (0b011, 0b110, 0b001, 0)
+        assert p.supports() == [(0, 1), (1, 2), (0,), ()]
+        assert str(p) == "x0*x1 + x1*x2 + x0 + 1"
+        assert p.degree() == 2
+        assert p == KirchhoffPolynomial(3, (0, 0b011, 0b001, 0b110))
+        assert hash(p) == hash(KirchhoffPolynomial(3, p.masks[::-1]))
+        assert p != KirchhoffPolynomial(4, p.masks)
 
-    def test_display_graded_lex(self):
-        g = theta_graph()
-        assert str(psi_trees(g)) == "x0*x1 + x0*x2 + x1*x2"
-        p = IntPolynomial(2, {(2, 0): 1, (0, 1): -3, (0, 0): 2})
-        assert str(p) == "x0^2 - 3*x1 + 2"
-        assert str(IntPolynomial.zero(3)) == "0"
-
-    def test_evaluate(self):
-        p = psi_trees(theta_graph())
-        assert p.evaluate((1.0, 1.0, 1.0)) == 3.0
-        assert p.evaluate((0.0, 0.0, 0.0)) == 0.0
-        with pytest.raises(PolynomialError):
-            p.evaluate((1.0, 1.0))
+    def test_repeated_or_wide_monomial_rejected(self):
+        with pytest.raises(PolynomialError, match="repeated"):
+            KirchhoffPolynomial(2, (0b01, 0b01))
+        with pytest.raises(PolynomialError, match="outside 2 variables"):
+            KirchhoffPolynomial(2, (0b100,))
+        with pytest.raises(PolynomialError, match="outside"):
+            KirchhoffPolynomial(2, (-1,))
 
 
 def _form_values(form, x):
@@ -117,8 +122,9 @@ class TestPsi:
         path = parse_graph("0 1\n1 2")
         form = cycle_form(path, fundamental_cycle_basis(path))
         assert form.size == 0
-        assert psi_det(form) == IntPolynomial.constant(2, 1)
-        assert psi_trees(path) == IntPolynomial.constant(2, 1)
+        for psi in (psi_det(form), psi_trees(path)):
+            assert psi.terms() == (0,)
+            assert str(psi) == "1"
 
     def test_doubled_square_degree_and_terms(self):
         g = make_doubled_2ngon(2)
@@ -144,10 +150,9 @@ class TestPsi:
             g = random_connected_multigraph(rng, 6, 9)
             psi = psi_trees(g)
             assert psi.degree() == betti(g)
-            for exps, coeff in psi.terms().items():
-                assert sum(exps) == betti(g)  # homogeneous of degree b
-                assert coeff == 1
-                assert all(p <= 1 for p in exps)
+            for mask in psi.terms():
+                assert mask.bit_count() == betti(g)  # homogeneous of degree b
+                assert mask >> g.n_edges == 0
 
     def test_no_bridge_variables(self):
         rng = random.Random(77)
@@ -160,8 +165,8 @@ class TestPsi:
             found += 1
             psi = psi_trees(g)
             assert psi.terms()
-            for exps in psi.terms():
-                assert not any(exps[i] for i in blocked), exps
+            for mask in psi.terms():
+                assert not any(mask >> i & 1 for i in blocked), bin(mask)
         assert found >= 10
 
     def test_basis_independence(self):
@@ -249,7 +254,8 @@ class TestPsi:
         assert len(bridges(g)) == 1
         det, tree = psi_from_graph(g)
         assert det == tree
-        assert all(exps[18] == 1 for exps in det.terms())  # the loop
+        assert all(mask >> 18 & 1 for mask in det.terms())  # the loop
+        assert not any(mask >> 19 & 1 for mask in det.terms())  # the bridge
 
     def test_loops_and_bridges_random(self):
         rng = random.Random(8675309)
@@ -260,6 +266,42 @@ class TestPsi:
             g = Multigraph(g.vertices, g.edges + ((v0, v0),) * loops)
             det, tree = psi_from_graph(g)
             assert det == tree, g.edges
+
+
+class TestDisplay:
+    """The display bytes of large polynomials, pinned by digest: one term
+    out of order in 10^4 changes the digest."""
+
+    @pytest.mark.parametrize("make, n_terms, digest", [
+        (dense_core_graph, 10122,
+         "98a0b58a442d2e8f21ac30c31269000207a43dd3a292b52f5afea812061069c6"),
+        (cap_core_graph, 432,
+         "5ea1750b5ccdb5e00cfc39816087562009747d401f37e054efd496410801c6be"),
+        (lambda: make_doubled_2ngon(4), 96,
+         "119dd18ae3d3387cb4b664c58950d0861456c7cf235288c444c659755d78e891"),
+    ])
+    def test_display_digest(self, make, n_terms, digest):
+        g = make()
+        det, tree = psi_from_graph(g)
+        assert det == tree
+        assert len(tree.terms()) == n_terms
+        assert hashlib.sha256(str(tree).encode()).hexdigest() == digest
+
+    def test_more_than_64_variables(self, tmp_path, capsys):
+        # 64 path bridges (edges 0-63), then a tripled edge (64-66):
+        # analyze runs both routes on the whole graph, so every monomial
+        # needs bits above 63
+        edges = [(i, i + 1) for i in range(64)] + [(64, 65)] * 3
+        g = parse_graph("\n".join(f"{a} {b}" for a, b in edges))
+        det, tree = psi_from_graph(g)
+        assert det == tree
+        assert str(tree) == "x64*x65 + x64*x66 + x65*x66"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(g.to_json_dict()))
+        assert main(["analyze", str(path), "--max-edges", "67"]) == 0
+        psi = json.loads(capsys.readouterr().out)["psi"]
+        assert (psi["terms"], psi["degree"]) == (3, 2)
+        assert psi["display"] == str(tree)
 
 
 class TestDetContract:
@@ -273,13 +315,20 @@ class TestDetContract:
 
     def test_singular_form_is_zero(self):
         # both rows are x0 only: rank one, so the determinant vanishes
-        assert psi_det(CycleForm(2, ((1, 0), (1, 0)))).is_zero
+        psi = psi_det(CycleForm(2, ((1, 0), (1, 0))))
+        assert psi.terms() == ()
+        assert str(psi) == "0"
 
     def test_loops_factor_out(self):
         # two loops and a triangle: psi = x0 * x1 * (x2 + x3 + x4)
         g = parse_graph("0 0\n1 1\n0 1\n1 2\n2 0")
         det = psi_det(cycle_form(g, fundamental_cycle_basis(g)))
         assert str(det) == "x0*x1*x2 + x0*x1*x3 + x0*x1*x4"
+
+
+def _evaluate(psi, point):
+    return math.fsum(math.prod(point[i] for i in support)
+                     for support in psi.supports())
 
 
 class TestSubstitutionProperty:
@@ -298,15 +347,11 @@ class TestSubstitutionProperty:
         position = {eid: k for k, eid in enumerate(kept)}
         psi_big = psi_trees(g)
         psi_small = psi_trees(gbar)
-        small_monos = [
-            frozenset(i for i, p in enumerate(exps) if p)
-            for exps in psi_small.terms()
-        ]
+        small_monos = [frozenset(support) for support in psi_small.supports()]
         rng = random.Random(31)
         a = {e: rng.uniform(0.5, 2.0) for e in contracted}
         max_factor = 1.0
-        for exps in psi_big.terms():
-            support = [i for i, p in enumerate(exps) if p]
+        for support in psi_big.supports():
             reduced = frozenset(
                 position[e] for e in support if e not in contracted
             )
@@ -324,7 +369,8 @@ class TestSubstitutionProperty:
                     y_big[eid] = a[eid]
                 else:
                     y_big[eid] = y_small[position[eid]]
-            assert psi_big.evaluate(y_big) <= c_const * psi_small.evaluate(y_small) + 1e-9
+            assert (_evaluate(psi_big, y_big)
+                    <= c_const * _evaluate(psi_small, y_small) + 1e-9)
 
 
 class TestInverseDecay:

@@ -23,7 +23,6 @@ from modgraph.probe import (
     GrowthVerdict,
     _gl_region,
     _stream_states,
-    _term_supports,
 )
 from modgraph.kirchhoff import psi_trees
 from modgraph.selftest import k4_graph, theta_graph
@@ -203,7 +202,7 @@ class TestTruncatedJ:
         # up exactly 2^(-s) under quadrature weights
         g = theta_graph()
         s = 1.75
-        supports = _term_supports(psi_trees(g))
+        supports = psi_trees(g).supports()
         lo, hi = [0.0] * 3, [4.0] * 3
         base, _ = _gl_region(supports, s, lo, hi, 24)
         doubled, _ = _gl_region(supports + supports, s, lo, hi, 24)
