@@ -9,6 +9,7 @@ maximal density-attaining set and rechecked exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,6 +158,20 @@ def _series_classes(cols) -> list[list[int]]:
     return list(groups.values())
 
 
+def _flat_rank_bound(n_vertices: int, n_edges: int, target: Fraction,
+                     has_loop: bool) -> int | None:
+    """Largest rank k of a flat with >= target * k edges under minimum
+    valence 3, or None when no bound holds (see `_density_reaches`)."""
+    p, q = target.numerator, target.denominator
+    if not has_loop and 4 * p > 6 * q:
+        k_bound = ((3 * n_vertices - 6) * q) // (4 * p - 6 * q)
+    elif has_loop and p > 2 * q:
+        k_bound = ((n_vertices - 2) * q) // (p - 2 * q)
+    else:
+        return None
+    return min(k_bound, n_edges * q // p, n_edges - n_vertices + 1)
+
+
 def _density_reaches(ends, n_vertices, cols, target: Fraction,
                      min_valence_3: bool) -> bool:
     """Exact decision: does some nonempty S have |S| >= target * rank(S)?
@@ -182,18 +197,12 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
     p, q = target.numerator, target.denominator
     k_bound = None
     if min_valence_3:
-        has_loop = any(a == b for a, b in ends)
-        if not has_loop and 4 * p > 6 * q:
-            k_bound = ((3 * n_vertices - 6) * q) // (4 * p - 6 * q)
-        elif has_loop and p > 2 * q:
-            k_bound = ((n_vertices - 2) * q) // (p - 2 * q)
-        if k_bound is not None:
-            n_edges = len(cols)
-            k_bound = min(k_bound, n_edges * q // p, n_edges - n_vertices + 1)
-            if k_bound <= 1:
-                # the largest class is at most e - (number of classes) + 1
-                return ((len(cols) - len(set(cols)) + 1) * q >= p
-                        and max(map(cols.count, cols)) * q >= p)
+        k_bound = _flat_rank_bound(n_vertices, len(cols), target,
+                                   any(a == b for a, b in ends))
+        if k_bound is not None and k_bound <= 1:
+            # the largest class is at most e - (number of classes) + 1
+            return ((len(cols) - len(set(cols)) + 1) * q >= p
+                    and max(map(cols.count, cols)) * q >= p)
     classes = _series_classes(cols)
     sizes = [len(c) for c in classes]
     if max(sizes) * q >= p:
@@ -241,7 +250,7 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
 
 
 def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
-                    bridgeless: bool = False):
+                    bridgeless: bool = False, series: int = 0):
     """Canonical sorted connected edge multisets on v vertices with e >= 1
     edges, each yielded as (ends, cols) with its GF(2) cycle columns.
 
@@ -268,6 +277,15 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     y is such a bridge iff col[y] == 0 and y's subtree holds none or all of
     Z = {a..used-1}.  A list can still close with a bridge among its last
     tail's edges, so the caller tests the columns.
+
+    With series > 0 no child is kept that cannot grow a series class (a
+    group of equal final columns) of `series` edges.  The tree never
+    changes and a later edge adds only its own bit, so a placed column
+    keeps its bits on the prefix and a later column has none of them: a
+    class holding a nonzero prefix column x has at most cnt(x) edges, and
+    one without prefix bits at most Z + min(r, v - used + 1), with Z the
+    zero prefix columns, r the edges still to place, v - used the tree
+    edges among them and one more non-tree edge (each has its own bit).
     """
     mv = min_valence
     exact = mv > 0 and 2 * e == mv * v  # no slack valence
@@ -352,6 +370,12 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
         edges.append((a, b))
         opened.append(y)
         used = max(used, b + 1)
+        if series:
+            # can a completion still hold a series class of `series` edges?
+            cs = [col[y] if y else 1 << k for k, y in enumerate(opened)]
+            if (max(map(cs.count, cs)) < series and cs.count(0)
+                    + min(e - len(edges), v - used + 1) < series):
+                continue
         if not slack:
             yield tuple(edges), [col[y] if y else 1 << k
                                  for k, y in enumerate(opened)]
@@ -396,7 +420,10 @@ def search_divergent(
     without the prefixes that must end with a bridge; each candidate comes
     with its cycle columns, which decide bridgelessness and the density
     pre-filter (flat-rank bound first, then series classes, lines and
-    planes in closed form) before the exact density recheck.  Hits are
+    planes in closed form) before the exact density recheck.  On a layer
+    (v, e) where the flat-rank bound is <= 1 with and without a loop, only
+    a series class of ceil(target) edges can reach the target, so the
+    generator drops every prefix that can no longer grow one.  Hits are
     deduplicated by the cheap fingerprint (v, e, valence sequence,
     Kirchhoff monomial set) only, so isomorphic duplicates can
     survive; the monomial supports are the bases of the recheck's rank
@@ -420,7 +447,12 @@ def search_divergent(
             break
         if 3 * v > 2 * e:
             continue  # minimum valence 3 unreachable
-        for ends, cols in _gen_edge_lists(v, e, bridgeless=True):
+        k_bounds = [_flat_rank_bound(v, e, target, loop)
+                    for loop in (False, True)]
+        series = (math.ceil(target)
+                  if None not in k_bounds and max(k_bounds) <= 1 else 0)
+        for ends, cols in _gen_edge_lists(v, e, bridgeless=True,
+                                          series=series):
             if not _is_bridgeless(cols):
                 continue
             if not _density_reaches(ends, v, cols, target, min_valence_3=True):

@@ -82,21 +82,22 @@ class CographicMatroid:
         A read-only int64 array.  comps[T], the component count of the
         spanning subgraph with edge set T, grows one edge at a time: masks
         [2^k, 2^(k+1)) copy the vertex labels of masks [0, 2^k) and merge
-        the endpoints of edge k.  Then rk(S) = |S| - comps[E - S] + 1.
+        the endpoints of edge k, which loses one component exactly when
+        their labels differ.  Then rk(S) = |S| - comps[E - S] + 1.
         """
         if self._rank_table is None:
             e = self.n_edges
             _check_size(e)
             n = self.graph.n_vertices  # <= e <= 20 for a bridgeless graph
-            vertices = np.arange(n, dtype=np.uint8)
             labels = np.empty((1 << e, n), dtype=np.uint8)
-            labels[0] = vertices
+            labels[0] = np.arange(n)
+            comps = np.empty(1 << e, dtype=np.int8)
+            comps[0] = n
             for k, (a, b) in enumerate(self._ends):
                 old, new = labels[: 1 << k], labels[1 << k: 2 << k]
+                comps[1 << k: 2 << k] = comps[: 1 << k] - (old[:, a] != old[:, b])
                 new[...] = old
                 np.copyto(new, old[:, a:a + 1], where=new == old[:, b:b + 1])
-            # A component's label is one of its vertices, which keeps it.
-            comps = (labels == vertices).sum(axis=1)
             del labels
             rank = _subset_sums([1] * e, np.int64) - comps[::-1] + 1
             rank.flags.writeable = False

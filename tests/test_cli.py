@@ -329,12 +329,16 @@ class TestSearch:
          "78dc73c6f180ecb07ab0277e56e34ae912a8fb8c63c6e82a22dae3e87a73f66d"),
         ("5", "13", "3", 506,
          "890855cc952948fb00c07b0cc2ce0ab4fd57ad4b606bcc726f69a188cf5fc422"),
-    ], ids=["g4e9t2", "g3e7t1", "g6e11t5", "g5e13t3"])
+        ("7", "13", "6", 8,
+         "2ad672d83c1b6fe085dcdd95d7583717902509360c296a4f69012d199e462ea2"),
+    ], ids=["g4e9t2", "g3e7t1", "g6e11t5", "g5e13t3", "g7e13t6"])
     def test_frozen_stdout(self, capsys, genus, max_edges, target, lines,
                            digest):
         # g4e9t2 and g3e7t1 were recorded before the generator pruned bridged
         # prefixes; g6e11t5 and g5e13t3 are the benchmark's search ops, with
-        # the digests of modbench/reference_digests.json
+        # the digests of modbench/reference_digests.json; g7e13t6 was
+        # recorded before the generator pruned prefixes that cannot grow a
+        # series class of `target` edges, which it needs to run in seconds
         assert main(["search", "--genus", genus, "--max-edges", max_edges,
                      "--target", target]) == 0
         out = capsys.readouterr().out

@@ -32,6 +32,7 @@ from modgraph.convergence import (
     _contract_to_optimal,
     _density_reaches,
     _fingerprint,
+    _flat_rank_bound,
     _gen_edge_lists,
     _is_bridgeless,
     _series_classes,
@@ -240,6 +241,49 @@ class TestGenerator:
         assert len(pruned) == 1341
         assert sum(all(cols) for _, cols in pruned) == 1241
 
+    def test_series_prune_keeps_every_passing_candidate(self):
+        # genus 4-6, e <= 11: wherever the flat-rank bound is <= 1 with and
+        # without a loop, the prune drops only candidates that the bridge
+        # test or the density pre-filter would refuse, and keeps the order
+        targets = [Fraction(3), Fraction(7, 2), Fraction(4), Fraction(9, 2),
+                   Fraction(5)]
+        pruning = set()
+        for g in range(4, 7):
+            for v in range(1, 13 - g):
+                e = v + g - 1
+                if 3 * v > 2 * e:
+                    continue
+                full = list(_gen_edge_lists(v, e, bridgeless=True))
+                for t in targets:
+                    bounds = [_flat_rank_bound(v, e, t, loop)
+                              for loop in (False, True)]
+                    if None in bounds or max(bounds) > 1:
+                        continue
+                    series = -(-t.numerator // t.denominator)
+                    pruned = list(_gen_edge_lists(v, e, bridgeless=True,
+                                                  series=series))
+
+                    def passing(lists):
+                        return [(x, cols) for x, cols in lists
+                                if _is_bridgeless(cols) and _density_reaches(
+                                    x, v, cols, t, min_valence_3=True)]
+
+                    assert passing(pruned) == passing(full), (v, e, t)
+                    if len(pruned) < len(full):
+                        pruning.add((v, e, t))
+        assert len(pruning) >= 3
+
+    def test_series_prune_yield_count(self):
+        # the layers of search_divergent(6, 11, 5) yield 7 candidates with
+        # the prune (48,531 without it); all 7 pass the bridge test
+        layers = [(v, v + 5) for v in range(1, 7)]
+        assert all(_flat_rank_bound(v, e, Fraction(5), loop) <= 1
+                   for v, e in layers for loop in (False, True))
+        lists = [x for v, e in layers
+                 for x in _gen_edge_lists(v, e, bridgeless=True, series=5)]
+        assert len(lists) == 7
+        assert all(_is_bridgeless(cols) for _, cols in lists)
+
 
 def _gf2_rank(vectors) -> int:
     basis: list[int] = []
@@ -282,6 +326,20 @@ class TestDensityDecision:
                         assert got == (m >= t), (ends, t, m)
                     cases += 1
         assert cases > 50
+
+    def test_flat_rank_bound_matches_its_formulas(self):
+        targets = [Fraction(n, d) for d in (1, 2, 3, 7) for n in range(1, 8 * d)]
+        for v in range(1, 13):
+            for e in range(v, 16):
+                for t in targets:
+                    p, q = t.numerator, t.denominator
+                    cap = min(e * q // p, e - v + 1)
+                    free = (min(((3 * v - 6) * q) // (4 * p - 6 * q), cap)
+                            if 4 * p > 6 * q else None)
+                    loop = (min(((v - 2) * q) // (p - 2 * q), cap)
+                            if p > 2 * q else None)
+                    assert _flat_rank_bound(v, e, t, False) == free, (v, e, t)
+                    assert _flat_rank_bound(v, e, t, True) == loop, (v, e, t)
 
     def test_matches_without_valence_assumption(self):
         rng = random.Random(73)
