@@ -151,6 +151,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.samples is not None and args.method == "tensor_quadrature":
+        sys.stderr.write("error: --samples sets the Monte Carlo sample count; "
+                         "tensor_quadrature does not take it\n")
+        return EXIT_INPUT
     seed = _probe_seed(args.seed)
     try:
         g = _load_graph(args.path)
@@ -161,7 +165,7 @@ def cmd_probe(args) -> int:
         cfg = ProbeConfig(
             s=args.s,
             r_grid=tuple(args.grid) if args.grid else DEFAULT_GRID,
-            samples=args.samples,
+            samples=ProbeConfig.samples if args.samples is None else args.samples,
             seed=seed,
             method=args.method,
         )
@@ -294,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True, help="real exponent s")
     p.add_argument("--method", choices=("monte_carlo", "tensor_quadrature"),
                    default="monte_carlo")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=None,
+                   help="Monte Carlo sample count (default 100000)")
     p.add_argument("--grid", type=float, nargs="+", default=None,
                    help="box radii (default e^4 e^6 e^8 e^10)")
     p.add_argument("--seed", type=int, default=None)

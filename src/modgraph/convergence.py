@@ -683,9 +683,11 @@ def _probe_payload(core: Multigraph, c: Fraction, seed: int | None) -> dict:
         }
     seed = DEFAULT_SEED if seed is None else seed
     payload = {}
-    for label, s in (("at_threshold", float(c)), ("above_threshold", float(c) + 0.5)):
-        cfg = ProbeConfig(s=s, seed=seed)
-        verdict = truncated_J(core, cfg)
+    cfg = ProbeConfig(s=float(c), seed=seed)
+    exponents = (float(c), float(c) + 0.5)
+    verdicts = truncated_J(core, cfg, s_values=exponents)
+    for label, s, verdict in zip(("at_threshold", "above_threshold"), exponents,
+                                 verdicts):
         payload[label] = {
             "s": s,
             "method": cfg.method,

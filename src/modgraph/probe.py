@@ -22,7 +22,10 @@ Each Monte Carlo stratum still draws from its own stream, PCG64 seeded by
 SeedSequence(seed, spawn_key=(region, stratum)); only the set-up is
 batched: the states of all strata of a region are derived in one numpy
 pass (_stream_states) and the strata are evaluated in bounded blocks (see
-_mc_region).  Tensor quadrature broadcasts its per-axis coordinates rather
+_mc_region).  The points depend on the seed, the grid and the sample count
+but not on s, so truncated_J(..., s_values=...) draws and evaluates them
+once for several exponents, and analyze --probe takes c and c + 1/2 from
+one pass.  Tensor quadrature broadcasts its per-axis coordinates rather
 than materialising the grid (see _gl_region).
 """
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -129,14 +132,17 @@ class GrowthVerdict:
     decay_ratio: float
 
 
-def _integrand(supports, s: float, usum: np.ndarray, ys) -> np.ndarray:
-    """f(u) = exp(sum u) * psi(exp(u))^(-s) on the log-coordinate box.
+def _integrand(supports, s_values, usum: np.ndarray, ys, reduce) -> list:
+    """reduce(f) for each s in s_values, in order, where
+    f(u) = exp(sum u) * psi(exp(u))^(-s) on the log-coordinate box.
 
     usum is the 1-D coordinate sum of every point; ys holds one factor
     exp(u_d) per variable, each broadcasting to the points (flattened in C
     order), so the quadrature grid never materialises its coordinates.
     Each psi term is multiplied out over its support in the order of a
-    row-wise np.prod.
+    row-wise np.prod.  psi and exp(sum u) are computed once for all
+    exponents; each f is reduced before the next is formed, so one f block
+    is live at a time, and the last f is formed in psi's place.
     """
     vals = np.zeros(np.broadcast_shapes(*(y.shape for y in ys)))
     for first, *rest in supports:
@@ -150,7 +156,14 @@ def _integrand(supports, s: float, usum: np.ndarray, ys) -> np.ndarray:
             "Kirchhoff polynomial evaluated non-positive on the positive "
             "orthant; impossible for a connected bridgeless graph"
         )
-    return np.exp(usum) * vals ** (-s)
+    eu = np.exp(usum)
+    out = [reduce(eu * vals ** (-s)) for s in s_values[:-1]]
+    # in place, the same float operations as eu * vals ** (-s)
+    vals **= -s_values[-1]
+    vals *= eu
+    del eu
+    out.append(reduce(vals))
+    return out
 
 
 def _strata_per_axis(dim: int) -> int:
@@ -211,8 +224,9 @@ def _stream_states(seed: int, region: int, strata):
     return state.tolist(), inc.tolist()
 
 
-def _mc_region(supports, s, lo, hi, samples, seed, region_index):
-    """Stratified Monte Carlo estimate of one log-coordinate box.
+def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
+    """Stratified Monte Carlo estimates of one log-coordinate box, one
+    (estimate, standard error) pair per exponent in s_values.
 
     Each stratum draws its points from its own stream, PCG64 seeded by
     SeedSequence(seed, spawn_key=(region_index, stratum)), so the estimate
@@ -221,9 +235,10 @@ def _mc_region(supports, s, lo, hi, samples, seed, region_index):
     (_stream_states) and loaded into one reused generator; each stratum's
     draws are mapped to its cell as cell_lo + span * r, the operations of
     Generator.uniform.  Strata are evaluated in blocks of at most
-    BLOCK_POINTS points, one integrand call per block, and their means and
-    variances enter the totals in stratum order, so the result does not
-    depend on the block size.
+    BLOCK_POINTS points, one integrand call per block for all exponents,
+    and their means and variances enter each exponent's totals in stratum
+    order, so the result does not depend on the block size or on the other
+    exponents.
     """
     dim = len(lo)
     splits = _strata_per_axis(dim)
@@ -242,8 +257,13 @@ def _mc_region(supports, s, lo, hi, samples, seed, region_index):
     states, incs = _stream_states(seed, region_index, range(n_strata))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    total = 0.0
-    var_total = 0.0
+    totals = [0.0] * len(s_values)
+    var_totals = [0.0] * len(s_values)
+
+    def moments(f):  # the mean and variance of each stratum in the block
+        f = f.reshape(-1, per)
+        return f.mean(axis=1).tolist(), f.var(axis=1, ddof=1).tolist()
+
     for first in range(0, n_strata, block):
         count = min(block, n_strata - first)
         u = np.empty((count, per, dim))
@@ -260,14 +280,13 @@ def _mc_region(supports, s, lo, hi, samples, seed, region_index):
         flat = u.reshape(count * per, dim)
         ys = flat.T.copy()
         np.exp(ys, out=ys)
-        f = _integrand(supports, s, flat.sum(axis=1), ys).reshape(count, per)
-        means = f.mean(axis=1).tolist()
-        variances = f.var(axis=1, ddof=1).tolist()
+        stats = _integrand(supports, s_values, flat.sum(axis=1), ys, moments)
         block_vols = vols[first : first + count].tolist()
-        for vol, mean, var in zip(block_vols, means, variances):
-            total += vol * mean
-            var_total += vol * vol * var / per
-    return total, math.sqrt(var_total)
+        for j, (means, variances) in enumerate(stats):
+            for vol, mean, var in zip(block_vols, means, variances):
+                totals[j] += vol * mean
+                var_totals[j] += vol * vol * var / per
+    return [(total, math.sqrt(var)) for total, var in zip(totals, var_totals)]
 
 
 def _gl_region(supports, s, lo, hi, nodes):
@@ -290,11 +309,13 @@ def _gl_region(supports, s, lo, hi, nodes):
     usum = grid[0]
     for g in grid[1:]:
         usum = usum + g
-    f = _integrand(supports, s, usum.ravel(), [np.exp(g) for g in grid])
     wprod = 1.0
     for g in np.meshgrid(*weights, indexing="ij", sparse=True):
         wprod = wprod * g
-    return float(np.sum(f * wprod.ravel())), 0.0
+    wprod = wprod.ravel()
+    (value,) = _integrand(supports, (s,), usum.ravel(), [np.exp(g) for g in grid],
+                          lambda f: float(np.sum(f * wprod)))
+    return value, 0.0
 
 
 def _shell_slabs(inner: float, outer: float, dim: int):
@@ -309,14 +330,30 @@ def _shell_slabs(inner: float, outer: float, dim: int):
         yield lo, hi
 
 
-def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
+def truncated_J(g: Multigraph, cfg: ProbeConfig, *,
+                s_values: tuple[float, ...] | None = None
+                ) -> GrowthVerdict | tuple[GrowthVerdict, ...]:
     """Estimate F(R) over the grid and classify its growth.
 
     The graph must be bridgeless (contract bridges first; bridge variables
     only contribute bounded positive factors).  Increment estimates come
     from integrating each shell between consecutive boxes directly, so the
     reported F values are automatically nondecreasing in R.
+
+    With the keyword s_values (a tuple of exponents, each checked as
+    ProbeConfig checks s), cfg.s is ignored and one GrowthVerdict is
+    returned per exponent, in order.  Monte Carlo draws and evaluates its
+    points once for all of them; quadrature runs once per exponent.  Each
+    verdict equals the one a call with cfg.s set to that exponent returns,
+    and the first exponent that such a call would reject raises its error.
     """
+    if s_values is None:
+        exponents = (cfg.s,)
+    elif not isinstance(s_values, (tuple, list)) or not s_values:
+        raise ValueError(
+            f"s_values must be a non-empty sequence of numbers, got {s_values!r}")
+    else:
+        exponents = tuple(replace(cfg, s=s).s for s in s_values)
     if bridges(g):
         raise ValueError("probe needs a bridgeless graph; contract bridges first")
     e = g.n_edges
@@ -338,24 +375,32 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
             regions.append((lo, hi))
             shell_of.append(k + 1)
 
-    piece = [0.0] * len(logs)
-    piece_var = [0.0] * len(logs)
+    # per exponent, the estimate and variance of each grid index's shell
+    pieces = [[0.0] * len(logs) for _ in exponents]
+    piece_vars = [[0.0] * len(logs) for _ in exponents]
     # an overflow is reported below as a non-finite verdict, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         for ridx, (lo, hi) in enumerate(regions):
             if cfg.method == "monte_carlo":
                 n = cfg.samples if shell_of[ridx] == 0 else max(1000, cfg.samples // e)
-                est, err = _mc_region(supports, cfg.s, lo, hi, n, cfg.seed, ridx)
+                ests = _mc_region(supports, exponents, lo, hi, n, cfg.seed, ridx)
             else:
-                est, err = _gl_region(supports, cfg.s, lo, hi, cfg.nodes)
-            piece[shell_of[ridx]] += est
-            piece_var[shell_of[ridx]] += err * err
+                ests = [_gl_region(supports, s, lo, hi, cfg.nodes) for s in exponents]
+            for piece, piece_var, (est, err) in zip(pieces, piece_vars, ests):
+                piece[shell_of[ridx]] += est
+                piece_var[shell_of[ridx]] += err * err
+    verdicts = tuple(map(_growth_verdict, exponents, pieces, piece_vars))
+    return verdicts[0] if s_values is None else verdicts
 
+
+def _growth_verdict(s, piece, piece_var) -> GrowthVerdict:
+    """Classify the shell estimates of one exponent, or raise the ValueError
+    that says why the probe cannot resolve growth at s."""
     values = []
     stderrs = []
     run = 0.0
     var_run = 0.0
-    for k in range(len(logs)):
+    for k in range(len(piece)):
         run += piece[k]
         var_run += piece_var[k]
         values.append(run)
@@ -364,7 +409,7 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
     if any(inc == 0.0 for inc in increments):
         # the integrand is positive, so a zero shell is float underflow
         raise ValueError(
-            f"the increments of F underflow to 0.0 at s = {cfg.s!r}; "
+            f"the increments of F underflow to 0.0 at s = {s!r}; "
             "the probe cannot resolve growth at this s"
         )
     inc_errs = tuple(math.sqrt(v) for v in piece_var[1:])
@@ -373,7 +418,7 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig) -> GrowthVerdict:
     )
     if not all(map(math.isfinite, (*values, *stderrs, *increments, *ratios))):
         raise ValueError(
-            f"F, its standard error or a ratio is not finite at s = {cfg.s!r} "
+            f"F, its standard error or a ratio is not finite at s = {s!r} "
             "on this grid (float overflow); the probe cannot resolve growth"
         )
 

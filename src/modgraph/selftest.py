@@ -286,33 +286,34 @@ def criterion_8_bridge_invariance() -> tuple[bool, str]:
     return True, "bridge contraction leaves c = 3"
 
 
+# per graph: the exponents, probed on one set of points, and their verdicts
 PROBE_CASES = (
-    ("single_loop", (((0, 0),), ((0, 0),)), 1.0, "diverging"),
-    ("single_loop", (((0, 0),), ((0, 0),)), 1.5, "saturating"),
-    ("P_3", None, 3.0, "diverging"),
-    ("P_3", None, 3.5, "saturating"),
-    ("theta", THETA, 1.5, "diverging"),
-    ("theta", THETA, 2.0, "saturating"),
+    ("single_loop", (((0, 0),), ((0, 0),)), ((1.0, "diverging"), (1.5, "saturating"))),
+    ("P_3", None, ((3.0, "diverging"), (3.5, "saturating"))),
+    ("theta", THETA, ((1.5, "diverging"), (2.0, "saturating"))),
 )
 
 
 def criterion_9_probe_verdicts() -> tuple[bool, str]:
     """Growth verdicts around the threshold with the default seed and grid;
-    every probe must finish inside 60 seconds and land on the right side."""
+    the probes of each graph must finish inside 60 seconds and land on the
+    right side."""
     details = []
-    for name, raw, s, expected in PROBE_CASES:
+    for name, raw, cases in PROBE_CASES:
         g = make_ngon(3) if raw is None else Multigraph(*raw)
+        exponents = tuple(s for s, _ in cases)
         start = time.perf_counter()
-        verdict = truncated_J(g, ProbeConfig(s=s))
+        verdicts = truncated_J(g, ProbeConfig(s=exponents[0]), s_values=exponents)
         elapsed = time.perf_counter() - start
         if elapsed > 60:
-            return False, f"{name} s={s}: probe took {elapsed:.1f}s (> 60s)"
-        if verdict.verdict != expected:
-            return False, (
-                f"{name} s={s}: verdict {verdict.verdict} != {expected} "
-                f"(ratios {verdict.ratios})"
-            )
-        details.append(f"{name}@{s}={verdict.verdict}")
+            return False, f"{name} s={exponents}: probe took {elapsed:.1f}s (> 60s)"
+        for (s, expected), verdict in zip(cases, verdicts):
+            if verdict.verdict != expected:
+                return False, (
+                    f"{name} s={s}: verdict {verdict.verdict} != {expected} "
+                    f"(ratios {verdict.ratios})"
+                )
+            details.append(f"{name}@{s}={verdict.verdict}")
     return True, "; ".join(details)
 
 

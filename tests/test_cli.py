@@ -219,6 +219,19 @@ class TestProbe:
         assert out == ""
         assert err == "error: samples must be at most 10000000, got 1000000000000\n"
 
+    def test_samples_with_quadrature_rejected(self, files, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the flags are checked before any probe")
+
+        monkeypatch.setattr("modgraph.cli.truncated_J", no_work)
+        argv = ["probe", files["p3.txt"], "--s", "3", "--method",
+                "tensor_quadrature", "--samples", "100000"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --samples sets the Monte Carlo sample count; "
+                       "tensor_quadrature does not take it\n")
+
     def test_edgeless_graph_rejected(self, tmp_path, capsys):
         path = tmp_path / "vertex.json"
         path.write_text('{"vertices": [{"id": 0}], "edges": []}\n')

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import modgraph.probe as probe
 from modgraph import (
     Multigraph,
     ProbeConfig,
+    analyze,
     make_ngon,
     model_integral,
     parse_graph,
@@ -630,9 +632,15 @@ class TestReferenceKernels:
         (1000, 0, 0), (5000, 2**64 + 3, 7), (3000, (1 << 199) + 1, 2**33 + 1),
     ], ids=["one-word-seed", "three-word-seed", "seven-word-seed"])
     def test_monte_carlo(self, dim, samples, seed, region):
+        # several exponents on one set of points, each equal to the reference
+        # at that exponent; 1.0 takes numpy's reciprocal path for ** -1.0
         supports, lo, hi = self._case(dim, samples)
-        args = (supports, 1.7, lo, hi, samples, seed, region)
-        assert probe._mc_region(*args) == self._mc(*args)
+        exponents = (1.7, 1.0, 2.6)
+        args = (lo, hi, samples, seed, region)
+        assert probe._mc_region(supports, exponents, *args) == [
+            self._mc(supports, s, *args) for s in exponents]
+        assert probe._mc_region(supports, (2.6,), *args) == [
+            self._mc(supports, 2.6, *args)]
 
     @pytest.mark.parametrize("dim", range(1, probe.QUADRATURE_MAX_EDGES + 1))
     @pytest.mark.parametrize("nodes", [1, 7, 20, 32])
@@ -641,15 +649,45 @@ class TestReferenceKernels:
         args = (supports, 2.3, lo, hi, nodes)
         assert _gl_region(*args) == self._gl(*args)
 
+    @pytest.mark.parametrize("name", ["K4", "theta", "P6"])
+    def test_analyze_payload_matches_separate_calls(self, name):
+        g = {"K4": k4_graph, "theta": theta_graph, "P6": lambda: make_ngon(6)}[name]()
+        report = analyze(g, with_probe=True, probe_seed=7)
+        c = float(report.c)
+        for label, s in (("at_threshold", c), ("above_threshold", c + 0.5)):
+            cfg = ProbeConfig(s=s, seed=7)
+            verdict = truncated_J(report.core, cfg)
+            assert report.probe[label] == {
+                "s": s,
+                "method": "monte_carlo",
+                "seed": 7,
+                "grid": list(cfg.r_grid),
+                "values": list(verdict.values),
+                "stderrs": list(verdict.stderrs),
+                "increments": list(verdict.increments),
+                "ratios": list(verdict.ratios),
+                "decay_ratio": verdict.decay_ratio,
+                "verdict": verdict.verdict,
+            }
+
+    @pytest.mark.parametrize("method", ["monte_carlo", "tensor_quadrature"])
+    def test_s_values_match_separate_calls(self, method):
+        cfg = ProbeConfig(s=9.0, method=method, nodes=12, samples=2000)
+        exponents = (1.5, 1.0, 2.0)
+        assert truncated_J(theta_graph(), cfg, s_values=exponents) == tuple(
+            truncated_J(theta_graph(), ProbeConfig(s=s, method=method, nodes=12,
+                                                   samples=2000))
+            for s in exponents)
+
 
 class TestBlocks:
     @staticmethod
     def _record(monkeypatch):
         sizes = []
 
-        def integrand(supports, s, usum, ys):
+        def integrand(supports, s_values, usum, ys, reduce):
             sizes.append(usum.shape[0])
-            return np.ones(usum.shape[0])
+            return [reduce(np.ones(usum.shape[0])) for _ in s_values]
 
         monkeypatch.setattr(probe, "_integrand", integrand)
         return sizes
@@ -658,7 +696,7 @@ class TestBlocks:
     def test_blocks_bounded_at_samples_ceiling(self, monkeypatch, dim):
         sizes = self._record(monkeypatch)
         supports = [tuple(range(dim))]
-        probe._mc_region(supports, 2.0, [0.0] * dim, [1.0] * dim, MAX_SAMPLES, 5, 0)
+        probe._mc_region(supports, (2.0,), [0.0] * dim, [1.0] * dim, MAX_SAMPLES, 5, 0)
         n_strata = probe._strata_per_axis(dim) ** dim
         assert max(sizes) <= BLOCK_POINTS
         assert sum(sizes) == n_strata * max(2, MAX_SAMPLES // n_strata)
@@ -669,6 +707,44 @@ class TestBlocks:
         truncated_J(k4_graph(), ProbeConfig(s=2.5))
         assert sum(sizes) == 388_557
         assert max(sizes) <= BLOCK_POINTS
+
+    def test_analyze_probe_draws_each_point_once(self, monkeypatch):
+        # both exponents of the payload are evaluated on one set of points
+        sizes = self._record(monkeypatch)
+        analyze(k4_graph(), with_probe=True)
+        assert sum(sizes) == 388_557
+
+
+class TestSValues:
+    def test_underflow_names_the_failing_exponent(self):
+        for exponents in ((2.0, 1e6), (1e6, 2.0)):
+            with pytest.raises(ValueError,
+                               match=r"underflow to 0\.0 at s = 1000000\.0;"):
+                truncated_J(theta_graph(), ProbeConfig(s=2.0), s_values=exponents)
+
+    def test_first_failure_in_order_wins(self):
+        # on this grid F overflows at s = 1/2 and its increments underflow at
+        # s = 1e6; the first exponent given raises what a call at it raises
+        cfg = ProbeConfig(s=2.0, r_grid=(10.0, 100.0, 1e300), samples=1000)
+        for exponents in ((0.5, 1e6), (1e6, 0.5)):
+            with pytest.raises(ValueError) as single:
+                truncated_J(make_ngon(3), replace(cfg, s=exponents[0]))
+            with pytest.raises(ValueError) as multi:
+                truncated_J(make_ngon(3), cfg, s_values=exponents)
+            assert str(multi.value) == str(single.value)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5, math.inf, math.nan, True, "2"])
+    def test_bad_exponent_rejected_as_config_does(self, bad):
+        with pytest.raises(ValueError) as expected:
+            ProbeConfig(s=bad)
+        with pytest.raises(ValueError) as got:
+            truncated_J(theta_graph(), ProbeConfig(s=2.0), s_values=(2.0, bad))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [(), [], 2.0, {2.0}])
+    def test_s_values_must_be_a_non_empty_sequence(self, bad):
+        with pytest.raises(ValueError, match="s_values"):
+            truncated_J(theta_graph(), ProbeConfig(s=2.0), s_values=bad)
 
 
 class TestModelIntegral:
