@@ -25,8 +25,11 @@ pass (_stream_states) and the strata are evaluated in bounded blocks (see
 _mc_region).  The points depend on the seed, the grid and the sample count
 but not on s, so truncated_J(..., s_values=...) draws and evaluates them
 once for several exponents, and analyze --probe takes c and c + 1/2 from
-one pass.  Tensor quadrature broadcasts its per-axis coordinates rather
-than materialising the grid (see _gl_region).
+one pass.  Tensor quadrature builds its Gauss-Legendre rule once per probe
+and evaluates the grid from its per-axis coordinates in blocks of at most
+BLOCK_POINTS points (one leading-axis row when a row is larger), for all
+exponents at once; its memory is one full-grid buffer per exponent (see
+_gl_region).
 """
 
 from __future__ import annotations
@@ -45,10 +48,13 @@ PROBE_MAX_EDGES = 6
 # 100x the default; at this ceiling a stratum holds at most 46,296 points
 # (3 dimensions, 216 strata), so one stratum always fits in a block
 MAX_SAMPLES = 10_000_000
-# points per Monte Carlo integrand call; bounds memory whatever the samples
+# points per integrand call, Monte Carlo or quadrature (at least one
+# quadrature row); bounds the temporaries whatever the samples or nodes
 BLOCK_POINTS = 1 << 16
 QUADRATURE_MAX_EDGES = 4
-# Gauss-Legendre nodes per axis; 48^4 = 5.3 million quadrature points
+# Gauss-Legendre nodes per axis; 48^4 = 5.3 million quadrature points,
+# evaluated in blocks of at most BLOCK_POINTS points or one 48^3-point row,
+# into one full-grid buffer (42 MB at 48^4) per exponent
 MAX_NODES = 48
 DEFAULT_SEED = 53771
 DEFAULT_GRID = (
@@ -289,15 +295,21 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
     return [(total, math.sqrt(var)) for total, var in zip(totals, var_totals)]
 
 
-def _gl_region(supports, s, lo, hi, nodes):
-    """Tensor Gauss-Legendre estimate of one log-coordinate box.
+def _gl_region(supports, s_values, lo, hi, rule):
+    """Tensor Gauss-Legendre estimates of one log-coordinate box, one
+    (estimate, 0.0) pair per exponent in s_values, from rule = (x, w), the
+    nodes and weights of leggauss on [-1, 1].
 
-    The grid stays sparse: the coordinate sum is broadcast as
-    ((u_0 + u_1) + u_2) + ..., the left-to-right order of a row sum, and
-    exp runs once per axis node rather than once per grid point.
+    The grid is evaluated in blocks of leading-axis rows, at most
+    BLOCK_POINTS points or one row, one integrand call per block for all
+    exponents.  Each block slices the per-axis arrays: the coordinate sum
+    is broadcast as ((u_0 + u_1) + u_2) + ..., the left-to-right order of a
+    row sum, and exp runs once per axis node rather than once per point.
+    Each exponent's weighted values fill one full-grid buffer, summed once
+    at the end, so the result does not depend on the block size.
     """
     dim = len(lo)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = rule
     axes = []
     weights = []
     for d in range(dim):
@@ -306,16 +318,25 @@ def _gl_region(supports, s, lo, hi, nodes):
         axes.append(mid + half * x)
         weights.append(half * w)
     grid = np.meshgrid(*axes, indexing="ij", sparse=True)
-    usum = grid[0]
-    for g in grid[1:]:
-        usum = usum + g
-    wprod = 1.0
-    for g in np.meshgrid(*weights, indexing="ij", sparse=True):
-        wprod = wprod * g
-    wprod = wprod.ravel()
-    (value,) = _integrand(supports, (s,), usum.ravel(), [np.exp(g) for g in grid],
-                          lambda f: float(np.sum(f * wprod)))
-    return value, 0.0
+    wgrid = np.meshgrid(*weights, indexing="ij", sparse=True)
+    ys = [np.exp(g) for g in grid]
+    n = len(x)
+    row = n ** (dim - 1)
+    rows = max(1, BLOCK_POINTS // row)
+    bufs = [np.empty(n * row) for _ in s_values]
+    for first in range(0, n, rows):
+        part = slice(first, first + rows)
+        usum = grid[0][part]
+        for g in grid[1:]:
+            usum = usum + g
+        wprod = wgrid[0][part]
+        for g in wgrid[1:]:
+            wprod = wprod * g
+        wprod = wprod.ravel()
+        outs = iter([b[first * row : (first + rows) * row] for b in bufs])
+        _integrand(supports, s_values, usum.ravel(), [ys[0][part], *ys[1:]],
+                   lambda f: np.multiply(f, wprod, out=next(outs)))
+    return [(float(np.sum(b)), 0.0) for b in bufs]
 
 
 def _shell_slabs(inner: float, outer: float, dim: int):
@@ -342,10 +363,10 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig, *,
 
     With the keyword s_values (a tuple of exponents, each checked as
     ProbeConfig checks s), cfg.s is ignored and one GrowthVerdict is
-    returned per exponent, in order.  Monte Carlo draws and evaluates its
-    points once for all of them; quadrature runs once per exponent.  Each
-    verdict equals the one a call with cfg.s set to that exponent returns,
-    and the first exponent that such a call would reject raises its error.
+    returned per exponent, in order.  Both methods evaluate their points
+    once for all of them.  Each verdict equals the one a call with cfg.s
+    set to that exponent returns, and the first exponent that such a call
+    would reject raises its error.
     """
     if s_values is None:
         exponents = (cfg.s,)
@@ -367,6 +388,8 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig, *,
         )
     supports = psi_trees(g).supports()
     logs = [math.log(r) for r in cfg.r_grid]
+    rule = (np.polynomial.legendre.leggauss(cfg.nodes)
+            if cfg.method == "tensor_quadrature" else None)
 
     regions: list[tuple[list[float], list[float]]] = [([0.0] * e, [logs[0]] * e)]
     shell_of: list[int] = [0]  # region index -> grid index the region feeds
@@ -385,7 +408,7 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig, *,
                 n = cfg.samples if shell_of[ridx] == 0 else max(1000, cfg.samples // e)
                 ests = _mc_region(supports, exponents, lo, hi, n, cfg.seed, ridx)
             else:
-                ests = [_gl_region(supports, s, lo, hi, cfg.nodes) for s in exponents]
+                ests = _gl_region(supports, exponents, lo, hi, rule)
             for piece, piece_var, (est, err) in zip(pieces, piece_vars, ests):
                 piece[shell_of[ridx]] += est
                 piece_var[shell_of[ridx]] += err * err
@@ -500,10 +523,15 @@ def model_integral(n: int, mode: str, s: float, R: float) -> float:
     quadrature otherwise (at most QUADRATURE_MAX_EDGES variables);
     converges for s > n and diverges at s = n.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > PROBE_MAX_EDGES:
         raise ValueError(f"model integrals support at most {PROBE_MAX_EDGES} variables")
+    for name, value in (("s", s), ("R", R)):
+        if not _is_real(value) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     if R <= math.e:
         raise ValueError("R must exceed e")
     if mode == "product":
@@ -520,8 +548,9 @@ def model_integral(n: int, mode: str, s: float, R: float) -> float:
                 f"sum mode with non-integer s supports at most "
                 f"{QUADRATURE_MAX_EDGES} variables"
             )
-        value, _ = _gl_region(
-            [(i,) for i in range(n)], float(s), [0.0] * n, [math.log(R)] * n, 48
+        ((value, _),) = _gl_region(
+            [(i,) for i in range(n)], (float(s),), [0.0] * n, [math.log(R)] * n,
+            np.polynomial.legendre.leggauss(48),
         )
         return value
     raise ValueError(f"unknown mode {mode!r}; expected 'product' or 'sum'")

@@ -232,6 +232,17 @@ class TestProbe:
         assert err == ("error: --samples sets the Monte Carlo sample count; "
                        "tensor_quadrature does not take it\n")
 
+    def test_frozen_quadrature_stdout(self, tmp_path, capsys):
+        # the benchmark's probe:banana4 op, the 4-edge banana at its
+        # threshold 4/3, with its digest in modbench/reference_digests.json
+        path = tmp_path / "banana4.json"
+        path.write_text(json.dumps({"edges": [[0, 1]] * 4}))
+        assert main(["probe", str(path), "--seed", "1", "--method",
+                     "tensor_quadrature", "--s", repr(4 / 3)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "78a23b75482a85bd149d7eb476efd85dd89085ac1729692ef07a5f2edfe5b831")
+
     def test_edgeless_graph_rejected(self, tmp_path, capsys):
         path = tmp_path / "vertex.json"
         path.write_text('{"vertices": [{"id": 0}], "edges": []}\n')

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -206,8 +207,9 @@ class TestTruncatedJ:
         s = 1.75
         supports = psi_trees(g).supports()
         lo, hi = [0.0] * 3, [4.0] * 3
-        base, _ = _gl_region(supports, s, lo, hi, 24)
-        doubled, _ = _gl_region(supports + supports, s, lo, hi, 24)
+        rule = np.polynomial.legendre.leggauss(24)
+        ((base, _),) = _gl_region(supports, (s,), lo, hi, rule)
+        ((doubled, _),) = _gl_region(supports + supports, (s,), lo, hi, rule)
         assert doubled == pytest.approx(2.0 ** (-s) * base, rel=1e-12)
 
 
@@ -642,12 +644,20 @@ class TestReferenceKernels:
         assert probe._mc_region(supports, (2.6,), *args) == [
             self._mc(supports, 2.6, *args)]
 
-    @pytest.mark.parametrize("dim", range(1, probe.QUADRATURE_MAX_EDGES + 1))
-    @pytest.mark.parametrize("nodes", [1, 7, 20, 32])
-    def test_quadrature(self, dim, nodes):
+    @pytest.mark.parametrize("nodes, dim", [
+        (nodes, dim) for nodes in (1, 7, 20, 32)
+        for dim in range(1, probe.QUADRATURE_MAX_EDGES + 1)
+    ] + [(25, 4), (48, 1), (48, 2), (48, 3)])
+    def test_quadrature(self, nodes, dim):
+        # 25 nodes in 4 and 48 in 3 dimensions end in a partial block; several
+        # exponents share one pass, each equal to the reference at it
         supports, lo, hi = self._case(dim, nodes)
-        args = (supports, 2.3, lo, hi, nodes)
-        assert _gl_region(*args) == self._gl(*args)
+        rule = np.polynomial.legendre.leggauss(nodes)
+        exponents = (2.3, 1.0, 3.1)
+        assert _gl_region(supports, exponents, lo, hi, rule) == [
+            self._gl(supports, s, lo, hi, nodes) for s in exponents]
+        assert _gl_region(supports, (2.3,), lo, hi, rule) == [
+            self._gl(supports, 2.3, lo, hi, nodes)]
 
     @pytest.mark.parametrize("name", ["K4", "theta", "P6"])
     def test_analyze_payload_matches_separate_calls(self, name):
@@ -713,6 +723,31 @@ class TestBlocks:
         sizes = self._record(monkeypatch)
         analyze(k4_graph(), with_probe=True)
         assert sum(sizes) == 388_557
+
+    @pytest.mark.parametrize("dim", range(1, probe.QUADRATURE_MAX_EDGES + 1))
+    @pytest.mark.parametrize("nodes", [1, 20, 32, 48])
+    def test_quadrature_blocks_bounded(self, monkeypatch, dim, nodes):
+        sizes = self._record(monkeypatch)
+        rule = np.polynomial.legendre.leggauss(nodes)
+        ests = _gl_region([tuple(range(dim))], (2.0, 3.0), [0.0] * dim,
+                          [1.0] * dim, rule)
+        assert max(sizes) <= max(BLOCK_POINTS, nodes ** (dim - 1))
+        assert sum(sizes) == nodes**dim
+        # every point's weight lands in the buffers: the weights sum to 1
+        assert [est for est, _ in ests] == [pytest.approx(1.0, rel=1e-12)] * 2
+
+    def test_quadrature_memory_is_one_grid_buffer(self):
+        # 48^4 points: one float64 buffer is 42 MB; the grid itself, or a
+        # second full-grid temporary, would take the peak past twice that
+        supports = psi_trees(make_ngon(4)).supports()
+        rule = np.polynomial.legendre.leggauss(MAX_NODES)
+        tracemalloc.start()
+        try:
+            _gl_region(supports, (2.5,), [0.0] * 4, [4.0] * 4, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * MAX_NODES**4 * 8
 
 
 class TestSValues:
@@ -814,3 +849,11 @@ class TestModelIntegral:
             model_integral(1, "sum", 2.0, 1.5)
         with pytest.raises(ValueError):
             model_integral(1, "geometric", 2.0, 100.0)
+        # a non-finite s or R, and an n that is a bool or not an int
+        for n, s, R in [(2, math.nan, 100.0), (2, math.inf, 100.0),
+                        (2, 2.5, math.nan), (2, 2.5, math.inf),
+                        (True, 2.0, 100.0), (2.5, 2.0, 100.0), (2.0, 2.0, 100.0),
+                        ("2", 2.0, 100.0), (2, "2", 100.0), (2, 2.0, None)]:
+            for mode in ("product", "sum"):
+                with pytest.raises(ValueError):
+                    model_integral(n, mode, s, R)
