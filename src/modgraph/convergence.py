@@ -9,6 +9,7 @@ maximal density-attaining set and rechecked exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ import numpy as np
 
 from .graphs import (
     Multigraph,
+    _ends,
     _reduce,
     betti,
     bridges,
@@ -24,7 +26,6 @@ from .graphs import (
     delete_edges,
     genus,
     is_stable,
-    valences,
 )
 from .kirchhoff import KirchhoffPolynomial, psi_from_graph
 from .matroid import (
@@ -32,6 +33,9 @@ from .matroid import (
     CographicMatroid,
     DensityCertificate,
     MatroidError,
+    _densities,
+    _rank_tables,
+    _stack_rows,
     _subset_sums,
     build_witness,
     density,
@@ -392,22 +396,51 @@ def _is_bridgeless(cols) -> bool:
 
 
 def _fingerprint(matroid: CographicMatroid):
-    """(v, e, valence sequence, Kirchhoff monomial supports): each spanning
-    tree T gives one squarefree monomial on E - T with coefficient 1.
-
-    The supports E - T are the bases of the cographic matroid, read from
-    its rank table as the masks of popcount b and rank b, and listed as
-    sorted edge ids.
-    """
+    """The search's hit key of the matroid's graph (see `_hit_keys`)."""
     g = matroid.graph
-    e, b = matroid.n_edges, matroid.full_rank
-    masks = np.flatnonzero(
-        (matroid.rank_table() == b) & (_subset_sums([1] * e, np.int64) == b)
-    )
+    return _hit_keys(g.n_vertices, [_ends(g)], matroid.rank_table()[None])[0]
+
+
+def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple]:
+    """(v, e, valence sequence, Kirchhoff monomial supports) of each edge
+    list in `block` on v vertices, given its rank table: each spanning tree
+    T gives one squarefree monomial on E - T with coefficient 1.
+
+    The supports E - T are the bases of the cographic matroid, the masks of
+    popcount b and rank b, listed as sorted edge ids.
+    """
+    ends = np.asarray(block).reshape(len(block), -1, 2)
+    e = ends.shape[1]
+    b = int(ranks[0, -1])  # connected graphs with one v and e share b
+    degs = np.sort((ends[..., None] == np.arange(v)).sum(axis=(1, 2)), axis=1)
+    sizes = _subset_sums([1] * e, np.int64)
+    rows, masks = np.nonzero((ranks == b) & (sizes == b))
     ids = np.nonzero(masks[:, None] >> np.arange(e) & 1)[1].reshape(-1, b)
-    monos = tuple(sorted(map(tuple, ids.tolist())))
-    degs = tuple(sorted(valences(g).values()))
-    return (g.n_vertices, e, degs, monos)
+    ids = ids[np.lexsort((*ids.T[::-1], rows))].tolist()  # sorted per row
+    ends_at = np.cumsum(np.bincount(rows, minlength=len(block))).tolist()
+    return [
+        (v, e, tuple(d), tuple(map(tuple, ids[start:end])))
+        for d, start, end in zip(degs.tolist(), [0, *ends_at], ends_at)
+    ]
+
+
+def _recheck(v: int, block, target: Fraction) -> list[tuple[Fraction, tuple]]:
+    """Exact density m and hit key of each density-filter pass in `block`,
+    edge lists on v vertices with one edge count, from one stacked rank
+    table.  An edge of rank 0 is a bridge, and raises as CographicMatroid
+    does; an m below the target means the pre-filter is wrong.
+    """
+    ranks = _rank_tables(v, block)
+    bridged = ranks[:, 1 << np.arange(len(block[0]))] == 0
+    if bridged.any():
+        blocked = np.flatnonzero(bridged[bridged.any(axis=1)][0]).tolist()
+        raise MatroidError(f"graph has bridges {blocked}; contract them first")
+    found = [m for m, _ in _densities(ranks)]
+    if min(found) < target:
+        raise CertificateError(
+            "density pre-filter accepted a graph below the target"
+        )
+    return list(zip(found, _hit_keys(v, block, ranks)))
 
 
 def search_divergent(
@@ -423,14 +456,17 @@ def search_divergent(
     planes in closed form) before the exact density recheck.  On a layer
     (v, e) where the flat-rank bound is <= 1 with and without a loop, only
     a series class of ceil(target) edges can reach the target, so the
-    generator drops every prefix that can no longer grow one.  Hits are
-    deduplicated by the cheap fingerprint (v, e, valence sequence,
-    Kirchhoff monomial set) only, so isomorphic duplicates can
-    survive; the monomial supports are the bases of the recheck's rank
-    table, so no spanning tree is enumerated.  The output is sorted by c
-    descending, then edge count ascending.  If tree_counts is a list, the
-    number of spanning trees of each hit (its Kirchhoff monomials, already
-    listed for the fingerprint) is appended to it in output order.
+    generator drops every prefix that can no longer grow one.  The passes
+    of a layer are rechecked in generation order, a block at a time, on
+    one stacked rank table per block of at most STACK_ENTRIES entries (one
+    graph when its table is larger).  Hits are deduplicated by the cheap
+    fingerprint (v, e, valence sequence, Kirchhoff monomial set) only, the
+    first of a key kept, so isomorphic duplicates can survive; the monomial
+    supports are the bases of the recheck's rank table, so no spanning tree
+    is enumerated.  The output is sorted by c descending, then edge count
+    ascending.  If tree_counts is a list, the number of spanning trees of
+    each hit (its Kirchhoff monomials, already listed for the fingerprint)
+    is appended to it in output order.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -451,22 +487,17 @@ def search_divergent(
                     for loop in (False, True)]
         series = (math.ceil(target)
                   if None not in k_bounds and max(k_bounds) <= 1 else 0)
-        for ends, cols in _gen_edge_lists(v, e, bridgeless=True,
-                                          series=series):
-            if not _is_bridgeless(cols):
-                continue
-            if not _density_reaches(ends, v, cols, target, min_valence_3=True):
-                continue
-            g = Multigraph(tuple((i, 0) for i in range(v)), ends)
-            matroid = CographicMatroid(g)
-            cert = density(matroid)
-            if cert.m < target:
-                raise CertificateError(
-                    "density pre-filter accepted a graph below the target"
-                )
-            key = _fingerprint(matroid)
-            if key not in hits:
-                hits[key] = (g, cert.m)
+        passers = (
+            ends for ends, cols in _gen_edge_lists(v, e, bridgeless=True,
+                                                   series=series)
+            if _is_bridgeless(cols)
+            and _density_reaches(ends, v, cols, target, min_valence_3=True)
+        )
+        while block := list(itertools.islice(passers, _stack_rows(e))):
+            for ends, (m, key) in zip(block, _recheck(v, block, target)):
+                if key not in hits:
+                    vertices = tuple((i, 0) for i in range(v))
+                    hits[key] = (Multigraph(vertices, ends), m)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))
     if tree_counts is not None:
         tree_counts.extend(len(key[3]) for key, _ in out)

@@ -4,12 +4,15 @@ The matroid lives on the edge set of a connected bridgeless multigraph;
 its bases are the complements of spanning trees.  The maximal density m,
 the maximal attaining set T0, the scaled-base-polytope membership test and
 the iterative witness construction are exhaustive scans over all 2^e edge
-bitmasks, capped at 20 edges.  Each scan is an exact integer numpy kernel:
-ranks are small ints, the witness runs on int64 values scaled by the
-density denominator q (every coordinate lies in (1/q)Z for m = p/q), and
-the membership test scales by the lcm of its denominators, switching to
-Python ints (object arrays) where magnitudes could pass 2^62.  Results
-leave the module as Python ints and Fractions.  An independent
+bitmasks, capped at 20 edges.  Each scan is an exact integer numpy kernel.
+Rank tables come from one stacked kernel over graphs with one vertex and
+edge count: a matroid's table is its one-row case, and the search rechecks
+its candidates a block of at most STACK_ENTRIES entries at a time.  The
+density scan runs over such a stack, the witness runs on int64 values
+scaled by the density denominator q (every coordinate lies in (1/q)Z for
+m = p/q), and the membership test scales by the lcm of its denominators,
+switching to Python ints (object arrays) where magnitudes could pass 2^62.
+Results leave the module as Python ints and Fractions.  An independent
 covering-LP oracle computes the same constant exactly by column
 generation, its master solved by the integer-pivoting simplex in
 `simplex.py`: it reads neither the rank table nor the density scan, and it
@@ -28,6 +31,8 @@ from . import simplex
 from .graphs import Multigraph, _ends, _kruskal, betti, bridges
 
 MAX_GROUND_SET = 20
+# Rank-table entries (graphs x 2^e) per stacked `_rank_tables` call.
+STACK_ENTRIES = 1 << 14
 
 
 class MatroidError(ValueError):
@@ -79,30 +84,48 @@ class CographicMatroid:
     def rank_table(self) -> np.ndarray:
         """Rank of every subset, indexed by bitmask; built once per matroid.
 
-        A read-only int64 array.  comps[T], the component count of the
-        spanning subgraph with edge set T, grows one edge at a time: masks
-        [2^k, 2^(k+1)) copy the vertex labels of masks [0, 2^k) and merge
-        the endpoints of edge k, which loses one component exactly when
-        their labels differ.  Then rk(S) = |S| - comps[E - S] + 1.
+        A read-only int64 array: the one-row case of `_rank_tables`.
         """
         if self._rank_table is None:
-            e = self.n_edges
-            _check_size(e)
-            n = self.graph.n_vertices  # <= e <= 20 for a bridgeless graph
-            labels = np.empty((1 << e, n), dtype=np.uint8)
-            labels[0] = np.arange(n)
-            comps = np.empty(1 << e, dtype=np.int8)
-            comps[0] = n
-            for k, (a, b) in enumerate(self._ends):
-                old, new = labels[: 1 << k], labels[1 << k: 2 << k]
-                comps[1 << k: 2 << k] = comps[: 1 << k] - (old[:, a] != old[:, b])
-                new[...] = old
-                np.copyto(new, old[:, a:a + 1], where=new == old[:, b:b + 1])
-            del labels
-            rank = _subset_sums([1] * e, np.int64) - comps[::-1] + 1
+            _check_size(self.n_edges)
+            rank = _rank_tables(self.graph.n_vertices, [self._ends])[0]
             rank.flags.writeable = False
             self._rank_table = rank
         return self._rank_table
+
+
+def _stack_rows(e: int) -> int:
+    """Graphs per `_rank_tables` call: STACK_ENTRIES table entries, or one
+    graph when its table alone is larger."""
+    return max(1, STACK_ENTRIES >> e)
+
+
+def _rank_tables(n: int, ends_stack) -> np.ndarray:
+    """Cographic rank tables of a stack of graphs on n vertices with one
+    edge count e, as one int64 row of 2^e ranks per graph.
+
+    comps[T], the component count of the spanning subgraph with edge set T,
+    grows one edge at a time: masks [2^k, 2^(k+1)) copy the vertex labels
+    of masks [0, 2^k) and merge the endpoints of edge k, which loses one
+    component exactly when their labels differ.  The labels are held
+    vertex-major, (graphs, n, 2^e) uint8, so each step reads and writes
+    contiguous runs of masks.  Then rk(S) = |S| - comps[E - S] + 1.
+    """
+    ends = np.asarray(ends_stack, dtype=np.intp).reshape(len(ends_stack), -1, 2)
+    rows, e = ends.shape[:2]
+    at = np.arange(rows)
+    labels = np.empty((rows, n, 1 << e), dtype=np.uint8)
+    labels[:, :, 0] = np.arange(n)
+    comps = np.empty((rows, 1 << e), dtype=np.int8)
+    comps[:, 0] = n
+    for k in range(e):
+        old, new = labels[..., : 1 << k], labels[..., 1 << k: 2 << k]
+        head, tail = old[at, ends[:, k, 0]], old[at, ends[:, k, 1]]
+        comps[:, 1 << k: 2 << k] = comps[:, : 1 << k] - (head != tail)
+        new[...] = old
+        np.copyto(new, head[:, None], where=old == tail[:, None])
+    del labels
+    return _subset_sums([1] * e, np.int64) - comps[:, ::-1] + 1
 
 
 def _check_size(e: int):
@@ -131,27 +154,40 @@ def _union(selected: np.ndarray) -> int:
 def density(matroid: CographicMatroid) -> DensityCertificate:
     """Maximal density m = max |S|/rk(S) and the union T0 of all maximizers.
 
-    Exhaustive scan over all nonempty subsets; T0 attains the maximum by
-    union closure of maximizers, which is rechecked here.
+    Exhaustive scan over all nonempty subsets, the one-row case of
+    `_densities`; T0 attains the maximum by union closure of maximizers,
+    which is rechecked there.
     """
     e = matroid.n_edges
     _check_size(e)
-    rank = matroid.rank_table()
-    sizes = _subset_sums([1] * e, np.int64)
-    # The maximum as an exact fraction p/q: the largest |S| at each rank.
-    p, q = 0, 1
-    for rk in range(1, matroid.full_rank + 1):
-        size = int(sizes[rank == rk].max())
-        if size * q > p * rk:
-            p, q = size, rk
-    m = Fraction(p, q)
-    t0_mask = _union(sizes * q == p * rank)
-    t0 = frozenset(i for i in range(e) if t0_mask >> i & 1)
-    if len(t0) * q != p * int(rank[t0_mask]):
+    [(m, t0_mask)] = _densities(matroid.rank_table()[None])
+    return DensityCertificate(
+        m=m, t0=frozenset(i for i in range(e) if t0_mask >> i & 1)
+    )
+
+
+def _densities(ranks: np.ndarray) -> list[tuple[Fraction, int]]:
+    """(m, T0 as a bitmask) for each row of a stack of rank tables.
+
+    m = p/q comes from the largest |S| at each rank, and T0 is the union of
+    the masks with q|S| = p rk(S); a T0 that fails to attain m raises.
+    """
+    rows, size = ranks.shape
+    sizes = _subset_sums([1] * (size.bit_length() - 1), np.int64)
+    p = np.zeros(rows, dtype=np.int64)
+    q = np.ones(rows, dtype=np.int64)
+    for rk in range(1, int(ranks[:, -1].max()) + 1):
+        best = np.where(ranks == rk, sizes, 0).max(axis=1)
+        up = best * q > p * rk
+        p[up], q[up] = best[up], rk
+    tight = sizes * q[:, None] == p[:, None] * ranks
+    masks = np.arange(size, dtype=np.int32)
+    t0 = np.bitwise_or.reduce(np.where(tight, masks, 0), axis=1)
+    if (sizes[t0] * q != p * ranks[np.arange(rows), t0]).any():
         raise CertificateError(
             "union of density maximizers fails to attain the maximum"
         )
-    return DensityCertificate(m=m, t0=t0)
+    return [(Fraction(int(a), int(b)), int(t)) for a, b, t in zip(p, q, t0)]
 
 
 def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:

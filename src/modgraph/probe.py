@@ -150,12 +150,15 @@ def _integrand(supports, s_values, usum: np.ndarray, ys, reduce) -> list:
     exponents; each f is reduced before the next is formed, so one f block
     is live at a time, and the last f is formed in psi's place.
     """
-    vals = np.zeros(np.broadcast_shapes(*(y.shape for y in ys)))
-    for first, *rest in supports:
+    vals = np.empty(np.broadcast_shapes(*(y.shape for y in ys)))
+    for i, (first, *rest) in enumerate(supports):
         term = ys[first]
         for col in rest:
             term = term * ys[col]
-        vals += term
+        if i:
+            vals += term
+        else:  # copied, not aliased: a one-factor term is a view of ys
+            np.copyto(vals, term)
     vals = vals.reshape(usum.shape)
     if np.any(vals <= 0):
         raise RuntimeError(

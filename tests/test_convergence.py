@@ -28,6 +28,7 @@ from modgraph import (
 )
 import modgraph.convergence
 import modgraph.graphs
+import modgraph.matroid
 from modgraph.convergence import (
     _contract_to_optimal,
     _density_reaches,
@@ -35,10 +36,11 @@ from modgraph.convergence import (
     _flat_rank_bound,
     _gen_edge_lists,
     _is_bridgeless,
+    _recheck,
     _series_classes,
 )
 from modgraph.graphs import Multigraph, _cycle_columns, spanning_trees, valences
-from modgraph.matroid import CertificateError, DensityCertificate
+from modgraph.matroid import CertificateError, DensityCertificate, MatroidError
 from modgraph.selftest import (
     bridged_triangles_graph,
     random_bridgeless_multigraph,
@@ -520,6 +522,55 @@ class TestSearch:
                           separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "78adaf3e427dd88bbe5fe628b41c49695fde2f73b4fe2186ed8c7732650c5db5")
+
+
+class TestSearchBlocks:
+    """The exact recheck runs on stacked rank tables, a block at a time."""
+
+    @staticmethod
+    def _search(args):
+        counts = []
+        hits = search_divergent(*args, tree_counts=counts)
+        return [(g.edges, c) for g, c in hits], counts
+
+    @pytest.mark.parametrize("args", [(5, 11, 3), (4, 9, 2)])
+    def test_block_size_leaves_output_unchanged(self, monkeypatch, args):
+        default = self._search(args)
+        for entries in (1, 1 << 30):  # one graph per block, one per layer
+            monkeypatch.setattr(modgraph.matroid, "STACK_ENTRIES", entries)
+            assert self._search(args) == default
+
+    @pytest.mark.parametrize("entries", [None, 1 << 9])
+    def test_blocks_bounded_by_the_cap(self, monkeypatch, entries):
+        if entries is not None:
+            monkeypatch.setattr(modgraph.matroid, "STACK_ENTRIES", entries)
+        cap = modgraph.matroid.STACK_ENTRIES
+        build = modgraph.convergence._rank_tables
+        rows = []
+
+        def bounded(n, stack):
+            ranks = build(n, stack)
+            assert len(stack) * ranks.shape[1] <= cap or len(stack) == 1
+            rows.append(len(stack))
+            return ranks
+
+        monkeypatch.setattr(modgraph.convergence, "_rank_tables", bounded)
+        hits = search_divergent(5, 11, 3)
+        assert sum(rows) >= len(hits) and max(rows) > 1
+
+    def test_prefilter_fault_raises(self, monkeypatch):
+        monkeypatch.setattr(modgraph.convergence, "_density_reaches",
+                            lambda *args, **kwargs: True)
+        with pytest.raises(CertificateError, match="below the target"):
+            search_divergent(3, 6, 2)
+
+    def test_bridged_edge_list_raises(self):
+        square = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))  # a 4-cycle + chord
+        digons = ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3))  # edge 2 a bridge
+        [(m, _)] = _recheck(4, [square], Fraction(1))
+        assert m == Fraction(5, 2)
+        with pytest.raises(MatroidError, match=r"bridges \[2\]"):
+            _recheck(4, [square, digons], Fraction(1))
 
 
 def cap_graph():

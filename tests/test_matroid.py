@@ -21,8 +21,10 @@ from modgraph import (
     threshold,
 )
 from modgraph import simplex
-from modgraph.graphs import component_count
-from modgraph.matroid import CertificateError
+import numpy as np
+
+from modgraph.graphs import GraphError, _ends, bridges, component_count
+from modgraph.matroid import CertificateError, _densities, _rank_tables
 from modgraph.selftest import (
     cap_core_graph,
     dense_core_graph,
@@ -127,6 +129,40 @@ class TestRankTable:
         for mask in masks:
             assert table[mask] == rank_by_components(g, mask)
         assert m.corank(range(19)) == betti(g)
+
+    def test_stacked_rows_match_component_count(self):
+        # one (n, e) for the whole stack, loops and parallel edges included
+        rng = random.Random(89)
+        stack = []
+        while len(stack) < 12:
+            ends = [tuple(sorted(rng.sample(range(5), 2) if rng.random() < 0.8
+                                 else [rng.randrange(5)] * 2))
+                    for _ in range(9)]
+            try:
+                g = graph(5, ends)
+            except GraphError:
+                continue  # disconnected
+            if not bridges(g):
+                stack.append(g)
+        assert any(g.is_loop(i) for g in stack for i in range(9))
+        assert any(len(set(g.edges)) < 9 for g in stack)
+        ranks = _rank_tables(5, [_ends(g) for g in stack])
+        assert ranks.shape == (12, 1 << 9) and ranks.dtype == np.int64
+        for g, row, (m, t0) in zip(stack, ranks, _densities(ranks)):
+            matroid = CographicMatroid(g)
+            assert (row == matroid.rank_table()).all()
+            for mask in range(1 << 9):
+                assert row[mask] == rank_by_components(g, mask)
+            cert = density(matroid)
+            assert (m, t0) == (cert.m, sum(1 << i for i in cert.t0))
+
+    def test_cap_core_as_one_row_stack(self):
+        g = cap_core_graph()
+        [row] = _rank_tables(g.n_vertices, [_ends(g)])
+        rng = random.Random(71)
+        masks = [0, (1 << 19) - 1] + [rng.getrandbits(19) for _ in range(2000)]
+        for mask in masks:
+            assert row[mask] == rank_by_components(g, mask)
 
     def test_table_is_read_only_and_corank_is_int(self):
         m = CographicMatroid(theta_graph())
