@@ -31,7 +31,13 @@ from .convergence import (
 )
 from .graphs import GraphError, parse_graph
 from .matroid import MAX_GROUND_SET, CertificateError, MatroidError
-from .probe import DEFAULT_GRID, DEFAULT_SEED, ProbeConfig, truncated_J
+from .probe import (
+    DEFAULT_GRID,
+    DEFAULT_SEED,
+    ProbeConfig,
+    _verdict_json,
+    truncated_J,
+)
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -188,12 +194,7 @@ def cmd_probe(args) -> int:
         "seed": seed,
         "samples": cfg.samples,
         "grid": list(cfg.r_grid),
-        "values": list(verdict.values),
-        "stderrs": list(verdict.stderrs),
-        "increments": list(verdict.increments),
-        "ratios": list(verdict.ratios),
-        "decay_ratio": verdict.decay_ratio,
-        "verdict": verdict.verdict,
+        **_verdict_json(verdict),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -18,7 +18,6 @@ import numpy as np
 
 from .graphs import (
     Multigraph,
-    _ends,
     _reduce,
     betti,
     bridges,
@@ -395,12 +394,6 @@ def _is_bridgeless(cols) -> bool:
     return all(cols)
 
 
-def _fingerprint(matroid: CographicMatroid):
-    """The search's hit key of the matroid's graph (see `_hit_keys`)."""
-    g = matroid.graph
-    return _hit_keys(g.n_vertices, [_ends(g)], matroid.rank_table()[None])[0]
-
-
 def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple]:
     """(v, e, valence sequence, Kirchhoff monomial supports) of each edge
     list in `block` on v vertices, given its rank table: each spanning tree
@@ -705,7 +698,13 @@ def analyze(g: Multigraph, with_probe: bool = False,
 
 
 def _probe_payload(core: Multigraph, c: Fraction, seed: int | None) -> dict:
-    from .probe import PROBE_MAX_EDGES, DEFAULT_SEED, ProbeConfig, truncated_J
+    from .probe import (
+        PROBE_MAX_EDGES,
+        DEFAULT_SEED,
+        ProbeConfig,
+        _verdict_json,
+        truncated_J,
+    )
 
     if core.n_edges > PROBE_MAX_EDGES:
         return {
@@ -724,11 +723,6 @@ def _probe_payload(core: Multigraph, c: Fraction, seed: int | None) -> dict:
             "method": cfg.method,
             "seed": seed,
             "grid": list(cfg.r_grid),
-            "values": list(verdict.values),
-            "stderrs": list(verdict.stderrs),
-            "increments": list(verdict.increments),
-            "ratios": list(verdict.ratios),
-            "decay_ratio": verdict.decay_ratio,
-            "verdict": verdict.verdict,
+            **_verdict_json(verdict),
         }
     return payload

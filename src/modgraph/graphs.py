@@ -4,6 +4,11 @@ Edges are ordered (tail, head) pairs; the position of an edge in the edge
 tuple is its edge id, and the (tail, head) order fixes the orientation used
 for cycle signs.  Loops and parallel edges are allowed.  Every value is
 immutable and every operation is a pure function returning new graphs.
+
+Every traversal is one BFS spanning forest (`_forest`): its component
+labels decide connectivity and name the vertices of a contraction, its
+tree gives the GF(2) cycle columns, and a given spanning tree, rooted by
+it, gives the signed fundamental cycles from its root paths.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class Multigraph:
         for eid, (t, h) in enumerate(self.edges):
             if t not in known or h not in known:
                 raise GraphError(f"edge {eid} has a dangling endpoint ({t}, {h})")
-        if any(_components(self.n_vertices, _ends(self))):
+        if any(_forest(self.n_vertices, _ends(self))[2]):
             raise GraphError("graph is disconnected")
 
     @property
@@ -77,16 +82,21 @@ def _ends(g: Multigraph) -> list[tuple[int, int]]:
     return [(index[t], index[h]) for t, h in g.edges]
 
 
-def _components(n_vertices: int, ends) -> list[int]:
-    """Component label of each vertex 0..n_vertices-1 under the edges `ends`.
+def _forest(n_vertices: int, ends) -> tuple[list[int], list[int], list[int]]:
+    """BFS spanning forest of the edges `ends` on vertices 0..n_vertices-1.
 
-    Components are numbered 0, 1, ... in order of their smallest vertex,
-    each found by one BFS.
+    A BFS starts at each unvisited vertex in increasing order and scans a
+    vertex's edges in edge order.  Returns (order, parent_edge, label): the
+    vertices in visiting order; the index in `ends` of the edge that reached
+    each vertex, -1 at a root; and each vertex's component, numbered 0, 1,
+    ... in order of its smallest vertex.
     """
     adj = [[] for _ in range(n_vertices)]
-    for a, b in ends:
-        adj[a].append(b)
-        adj[b].append(a)
+    for k, (a, b) in enumerate(ends):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    order = []
+    parent_edge = [-1] * n_vertices
     label = [-1] * n_vertices
     count = 0
     for root in range(n_vertices):
@@ -95,19 +105,21 @@ def _components(n_vertices: int, ends) -> list[int]:
         label[root] = count
         queue = [root]
         for x in queue:
-            for y in adj[x]:
+            for y, k in adj[x]:
                 if label[y] < 0:
                     label[y] = count
+                    parent_edge[y] = k
                     queue.append(y)
+        order += queue
         count += 1
-    return label
+    return order, parent_edge, label
 
 
 def component_count(g: Multigraph, removed_edges=frozenset()) -> int:
     """Number of connected components after deleting `removed_edges`."""
     removed = frozenset(removed_edges)
     kept = [ab for eid, ab in enumerate(_ends(g)) if eid not in removed]
-    return max(_components(g.n_vertices, kept)) + 1
+    return max(_forest(g.n_vertices, kept)[2]) + 1
 
 
 def _is_json_int(x) -> bool:
@@ -211,45 +223,32 @@ def _cycle_columns(ends, n_vertices) -> list[int] | None:
 
     `ends` holds (a, b) vertex indices in 0..n_vertices-1.  Bit i of a
     column stands for the fundamental cycle of the i-th non-tree edge, in
-    edge-id order, of one BFS spanning tree (b bits in use), so the columns
-    represent the cographic matroid: a bridge is a zero column, a series
-    class is a group of equal columns and the rank of an edge set is the
-    GF(2) rank of its columns.
+    edge-id order, of the BFS tree of `_forest` (b bits in use), so the
+    columns represent the cographic matroid: a bridge is a zero column, a
+    series class is a group of equal columns and the rank of an edge set
+    is the GF(2) rank of its columns.
     Returns None when the graph is disconnected.  O(v + e) word operations.
     """
-    adj = [[] for _ in range(n_vertices)]
-    for k, (a, b) in enumerate(ends):
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    parent = [-1] * n_vertices
-    parent_edge = [-1] * n_vertices
-    parent[0] = 0
-    order = [0]
-    for x in order:
-        for y, k in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                parent_edge[y] = k
-                order.append(y)
-    if len(order) != n_vertices:
+    order, parent_edge, component = _forest(n_vertices, ends)
+    if any(component):
         return None
     cols = [0] * len(ends)
-    in_tree = [False] * len(ends)
-    for y in order[1:]:
-        in_tree[parent_edge[y]] = True
+    in_tree = set(parent_edge)
     # A non-tree edge owns its bit and marks both endpoints; a tree edge
     # carries the bits of the non-tree edges leaving the subtree below it.
     label = [0] * n_vertices
     bit = 1
     for k, (a, b) in enumerate(ends):
-        if not in_tree[k]:
+        if k not in in_tree:
             cols[k] = bit
             label[a] ^= bit
             label[b] ^= bit
             bit <<= 1
     for y in reversed(order[1:]):
-        cols[parent_edge[y]] = label[y]
-        label[parent[y]] ^= label[y]
+        k = parent_edge[y]
+        cols[k] = label[y]
+        a, b = ends[k]
+        label[b if a == y else a] ^= label[y]
     return cols
 
 
@@ -278,7 +277,7 @@ def contract_edges(g: Multigraph, contracted) -> tuple[Multigraph, dict[int, int
         if g.is_loop(eid):
             raise GraphError(f"cannot contract loop edge {eid}; delete it instead")
     ends = _ends(g)
-    new_id = _components(g.n_vertices, [ends[eid] for eid in contracted])
+    new_id = _forest(g.n_vertices, [ends[eid] for eid in contracted])[2]
     genus_sum = [0] * (max(new_id) + 1)
     for i, (_, gen) in enumerate(g.vertices):
         genus_sum[new_id[i]] += gen
@@ -396,53 +395,40 @@ def lex_first_spanning_tree(g: Multigraph) -> frozenset[int]:
 def cycle_basis_from_tree(g: Multigraph, tree: frozenset[int]) -> CycleBasis:
     """Signed fundamental cycles of `g` relative to a given spanning tree.
 
-    For a non-tree edge e = (t, h) the cycle follows e from t to h and then
+    For a non-tree edge k = (t, h) the cycle follows k from t to h and then
     the tree path back from h to t; a tree edge traversed tail-to-head gets
-    +1, head-to-tail gets -1.  Raises GraphError unless `tree` is a set of
-    v - 1 edge ids whose cut vectors are independent.
+    +1, head-to-tail gets -1.  With path[x] the signed tree edges of the
+    walk from the root to x, the row is e_k + path[t] - path[h] (the shared
+    part of the two walks cancels; a loop gives e_k).  The tree is rooted
+    by `_forest` over its edges in sorted id order.  Raises GraphError
+    unless `tree` is a set of v - 1 edge ids that forms one component.
     """
     tree = frozenset(tree)
     if len(tree) != g.n_vertices - 1 or not tree <= set(range(g.n_edges)):
         raise GraphError(f"a spanning tree has v - 1 = {g.n_vertices - 1} edge "
                          f"ids below {g.n_edges}, got {sorted(tree)}")
     ends = _ends(g)
-    cuts = _cut_vectors(ends)
-    basis: list[int] = []
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(g.n_vertices)}
-    for eid in sorted(tree):
-        cut = _reduce(cuts[eid], basis)
-        if not cut:
-            raise GraphError(f"tree edge {eid} closes a cycle")
-        basis.append(cut)
-        a, b = ends[eid]
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-
+    tree_ids = sorted(tree)
+    order, parent_edge, label = _forest(g.n_vertices,
+                                        [ends[eid] for eid in tree_ids])
+    if any(label):
+        # v - 1 edges in two or more components: an edge the forest left
+        # out joins two vertices it had already reached
+        used = set(parent_edge)
+        eid = next(eid for i, eid in enumerate(tree_ids) if i not in used)
+        raise GraphError(f"tree edge {eid} closes a cycle")
+    path = [[0] * g.n_edges for _ in range(g.n_vertices)]
+    for y in order[1:]:
+        k = tree_ids[parent_edge[y]]
+        t, h = ends[k]
+        path[y] = list(path[h if t == y else t])
+        path[y][k] = 1 if h == y else -1
     rows = []
-    for eid in range(g.n_edges):
-        if eid in tree:
+    for k, (t, h) in enumerate(ends):
+        if k in tree:
             continue
-        row = [0] * g.n_edges
-        row[eid] = 1
-        ti, hi = ends[eid]
-        if ti != hi:
-            # BFS rooted at the tail; climbing from the head walks the
-            # tree path in the cycle's traversal direction.
-            parent_step: dict[int, tuple[int, int]] = {ti: (ti, -1)}
-            queue = [ti]
-            while queue and hi not in parent_step:
-                nxt = []
-                for x in queue:
-                    for y, te in adj[x]:
-                        if y not in parent_step:
-                            parent_step[y] = (x, te)
-                            nxt.append(y)
-                queue = nxt
-            x = hi
-            while x != ti:
-                px, te = parent_step[x]
-                row[te] = 1 if ends[te][0] == x else -1
-                x = px
+        row = [a - b for a, b in zip(path[t], path[h])]
+        row[k] = 1
         rows.append(tuple(row))
     return CycleBasis(tuple(rows), tree)
 

@@ -23,6 +23,7 @@ holds C itself.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ class KirchhoffPolynomial:
     masks: tuple[int, ...]
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise PolynomialError(f"negative variable count {self.nvars}")
         masks = list(self.masks)
         if len(set(masks)) != len(masks):
             raise PolynomialError("repeated monomial")
@@ -258,9 +261,11 @@ def inverse_decay_check(form: CycleForm, direction, t_grid) -> list[float]:
     direction = [float(x) for x in direction]
     if len(direction) != form.nvars:
         raise PolynomialError("direction length must equal the edge count")
+    grid = [float(t) for t in t_grid]
+    if not all(map(math.isfinite, direction + grid)):
+        raise PolynomialError("direction and t_grid entries must be finite")
     if any(x <= 0 for x in direction):
         raise PolynomialError("direction must be strictly positive")
-    grid = [float(t) for t in t_grid]
     if any(t < 1 for t in grid) or any(
         grid[i] >= grid[i + 1] for i in range(len(grid) - 1)
     ):

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .graphs import Multigraph, _ends, _kruskal, betti, bridges
+from .graphs import Multigraph, _ends, _kruskal, bridges
 
 MAX_GROUND_SET = 20
 # Rank-table entries (graphs x 2^e) per stacked `_rank_tables` call.
@@ -69,7 +69,6 @@ class CographicMatroid:
         self.graph = graph
         self.n_edges = graph.n_edges
         self._ends = _ends(graph)
-        self.full_rank = betti(graph)
         self._rank_table: np.ndarray | None = None
 
     def corank(self, subset) -> int:

@@ -138,6 +138,18 @@ class GrowthVerdict:
     decay_ratio: float
 
 
+def _verdict_json(verdict: GrowthVerdict) -> dict:
+    """A verdict's keys of a probe's JSON payload, in output order."""
+    return {
+        "values": list(verdict.values),
+        "stderrs": list(verdict.stderrs),
+        "increments": list(verdict.increments),
+        "ratios": list(verdict.ratios),
+        "decay_ratio": verdict.decay_ratio,
+        "verdict": verdict.verdict,
+    }
+
+
 def _integrand(supports, s_values, usum: np.ndarray, ys, reduce) -> list:
     """reduce(f) for each s in s_values, in order, where
     f(u) = exp(sum u) * psi(exp(u))^(-s) on the log-coordinate box.

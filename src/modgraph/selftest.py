@@ -24,7 +24,7 @@ from .convergence import (
 )
 from .graphs import (
     Multigraph,
-    _cycle_columns,
+    _forest,
     betti,
     bridges,
     contract_edges,
@@ -107,7 +107,7 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int,
         ends = tuple(
             (rng.randrange(v), rng.randrange(v)) for _ in range(e)
         )
-        if _cycle_columns(ends, v) is not None:
+        if not any(_forest(v, ends)[2]):
             return Multigraph(tuple((i, 0) for i in range(v)), ends)
 
 

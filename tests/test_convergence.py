@@ -32,14 +32,20 @@ import modgraph.matroid
 from modgraph.convergence import (
     _contract_to_optimal,
     _density_reaches,
-    _fingerprint,
     _flat_rank_bound,
     _gen_edge_lists,
+    _hit_keys,
     _is_bridgeless,
     _recheck,
     _series_classes,
 )
-from modgraph.graphs import Multigraph, _cycle_columns, spanning_trees, valences
+from modgraph.graphs import (
+    Multigraph,
+    _cycle_columns,
+    _ends,
+    spanning_trees,
+    valences,
+)
 from modgraph.matroid import CertificateError, DensityCertificate, MatroidError
 from modgraph.selftest import (
     bridged_triangles_graph,
@@ -495,7 +501,8 @@ class TestSearch:
         assert len(hits) == len(counts) == 169
         # the rank table's bases are the complements of the spanning trees
         for (g, _), n_trees in zip(hits, counts):
-            key = _fingerprint(CographicMatroid(g))
+            key = _hit_keys(g.n_vertices, [_ends(g)],
+                            CographicMatroid(g).rank_table()[None])[0]
             assert key == tree_fingerprint(g)
             assert n_trees == len(key[3]) == len(spanning_trees(g))
 

@@ -22,7 +22,7 @@ from modgraph import (
     spanning_trees,
     valences,
 )
-from modgraph.graphs import _cycle_columns, _kruskal, component_count
+from modgraph.graphs import _cycle_columns, _forest, _kruskal, component_count
 from modgraph.selftest import (
     random_bridgeless_multigraph,
     random_connected_multigraph,
@@ -491,6 +491,41 @@ class TestCycleBasis:
             cycle_basis_from_tree(g, frozenset({0, 1, 2}))
         assert len(cycle_basis_from_tree(g, frozenset({1, 2, 3})).cycles) == 1
 
+    def test_every_tree_row_is_its_fundamental_cycle(self):
+        # in the incidence kernel, +1 at its own non-tree edge and 0 at the
+        # others: a kernel vector zero off the tree is zero, so these fix
+        # the row; every (v-1)-subset that is not a tree is refused
+        rng = random.Random(47)
+        checked = refused = 0
+        for _ in range(40):
+            g = random_connected_multigraph(rng, 7, 10)
+            inc = incidence_matrix(g)
+            trees = set(spanning_trees(g))
+            everything = frozenset(range(g.n_edges))
+            for combo in itertools.combinations(everything, g.n_vertices - 1):
+                listed = frozenset(combo)
+                if listed not in trees:
+                    with pytest.raises(GraphError, match="closes a cycle") as err:
+                        cycle_basis_from_tree(g, listed)
+                    eid = int(err.value.args[0].split()[2])
+                    # the other listed edges already join its endpoints
+                    assert eid in listed
+                    assert (component_count(g, everything - listed)
+                            == component_count(g, everything - listed | {eid}))
+                    refused += 1
+                    continue
+                basis = cycle_basis_from_tree(g, listed)
+                non_tree = sorted(everything - listed)
+                assert basis.tree == listed
+                assert len(basis.cycles) == len(non_tree) == betti(g)
+                for row, own in zip(basis.cycles, non_tree):
+                    for vrow in inc:
+                        assert sum(a * b for a, b in zip(vrow, row)) == 0
+                    assert [row[k] for k in non_tree] == [
+                        int(k == own) for k in non_tree]
+                checked += 1
+        assert checked > 200 and refused > 1000
+
     def test_alternate_tree_basis(self):
         g = theta_graph()
         basis = cycle_basis_from_tree(g, frozenset({2}))
@@ -499,6 +534,47 @@ class TestCycleBasis:
         for row in basis.cycles:
             for vrow in inc:
                 assert sum(a * b for a, b in zip(vrow, row)) == 0
+
+
+def brute_labels(n_vertices, ends):
+    """Each vertex's smallest reachable vertex, relaxed to a fixed point,
+    then renumbered 0, 1, ... in increasing order."""
+    low = list(range(n_vertices))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in ends:
+            m = min(low[a], low[b])
+            if low[a] != m or low[b] != m:
+                low[a] = low[b] = m
+                changed = True
+    rank = {m: i for i, m in enumerate(sorted(set(low)))}
+    return [rank[m] for m in low]
+
+
+class TestForest:
+    def test_labels_and_tree_on_disconnected_edge_sets(self):
+        rng = random.Random(53)
+        cases = [(1, []), (3, []), (2, [(0, 0), (1, 1)])]
+        for _ in range(300):
+            v = rng.randint(1, 9)
+            cases.append((v, [(rng.randrange(v), rng.randrange(v))
+                              for _ in range(rng.randint(0, 8))]))
+        for v, ends in cases:
+            order, parent_edge, label = _forest(v, ends)
+            assert label == brute_labels(v, ends), (v, ends)
+            assert sorted(order) == list(range(v))
+            # roots are the smallest vertices of their components, in order;
+            # every other vertex hangs from a vertex visited before it
+            roots = [x for x in order if parent_edge[x] < 0]
+            assert roots == [label.index(c) for c in range(max(label) + 1)]
+            seen = set()
+            for y in order:
+                if parent_edge[y] >= 0:
+                    a, b = ends[parent_edge[y]]
+                    assert y in (a, b) and a != b
+                    assert (b if a == y else a) in seen
+                seen.add(y)
 
 
 def kernel_corpus():

@@ -73,6 +73,11 @@ class TestKirchhoffPolynomial:
         with pytest.raises(PolynomialError, match="outside"):
             KirchhoffPolynomial(2, (-1,))
 
+    @pytest.mark.parametrize("masks", [(), (1,)])
+    def test_negative_nvars_rejected(self, masks):
+        with pytest.raises(PolynomialError, match="negative variable count"):
+            KirchhoffPolynomial(-1, masks)
+
 
 def _form_values(form, x):
     """(C diag(x)) C^T as nested lists."""
@@ -407,3 +412,12 @@ class TestInverseDecay:
             inverse_decay_check(form, (1.0, -1.0, 1.0), [1.0])
         with pytest.raises(PolynomialError):
             inverse_decay_check(form, (1.0, 1.0, 1.0), [2.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        g = theta_graph()
+        form = cycle_form(g, fundamental_cycle_basis(g))
+        with pytest.raises(PolynomialError, match="finite"):
+            inverse_decay_check(form, (1.0, bad, 1.0), [1.0])
+        with pytest.raises(PolynomialError, match="finite"):
+            inverse_decay_check(form, (1.0, 1.0, 1.0), [1.0, bad])
