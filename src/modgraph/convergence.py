@@ -9,6 +9,7 @@ maximal density-attaining set and rechecked exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,6 +42,13 @@ from .matroid import (
 )
 
 SEARCH_MAX_EDGES = 15
+# Member entries (subspaces x nonzero members) of the largest table of
+# flats that the search's block pre-filter weighs: every flat of rank <= 6
+# in genus 6, of rank <= 2 in genus 7.  Layers with a larger table are
+# decided one candidate at a time.
+FLAT_ENTRIES = 24_576
+# Weight-table entries (candidates x max(2^b, flats of one rank)) per block.
+FLAT_BLOCK = 1 << 16
 
 
 class NoCyclesError(ValueError):
@@ -196,6 +204,8 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
     4 times the largest class stays below 3 * target has no reaching
     plane.  Otherwise every union of series classes is scanned, its
     weight and GF(2) rank carried over from a union with one class fewer.
+    The search decides a layer with this one candidate at a time only when
+    its table of flats is too large for `_flats_reach`.
     """
     p, q = target.numerator, target.denominator
     k_bound = None
@@ -238,18 +248,115 @@ def _density_reaches(ends, n_vertices, cols, target: Fraction,
     # Weighted scan over unions of series classes: exact, since every
     # maximizer is such a union.  A union extends the one without its
     # lowest class by that class's vector, reduced against the smaller
-    # union's echelon basis.
-    stack = [(ncls, 0, ())]
+    # union's pivot-indexed basis.
+    stack = [(ncls, 0, 0, (0,) * max(vecs).bit_length())]
     while stack:
-        limit, weight, basis = stack.pop()
+        limit, weight, rank, basis = stack.pop()
         for c in range(limit):
             w = weight + sizes[c]
-            vec = _reduce(vecs[c], basis)
-            grown = basis + (vec,) if vec else basis
-            if w * q >= p * len(grown):
+            grown = _reduce(vecs[c], basis)
+            r = rank + 1 if grown else rank
+            if w * q >= p * r:
                 return True
-            stack.append((c, w, grown))
+            stack.append((c, w, r, grown or basis))
     return False
+
+
+def _flat_entries(b: int, k: int) -> int:
+    """Member entries of `_flats(b, k)`, from the Gaussian binomials."""
+    count, entries = 1, 0
+    for d in range(1, k + 1):
+        count = count * ((1 << (b - d + 1)) - 1) // ((1 << d) - 1)
+        entries += count * ((1 << d) - 1)
+    return entries
+
+
+@functools.lru_cache(maxsize=None)
+def _flats(b: int, k: int) -> tuple[np.ndarray, ...]:
+    """The subspaces of GF(2)^b of dimension d = 1..min(k, b), one array of
+    shape (n_d, 2^d - 1) per d, each row the nonzero members of one.
+
+    Each subspace is made once, from its reduced echelon basis: leading
+    bits p_1 < ... < p_d, and basis vector i holds free bits at the
+    positions below p_i that are no leading bit.
+    """
+    out = []
+    for d in range(1, min(k, b) + 1):
+        tables = []
+        for pivots in itertools.combinations(range(b), d):
+            free = [[j for j in range(p) if j not in pivots] for p in pivots]
+            choice = np.arange(1 << sum(map(len, free)))
+            basis, shift = [], 0
+            for p, below in zip(pivots, free):
+                vec = np.full_like(choice, 1 << p)
+                for j in below:
+                    vec |= (choice >> shift & 1) << j
+                    shift += 1
+                basis.append(vec)
+            members = [np.zeros_like(choice)]
+            for c in range(1, 1 << d):
+                low = (c & -c).bit_length() - 1
+                members.append(members[c & (c - 1)] ^ basis[low])
+            tables.append(np.stack(members[1:], axis=1))
+        table = np.concatenate(tables)
+        table.flags.writeable = False  # shared by every caller
+        out.append(table)
+    return tuple(out)
+
+
+def _flats_reach(cols: np.ndarray, b: int, target: Fraction,
+                 ks: np.ndarray) -> np.ndarray:
+    """`_density_reaches` for a block of candidates at once: row r of
+    `cols` holds the cycle columns of one, each below 2^b, and ks[r] >= 1
+    is the largest rank of a flat that it needs weighed.
+
+    Some nonempty S has q|S| >= p rank(S) exactly when some subspace F of
+    dimension d <= ks[r] has q W(F) >= p d, where W(F) counts the edges
+    whose column is a nonzero member of F: the span of S has the rank of
+    S and weight >= |S|, and the edges with columns in F have rank <= d.
+    The weights are summed one member at a time over every subspace of
+    the table; they are held value-major, (2^b, rows), so one member's
+    weights over the block are one contiguous run.
+    """
+    rows, e = cols.shape
+    p, q = target.numerator, target.denominator
+    weight = np.bincount((cols * rows + np.arange(rows)[:, None]).ravel(),
+                         minlength=rows << b).astype(np.int16)
+    weight = weight.reshape(1 << b, rows)
+    reach = np.zeros(rows, dtype=bool)
+    for d, flats in enumerate(_flats(b, int(ks.max())), 1):
+        need = -(-p * d // q)  # the least weight with q * weight >= p * d
+        if need > e:
+            break
+        total = weight[flats[:, 0]]
+        for j in range(1, flats.shape[1]):
+            total += weight[flats[:, j]]
+        reach |= (total >= need).any(axis=0) & (ks >= d)
+    return reach
+
+
+def _density_passes(v: int, e: int, target: Fraction, candidates):
+    """The edge lists of the bridgeless candidates (ends, cols) of layer
+    (v, e) under minimum valence 3 whose density reaches the target, in
+    order.  A chunk at a time by `_flats_reach` when the layer's flat table
+    holds at most FLAT_ENTRIES member entries, else one at a time by
+    `_density_reaches`.
+    """
+    b = e - v + 1
+    ks = [b if k is None else max(k, 1)
+          for k in (_flat_rank_bound(v, e, target, loop)
+                    for loop in (False, True))]
+    if _flat_entries(b, max(ks)) > FLAT_ENTRIES:
+        for ends, cols in candidates:
+            if _density_reaches(ends, v, cols, target, min_valence_3=True):
+                yield ends
+        return
+    rows = max(1, FLAT_BLOCK // max(1 << b, *map(len, _flats(b, max(ks)))))
+    while chunk := list(itertools.islice(candidates, rows)):
+        loops = [any(a == c for a, c in ends) for ends, _ in chunk]
+        reach = _flats_reach(np.array([cols for _, cols in chunk]), b, target,
+                             np.where(loops, ks[1], ks[0]))
+        yield from itertools.compress((ends for ends, _ in chunk), reach)
 
 
 def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
@@ -267,10 +374,11 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     per placed edge, with the valence deficit kept incrementally.
 
     The edge that opens vertex y is a spanning-tree edge from parent[y] < y.
-    col[y] holds the bits of the non-tree edges that cross y's subtree, so
-    the columns (col[y] for the edge opening y, its own bit for a non-tree
-    edge) represent the cographic matroid, as `_cycle_columns` does on
-    another tree: a zero column is a bridge.
+    The k-th non-tree edge owns bit k, and col[y] holds the bits of the
+    non-tree edges that cross y's subtree, so the columns (col[y] for the
+    edge opening y, its own bit for a non-tree edge) represent the
+    cographic matroid, as `_cycle_columns` does on another tree: a zero
+    column is a bridge, and every column lies below 2^(e - v + 1).
 
     With bridgeless=True no list is extended that must end with a bridge.
     When the tail moves up to a, every edge that touches X = {0..a-1} is
@@ -295,10 +403,13 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     deg = [0] * v
     deficit = mv * v  # sum over all v vertices of max(0, mv - valence)
     parent = [0] * v
-    col = [0] * v
+    # col[y] for a vertex y; col[v + k] is the fixed own bit of the k-th
+    # non-tree edge
+    col = [0] * v + [1 << k for k in range(e)]
     sub = [1] + [0] * (v - 1)  # vertex mask of each subtree
     edges: list[tuple[int, int]] = []
-    opened: list[int] = []  # per edge: the vertex it opened, 0 if non-tree
+    # per edge: the vertex it opened, or v + its rank among the non-tree edges
+    opened: list[int] = []
     # Frame of the node with len(stack) - 1 edges placed: the next child
     # (a, b) to try, the node's bounds on a and b, and its used vertices.
     stack = [[0, 0, 0, min(v - 1, 1), 0]]
@@ -344,9 +455,11 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
             deg[a] += 1
             deficit -= deg[b] < mv
             deg[b] += 1
-            y = b if b >= used and b else 0  # the vertex a tree edge opens
+            # a tree edge opens y = b; the used - 1 vertices above the root
+            # were opened by tree edges, the other placed edges are non-tree
+            y = b if b >= used and b else v + len(edges) - max(used - 1, 0)
         # placing and removing an edge are the same XORs
-        if y:
+        if y < v:
             # y's subtree holds y alone; y joins the subtrees of a's path
             parent[y] = a
             col[y] = 0
@@ -359,7 +472,7 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
                 x = parent[x]
         else:
             # the non-tree edge's bit crosses the subtrees on its tree path
-            bit = 1 << len(edges)
+            bit = col[y]
             x, w = a, b
             while x != w:
                 if x > w:
@@ -375,13 +488,12 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
         used = max(used, b + 1)
         if series:
             # can a completion still hold a series class of `series` edges?
-            cs = [col[y] if y else 1 << k for k, y in enumerate(opened)]
+            cs = [col[y] for y in opened]
             if (max(map(cs.count, cs)) < series and cs.count(0)
                     + min(e - len(edges), v - used + 1) < series):
                 continue
         if not slack:
-            yield tuple(edges), [col[y] if y else 1 << k
-                                 for k, y in enumerate(opened)]
+            yield tuple(edges), [col[y] for y in opened]
         else:
             needy = a  # vertices below the tail are final and not needy
             while needy < used and deg[needy] >= mv:
@@ -445,21 +557,24 @@ def search_divergent(
     at most max_edges edges, as canonical edge lists generated depth-first
     without the prefixes that must end with a bridge; each candidate comes
     with its cycle columns, which decide bridgelessness and the density
-    pre-filter (flat-rank bound first, then series classes, lines and
-    planes in closed form) before the exact density recheck.  On a layer
-    (v, e) where the flat-rank bound is <= 1 with and without a loop, only
-    a series class of ceil(target) edges can reach the target, so the
-    generator drops every prefix that can no longer grow one.  The passes
-    of a layer are rechecked in generation order, a block at a time, on
-    one stacked rank table per block of at most STACK_ENTRIES entries (one
-    graph when its table is larger).  Hits are deduplicated by the cheap
-    fingerprint (v, e, valence sequence, Kirchhoff monomial set) only, the
-    first of a key kept, so isomorphic duplicates can survive; the monomial
-    supports are the bases of the recheck's rank table, so no spanning tree
-    is enumerated.  The output is sorted by c descending, then edge count
-    ascending.  If tree_counts is a list, the number of spanning trees of
-    each hit (its Kirchhoff monomials, already listed for the fingerprint)
-    is appended to it in output order.
+    pre-filter before the exact density recheck.  The pre-filter bounds the
+    rank k of a reaching flat per layer (v, e), with and without a loop,
+    and weighs every flat of rank <= k, the subspaces of GF(2)^b, for a
+    block of candidates at a time (`_flats_reach`); a layer whose table of
+    flats has more than FLAT_ENTRIES entries is decided one candidate at a
+    time by `_density_reaches`.  On a layer where k <= 1 with and without
+    a loop, only a series class of ceil(target) edges can reach the target,
+    so the generator drops every prefix that can no longer grow one.  The
+    passes of a layer are rechecked in generation order, a block at a
+    time, on one stacked rank table per block of at most STACK_ENTRIES
+    entries (one graph when its table is larger).  Hits are deduplicated
+    by the cheap fingerprint (v, e, valence sequence, Kirchhoff monomial
+    set) only, the first of a key kept, so isomorphic duplicates can
+    survive; the monomial supports are the bases of the recheck's rank
+    table, so no spanning tree is enumerated.  The output is sorted by c
+    descending, then edge count ascending.  If tree_counts is a list, the
+    number of spanning trees of each hit (its Kirchhoff monomials, already
+    listed for the fingerprint) is appended to it in output order.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -480,12 +595,11 @@ def search_divergent(
                     for loop in (False, True)]
         series = (math.ceil(target)
                   if None not in k_bounds and max(k_bounds) <= 1 else 0)
-        passers = (
-            ends for ends, cols in _gen_edge_lists(v, e, bridgeless=True,
-                                                   series=series)
+        passers = _density_passes(v, e, target, (
+            (ends, cols) for ends, cols in _gen_edge_lists(
+                v, e, bridgeless=True, series=series)
             if _is_bridgeless(cols)
-            and _density_reaches(ends, v, cols, target, min_valence_3=True)
-        )
+        ))
         while block := list(itertools.islice(passers, _stack_rows(e))):
             for ends, (m, key) in zip(block, _recheck(v, block, target)):
                 if key not in hits:

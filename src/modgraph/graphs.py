@@ -318,16 +318,20 @@ def _cut_vectors(ends) -> list[int]:
     return [(1 << a) ^ (1 << b) for a, b in ends]
 
 
-def _reduce(x: int, basis) -> int:
-    """x reduced against an echelon basis over GF(2); 0 iff x is in its span.
+def _reduce(x: int, basis: tuple) -> tuple | None:
+    """`basis` grown by x over GF(2), or None when x lies in its span.
 
-    Build the basis by appending nonzero results of this function: each
-    vector is then zero at the leading bits of the earlier ones, so
-    min(x, x ^ b) clears b's leading bit.
+    basis[i] is the basis vector with leading bit i, or 0 where no vector
+    has that pivot; an empty basis of n-bit vectors is (0,) * n.  x is
+    cleared one pivot at a time and, when anything is left, the rest is
+    inserted at its own leading bit.
     """
-    for b in basis:
-        x = min(x, x ^ b)
-    return x
+    while x and (pivot := basis[x.bit_length() - 1]):
+        x ^= pivot
+    if not x:
+        return None
+    top = x.bit_length() - 1
+    return basis[:top] + (x,) + basis[top + 1:]
 
 
 def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
@@ -345,18 +349,16 @@ def spanning_trees(g: Multigraph) -> list[frozenset[int]]:
     # explicit stack, not a recursive closure: a closure that calls itself
     # is a reference cycle that stays alive until the cyclic GC
     out: list[frozenset[int]] = []
-    stack = [(0, (), (), ())]
+    stack = [(0, (0,) * g.n_vertices, (0,) * betti(g), ())]
     while stack:
         i, tree_basis, cotree_basis, chosen = stack.pop()
         if i == len(ends):
             out.append(frozenset(chosen))
             continue
-        col = _reduce(cols[i], cotree_basis)
-        if col:
-            stack.append((i + 1, tree_basis, cotree_basis + (col,), chosen))
-        cut = _reduce(cuts[i], tree_basis)
-        if cut:
-            stack.append((i + 1, tree_basis + (cut,), cotree_basis, chosen + (i,)))
+        if grown := _reduce(cols[i], cotree_basis):
+            stack.append((i + 1, tree_basis, grown, chosen))
+        if grown := _reduce(cuts[i], tree_basis):
+            stack.append((i + 1, grown, cotree_basis, chosen + (i,)))
     return out
 
 
@@ -377,12 +379,11 @@ def _kruskal(g: Multigraph, order) -> frozenset[int]:
     cut vector is independent of the kept edges'.  A minimum-weight tree
     when `order` sorts by weight; loops never join."""
     cuts = _cut_vectors(_ends(g))
-    basis: list[int] = []
+    basis = (0,) * g.n_vertices
     tree = set()
     for eid in order:
-        cut = _reduce(cuts[eid], basis)
-        if cut:
-            basis.append(cut)
+        if grown := _reduce(cuts[eid], basis):
+            basis = grown
             tree.add(eid)
     return frozenset(tree)
 

@@ -115,6 +115,8 @@ class CycleForm:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise PolynomialError(f"negative variable count {self.nvars}")
         for row in self.cycles:
             if len(row) != self.nvars:
                 raise PolynomialError(

@@ -172,14 +172,15 @@ def _densities(ranks: np.ndarray) -> list[tuple[Fraction, int]]:
     the masks with q|S| = p rk(S); a T0 that fails to attain m raises.
     """
     rows, size = ranks.shape
-    sizes = _subset_sums([1] * (size.bit_length() - 1), np.int64)
-    p = np.zeros(rows, dtype=np.int64)
-    q = np.ones(rows, dtype=np.int64)
+    sizes = _subset_sums([1] * (size.bit_length() - 1), np.int8)
+    p = np.zeros(rows, dtype=np.int16)
+    q = np.ones(rows, dtype=np.int16)
     for rk in range(1, int(ranks[:, -1].max()) + 1):
         best = np.where(ranks == rk, sizes, 0).max(axis=1)
         up = best * q > p * rk
         p[up], q[up] = best[up], rk
-    tight = sizes * q[:, None] == p[:, None] * ranks
+    # p, q <= 20: every product below is at most 400
+    tight = sizes * q[:, None] == np.multiply(p[:, None], ranks, dtype=np.int16)
     masks = np.arange(size, dtype=np.int32)
     t0 = np.bitwise_or.reduce(np.where(tight, masks, 0), axis=1)
     if (sizes[t0] * q != p * ranks[np.arange(rows), t0]).any():

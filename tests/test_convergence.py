@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from modgraph import (
@@ -31,8 +32,12 @@ import modgraph.graphs
 import modgraph.matroid
 from modgraph.convergence import (
     _contract_to_optimal,
+    _density_passes,
     _density_reaches,
+    _flat_entries,
     _flat_rank_bound,
+    _flats,
+    _flats_reach,
     _gen_edge_lists,
     _hit_keys,
     _is_bridgeless,
@@ -238,6 +243,13 @@ class TestGenerator:
                     cases += 1
         assert cases > 1000
 
+    def test_columns_lie_below_two_to_the_betti_number(self):
+        # each non-tree edge owns the bit of its rank among the non-tree edges
+        for v in range(1, 7):
+            for e in range(1, 8):
+                for ends, cols in _gen_edge_lists(v, e, min_valence=0):
+                    assert max(cols) < 1 << (e - v + 1), ends
+
     def test_yield_counts(self):
         # v <= 6, e <= 8, minimum valence 3: pruning drops 1,156 of the
         # 2,497 lists; 1,241 are bridgeless and 100 keep a last-tail bridge
@@ -429,6 +441,98 @@ class TestDensityDecision:
         assert {2, 3} <= loopless_bounds
 
 
+def _gaussian_binomial(b, d):
+    """Number of d-dimensional subspaces of GF(2)^b."""
+    num = den = 1
+    for i in range(d):
+        num *= 2 ** (b - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+class TestFlatKernel:
+    """The block pre-filter weighs every flat of bounded rank at once."""
+
+    def test_flats_are_the_subspaces(self):
+        for b in range(1, 7):
+            tables = _flats(b, b)
+            assert _flat_entries(b, b) == sum(t.size for t in tables)
+            for d, table in enumerate(tables, 1):
+                assert table.shape == (_gaussian_binomial(b, d), 2 ** d - 1)
+                spaces = {frozenset(row) for row in table.tolist()}
+                assert len(spaces) == len(table)  # each subspace once
+                for space in spaces:
+                    # 2^d - 1 nonzero vectors below 2^b, closed under XOR
+                    assert len(space) == 2 ** d - 1 and 0 not in space
+                    assert max(space) < 1 << b
+                    assert all(x ^ y in space
+                               for x in space for y in space if x != y)
+
+    @staticmethod
+    def _best_by_rank(cols):
+        """The largest |S| at each GF(2) rank, over all nonempty S."""
+        best = {}
+        for mask in range(1, 1 << len(cols)):
+            subset = [c for i, c in enumerate(cols) if mask >> i & 1]
+            rank = _gf2_rank(subset)
+            best[rank] = max(best.get(rank, 0), len(subset))
+        return best
+
+    def test_matches_reaches_and_brute_force(self, monkeypatch):
+        # random nonzero column multisets, loop and loopless rows mixed in
+        # one block, every bound from -1 to 3 and None for either kind
+        rng = random.Random(83)
+        pairs = [(-1, None), (0, 3), (1, 2), (2, 1), (3, 0), (None, -1),
+                 (None, None), (2, 3)]
+        targets = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+                   Fraction(3), Fraction(7, 2), Fraction(5),
+                   Fraction(1000001, 1000000)]
+        decided = set()
+        for b in range(2, 8):
+            for e in (b, b + 3):
+                block = [[rng.randrange(1, 1 << b) for _ in range(e)]
+                         for _ in range(8)]
+                loops = [rng.random() < 0.5 for _ in block]
+                best = [self._best_by_rank(cols) for cols in block]
+                for bounds in pairs:
+                    monkeypatch.setattr(modgraph.convergence, "_flat_rank_bound",
+                                        lambda v, e, t, loop: bounds[loop])
+                    ks = [b if bounds[x] is None else max(bounds[x], 1)
+                          for x in loops]
+                    for t in targets:
+                        p, q = t.numerator, t.denominator
+                        got = _flats_reach(np.array(block), b, t, np.array(ks))
+                        for r, cols in enumerate(block):
+                            brute = any(q * size >= p * rank
+                                        for rank, size in best[r].items()
+                                        if rank <= ks[r])
+                            ends = ((0, 0),) if loops[r] else ((0, 1),)
+                            reaches = _density_reaches(ends, 1, cols, t,
+                                                       min_valence_3=True)
+                            assert got[r] == brute == reaches, (cols, ks[r], t)
+                            decided.add(brute)
+        assert decided == {False, True}
+
+    @pytest.mark.parametrize("block", [1, 100, 1000, 1 << 16])
+    def test_passes_in_order_across_chunks(self, monkeypatch, block):
+        # layers whose loop and loopless rows get different flat ranks,
+        # decided a chunk of rows at a time, and by the fallback
+        layers = [(5, 6, Fraction(3)), (5, 8, Fraction(3)), (4, 4, Fraction(2)),
+                  (4, 5, Fraction(5, 2)), (3, 3, Fraction(2))]
+        monkeypatch.setattr(modgraph.convergence, "FLAT_BLOCK", block)
+        for g, v, t in layers:
+            e = v + g - 1
+            cands = [(x, cols) for x, cols in _gen_edge_lists(
+                v, e, bridgeless=True) if _is_bridgeless(cols)]
+            want = [x for x, cols in cands
+                    if _density_reaches(x, v, cols, t, min_valence_3=True)]
+            assert 0 < len(want) < len(cands)
+            assert list(_density_passes(v, e, t, iter(cands))) == want
+            with monkeypatch.context() as patch:
+                patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
+                assert list(_density_passes(v, e, t, iter(cands))) == want
+
+
 def tree_fingerprint(g):
     """The search's hit key read from a spanning-tree enumeration."""
     degs = tuple(sorted(valences(g).values()))
@@ -565,9 +669,21 @@ class TestSearchBlocks:
         hits = search_divergent(5, 11, 3)
         assert sum(rows) >= len(hits) and max(rows) > 1
 
+    @pytest.mark.parametrize("entries,block", [(0, None), (1 << 30, 1),
+                                               (1 << 30, 1 << 30)])
+    def test_flat_table_size_leaves_output_unchanged(self, monkeypatch,
+                                                     entries, block):
+        # every layer by _density_reaches, then one candidate per block,
+        # then one block per layer
+        default = self._search((5, 11, 3))
+        monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES", entries)
+        if block is not None:
+            monkeypatch.setattr(modgraph.convergence, "FLAT_BLOCK", block)
+        assert self._search((5, 11, 3)) == default
+
     def test_prefilter_fault_raises(self, monkeypatch):
-        monkeypatch.setattr(modgraph.convergence, "_density_reaches",
-                            lambda *args, **kwargs: True)
+        monkeypatch.setattr(modgraph.convergence, "_flats_reach",
+                            lambda cols, *args: np.ones(len(cols), dtype=bool))
         with pytest.raises(CertificateError, match="below the target"):
             search_divergent(3, 6, 2)
 

@@ -22,7 +22,13 @@ from modgraph import (
     spanning_trees,
     valences,
 )
-from modgraph.graphs import _cycle_columns, _forest, _kruskal, component_count
+from modgraph.graphs import (
+    _cycle_columns,
+    _forest,
+    _kruskal,
+    _reduce,
+    component_count,
+)
 from modgraph.selftest import (
     random_bridgeless_multigraph,
     random_connected_multigraph,
@@ -419,6 +425,24 @@ class TestSpanningTrees:
             assert sum(weight[i] for i in tree) == min(
                 sum(weight[i] for i in t) for t in trees
             )
+
+    def test_reduce_keeps_a_pivot_indexed_basis(self):
+        # _reduce grows the basis exactly when x is outside the span, and
+        # every nonzero entry sits at its own leading bit
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            basis, span = (0,) * n, {0}
+            for _ in range(rng.randint(1, 12)):
+                x = rng.randrange(1 << n)
+                grown = _reduce(x, basis)
+                assert (grown is None) == (x in span), (basis, x)
+                if grown is not None:
+                    assert len(grown) == n
+                    assert all(y.bit_length() == i + 1
+                               for i, y in enumerate(grown) if y)
+                    span |= {y ^ x for y in span}
+                    basis = grown
 
     def test_trees_have_size_v_minus_1_and_no_loops(self):
         rng = random.Random(13)

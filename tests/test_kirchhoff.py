@@ -114,6 +114,12 @@ class TestCycleForm:
         with pytest.raises(PolynomialError, match="row length 1 != nvars 2"):
             CycleForm(2, ((1, 0), (1,)))
 
+    @pytest.mark.parametrize("cycles", [(), ((),)])
+    def test_negative_nvars_rejected(self, cycles):
+        # with no rows there is no row length to catch it
+        with pytest.raises(PolynomialError, match="negative variable count -1"):
+            CycleForm(-1, cycles)
+
 
 class TestPsi:
     def test_examples(self):

@@ -212,6 +212,13 @@ class TestDensity:
             cert = density(CographicMatroid(g))
             assert cert.m >= Fraction(g.n_edges, betti(g))
 
+    def test_largest_products_at_the_edge_cap(self):
+        # 20 parallel edges have rank 19: q|S| and p rk(S) reach 20 x 19
+        g = Multigraph(((0, 0), (1, 0)), ((0, 1),) * 20)
+        cert = density(CographicMatroid(g))
+        assert cert.m == Fraction(20, 19)
+        assert cert.t0 == frozenset(range(20))
+
     def test_size_guard(self):
         g = make_ngon(21)
         with pytest.raises(MatroidError, match="capped"):
