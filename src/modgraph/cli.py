@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -38,7 +39,6 @@ from .probe import (
     _verdict_json,
     truncated_J,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -248,6 +248,8 @@ def cmd_families(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # only this command needs it
+
     return run_selftest(quick=args.quick)
 
 
@@ -270,7 +272,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every `main` call shares it."""
     parser = _Parser(
         prog="modgraph",
         description=(

@@ -518,7 +518,7 @@ def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple]:
     e = ends.shape[1]
     b = int(ranks[0, -1])  # connected graphs with one v and e share b
     degs = np.sort((ends[..., None] == np.arange(v)).sum(axis=(1, 2)), axis=1)
-    sizes = _subset_sums([1] * e, np.int64)
+    sizes = _subset_sums([1] * e, np.int8)
     rows, masks = np.nonzero((ranks == b) & (sizes == b))
     ids = np.nonzero(masks[:, None] >> np.arange(e) & 1)[1].reshape(-1, b)
     ids = ids[np.lexsort((*ids.T[::-1], rows))].tolist()  # sorted per row

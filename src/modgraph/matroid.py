@@ -7,11 +7,18 @@ the iterative witness construction are exhaustive scans over all 2^e edge
 bitmasks, capped at 20 edges.  Each scan is an exact integer numpy kernel.
 Rank tables come from one stacked kernel over graphs with one vertex and
 edge count: a matroid's table is its one-row case, and the search rechecks
-its candidates a block of at most STACK_ENTRIES entries at a time.  The
-density scan runs over such a stack, the witness runs on int64 values
+its candidates a block of at most STACK_ENTRIES entries at a time.
+
+Every 2^e array holds the smallest exact dtype.  Ranks and subset sizes
+are int8 (at most 20).  The density scan over a stack of tables and the
+witness are int16 (products at most 20 x 20); the witness runs on values
 scaled by the density denominator q (every coordinate lies in (1/q)Z for
-m = p/q), and the membership test scales by the lcm of its denominators,
-switching to Python ints (object arrays) where magnitudes could pass 2^62.
+m = p/q).  The membership test scales by the lcm of its denominators and
+picks int16, int32, int64 or Python ints (object arrays) from the largest
+magnitude it can meet.  Every product of such an array with a Python int
+names its dtype, as in `np.multiply(rank, p, dtype=np.int16)`: `p * rank`
+would stay int8 and wrap silently.
+
 Results leave the module as Python ints and Fractions.  An independent
 covering-LP oracle computes the same constant exactly by column
 generation, its master solved by the integer-pivoting simplex in
@@ -83,7 +90,7 @@ class CographicMatroid:
     def rank_table(self) -> np.ndarray:
         """Rank of every subset, indexed by bitmask; built once per matroid.
 
-        A read-only int64 array: the one-row case of `_rank_tables`.
+        A read-only int8 array: the one-row case of `_rank_tables`.
         """
         if self._rank_table is None:
             _check_size(self.n_edges)
@@ -101,30 +108,37 @@ def _stack_rows(e: int) -> int:
 
 def _rank_tables(n: int, ends_stack) -> np.ndarray:
     """Cographic rank tables of a stack of graphs on n vertices with one
-    edge count e, as one int64 row of 2^e ranks per graph.
+    edge count e, as one int8 row of 2^e ranks per graph (every rank is at
+    most e <= 20).
 
     comps[T], the component count of the spanning subgraph with edge set T,
     grows one edge at a time: masks [2^k, 2^(k+1)) copy the vertex labels
     of masks [0, 2^k) and merge the endpoints of edge k, which loses one
     component exactly when their labels differ.  The labels are held
-    vertex-major, (graphs, n, 2^e) uint8, so each step reads and writes
-    contiguous runs of masks.  Then rk(S) = |S| - comps[E - S] + 1.
+    vertex-major, (graphs, n, 2^(e-1)) uint8, so each step reads and writes
+    contiguous runs of masks; the last edge needs only the comparison of
+    its endpoints' labels, so no labels are kept for masks holding it.
+    Then rk(S) = |S| - comps[E - S] + 1.
     """
     ends = np.asarray(ends_stack, dtype=np.intp).reshape(len(ends_stack), -1, 2)
     rows, e = ends.shape[:2]
     at = np.arange(rows)
-    labels = np.empty((rows, n, 1 << e), dtype=np.uint8)
+    labels = np.empty((rows, n, 1 << (e - 1)), dtype=np.uint8)
     labels[:, :, 0] = np.arange(n)
     comps = np.empty((rows, 1 << e), dtype=np.int8)
     comps[:, 0] = n
     for k in range(e):
-        old, new = labels[..., : 1 << k], labels[..., 1 << k: 2 << k]
+        old = labels[..., : 1 << k]
         head, tail = old[at, ends[:, k, 0]], old[at, ends[:, k, 1]]
         comps[:, 1 << k: 2 << k] = comps[:, : 1 << k] - (head != tail)
-        new[...] = old
-        np.copyto(new, head[:, None], where=old == tail[:, None])
+        if k < e - 1:
+            new = labels[..., 1 << k: 2 << k]
+            new[...] = old
+            np.copyto(new, head[:, None], where=old == tail[:, None])
     del labels
-    return _subset_sums([1] * e, np.int64) - comps[:, ::-1] + 1
+    rank = _subset_sums([1] * e, np.int8) - comps[:, ::-1]
+    rank += 1
+    return rank
 
 
 def _check_size(e: int):
@@ -145,9 +159,22 @@ def _subset_sums(values, dtype) -> np.ndarray:
     return phi
 
 
-def _union(selected: np.ndarray) -> int:
-    """Bitwise OR of the masks where `selected` holds."""
-    return int(np.bitwise_or.reduce(np.flatnonzero(selected)))
+def _union(selected: np.ndarray) -> np.ndarray:
+    """Bitwise OR of the masks where `selected` holds, for each row of a
+    (rows, 2^e) bool stack, as int32.
+
+    Bit i is set when `selected` holds on a mask with bit i.  Going down
+    from the top edge, each row is folded onto its lower half (OR over the
+    bits above i), and bit i is one `any` over the upper half of the fold.
+    """
+    rows, size = selected.shape
+    e = size.bit_length() - 1
+    bits = np.empty((rows, e), dtype=bool)
+    for i in reversed(range(e)):
+        low, high = selected[:, : 1 << i], selected[:, 1 << i:]
+        high.any(axis=1, out=bits[:, i])
+        selected = low | high
+    return bits @ (1 << np.arange(e, dtype=np.int32))
 
 
 def density(matroid: CographicMatroid) -> DensityCertificate:
@@ -177,12 +204,11 @@ def _densities(ranks: np.ndarray) -> list[tuple[Fraction, int]]:
     q = np.ones(rows, dtype=np.int16)
     for rk in range(1, int(ranks[:, -1].max()) + 1):
         best = np.where(ranks == rk, sizes, 0).max(axis=1)
-        up = best * q > p * rk
+        up = best * q > np.multiply(p, rk, dtype=np.int16)
         p[up], q[up] = best[up], rk
     # p, q <= 20: every product below is at most 400
     tight = sizes * q[:, None] == np.multiply(p[:, None], ranks, dtype=np.int16)
-    masks = np.arange(size, dtype=np.int32)
-    t0 = np.bitwise_or.reduce(np.where(tight, masks, 0), axis=1)
+    t0 = _union(tight)
     if (sizes[t0] * q != p * ranks[np.arange(rows), t0]).any():
         raise CertificateError(
             "union of density maximizers fails to attain the maximum"
@@ -206,9 +232,10 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
     cap = t.numerator * (scale // t.denominator)
     # Every partial sum and every cap * rk(S) is at most `bound` in size.
     bound = max(sum(abs(x) for x in ints), abs(cap) * e)
-    dtype = np.int64 if bound < 1 << 62 else object
+    dtype = next((kind for kind in (np.int16, np.int32, np.int64)
+                  if bound <= np.iinfo(kind).max), object)
     phi = _subset_sums(ints, dtype)
-    limit = rank.astype(dtype) * cap
+    limit = np.multiply(rank, cap, dtype=dtype)
     full = (1 << e) - 1
     if phi[full] != limit[full]:
         return False
@@ -221,9 +248,9 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     Iterative tightening: starting from the all-ones vector, repeatedly pick
     the smallest edge outside the maximal tight family and raise its
     coordinate by the largest feasible amount.  The maximal tight set grows
-    strictly, so at most e rounds occur.  The walk runs on int64 values
+    strictly, so at most e rounds occur.  The walk runs on int16 values
     scaled by q, where m = p/q, tracking slack[S] = p*rk(S) - q*phi_S(w),
-    which stays within [0, p*e] (p <= e <= 20).
+    which stays within [0, p*e] (p <= e <= 20, so at most 400).
     The result is rechecked against the polytope definition before being
     returned.
     """
@@ -234,8 +261,9 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     full = (1 << e) - 1
 
     w = [q] * e
-    slack = p * matroid.rank_table() - _subset_sums(w, np.int64)
-    tight = _union(slack == 0)
+    slack = np.multiply(matroid.rank_table(), p, dtype=np.int16)
+    slack -= _subset_sums(w, np.int16)
+    [tight] = _union(slack[None] == 0).tolist()
     if not tight:
         raise CertificateError("no tight set at the all-ones start")
     rounds = 0
@@ -251,7 +279,7 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
             raise CertificateError("no positive slack outside the tight family")
         w[ek] += eps
         with_ek -= eps
-        new_tight = _union(slack == 0)
+        [new_tight] = _union(slack[None] == 0).tolist()
         if new_tight & tight != tight or new_tight == tight:
             raise CertificateError("tight family stopped growing")
         tight = new_tight

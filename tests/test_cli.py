@@ -407,6 +407,35 @@ class TestModuleEntryPoint:
         assert len(json.loads(proc.stdout)["edges"]) == 3
 
 
+class TestOneProcess:
+    @staticmethod
+    def run_python(code):
+        src = os.path.dirname(os.path.dirname(modgraph.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_repeated_main_calls_match_fresh_runs(self, files):
+        # the parser is built once per process and shared by every call
+        calls = [["analyze", "--probe", files["p3.txt"]],
+                 ["analyze", files["p3.txt"]]]
+        script = ("from modgraph.cli import main\n"
+                  "for argv in {!r}:\n"
+                  "    assert main(argv) == 0\n")
+        both = self.run_python(script.format(calls))
+        fresh = "".join(self.run_python(script.format([argv])) for argv in calls)
+        assert both == fresh
+        first, end = json.JSONDecoder().raw_decode(both)
+        assert first["probe"] and json.loads(both[end:])["probe"] is None
+
+    def test_cli_import_leaves_selftest_unloaded(self):
+        out = self.run_python(
+            "import sys, modgraph.cli; print('modgraph.selftest' in sys.modules)")
+        assert out == "False\n"
+
+
 class TestFailureSignals:
     def test_certificate_violation_exits_2(self, files, monkeypatch):
         import modgraph.cli as cli

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,17 @@ from modgraph import (
     parse_graph,
     threshold,
 )
+from modgraph import matroid as matroid_module
 from modgraph import simplex
 import numpy as np
 
 from modgraph.graphs import GraphError, _ends, bridges, component_count
-from modgraph.matroid import CertificateError, _densities, _rank_tables
+from modgraph.matroid import (
+    CertificateError,
+    _densities,
+    _rank_tables,
+    _union,
+)
 from modgraph.selftest import (
     cap_core_graph,
     dense_core_graph,
@@ -147,7 +154,7 @@ class TestRankTable:
         assert any(g.is_loop(i) for g in stack for i in range(9))
         assert any(len(set(g.edges)) < 9 for g in stack)
         ranks = _rank_tables(5, [_ends(g) for g in stack])
-        assert ranks.shape == (12, 1 << 9) and ranks.dtype == np.int64
+        assert ranks.shape == (12, 1 << 9) and ranks.dtype == np.int8
         for g, row, (m, t0) in zip(stack, ranks, _densities(ranks)):
             matroid = CographicMatroid(g)
             assert (row == matroid.rank_table()).all()
@@ -319,6 +326,144 @@ class TestWitness:
         report = analyze(g).to_json_dict()
         assert report["certificate"]["witness"][0] == "4/3"
         assert json.loads(json.dumps(report)) == report
+
+
+def polytope_by_subsets(g, w, t):
+    """w in t*P(M) by the definition, one subset at a time, in Fractions."""
+    e = g.n_edges
+    w, t = [Fraction(x) for x in w], Fraction(t)
+    for mask in range(1 << e):
+        phi = sum(w[i] for i in range(e) if mask >> i & 1)
+        cap = t * rank_by_components(g, mask)
+        if not 0 <= phi <= cap or (mask == (1 << e) - 1 and phi != cap):
+            return False
+    return True
+
+
+class TestNarrowTables:
+    """Rank tables are int8, the density and witness products int16; a
+    product that lost its dtype would wrap on the 20-edge banana, where
+    p rk(S) reaches 20 x 19 = 380."""
+
+    def test_banana_at_the_edge_cap(self):
+        g = graph(2, [(0, 1)] * 20)
+        matroid = CographicMatroid(g)
+        table = matroid.rank_table()
+        assert table.dtype == np.int8
+        assert table[-1] == 19 and table[(1 << 19) - 1] == 19
+        cert = build_witness(matroid)
+        assert cert.m == Fraction(20, 19) and cert.t0 == frozenset(range(20))
+        assert cert.witness == (1,) * 20
+        inside = (Fraction(20, 19), Fraction(18, 19), *[1] * 18)
+        assert in_scaled_polytope(matroid, inside, cert.m)
+        assert not in_scaled_polytope(matroid, (2, 0, *[1] * 18), cert.m)
+        report = analyze(g)
+        assert report.c == Fraction(20, 19)
+        assert report.certificate == cert and report.contracted_edges == ()
+
+    def test_witness_rounds_at_the_edge_cap(self):
+        # 19 parallel edges (rank 18) and a loop: m = 19/18, and the loop's
+        # coordinate rises by a slack of 1 out of slacks up to 19 x 19
+        g = graph(2, [(0, 1)] * 19 + [(0, 0)])
+        matroid = CographicMatroid(g)
+        cert = build_witness(matroid)
+        assert cert.m == Fraction(19, 18) and cert.t0 == frozenset(range(19))
+        assert cert.witness == (1,) * 19 + (Fraction(19, 18),)
+        assert analyze(g).certificate == cert
+
+    def test_single_edge_tables(self):
+        # a loop is a coloop of the cographic matroid; a lone link a bridge
+        assert _rank_tables(1, [[(0, 0)]]).tolist() == [[0, 1]]
+        assert _rank_tables(2, [[(0, 1)], [(1, 0)]]).tolist() == [[0, 0]] * 2
+        loop = CographicMatroid(graph(1, [(0, 0)]))
+        assert loop.rank_table().dtype == np.int8
+        cert = build_witness(loop)
+        assert (cert.m, cert.t0, cert.witness) == (1, frozenset({0}), (1,))
+
+    def test_union_is_or_of_selected_masks(self):
+        rng = np.random.default_rng(97)
+        for rows, e in ((1, 1), (3, 2), (5, 7), (2, 12)):
+            for density_ in (0.0, 0.001, 0.05, 0.5):
+                selected = rng.random((rows, 1 << e)) < density_
+                expected = [
+                    int(np.bitwise_or.reduce(np.flatnonzero(row), initial=0))
+                    for row in selected
+                ]
+                assert _union(selected).tolist() == expected
+
+    @pytest.mark.parametrize("bound, dtype", [
+        (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32),
+        (2**31, np.int64), (2**63 - 1, np.int64), (2**63, object),
+    ])
+    def test_polytope_dtype_from_bound(self, monkeypatch, bound, dtype):
+        # one loop has rank 1, so w = t = bound scales to ints of size bound
+        loop = CographicMatroid(graph(1, [(0, 0)]))
+        loop.rank_table()
+        seen = []
+        real = matroid_module._subset_sums
+        monkeypatch.setattr(matroid_module, "_subset_sums",
+                            lambda values, d: seen.append(d) or real(values, d))
+        assert in_scaled_polytope(loop, (bound,), bound)
+        assert not in_scaled_polytope(loop, (bound - 1,), bound)
+        assert not in_scaled_polytope(loop, (-bound,), -bound)
+        assert seen == [dtype] * 3
+
+    @pytest.mark.parametrize("scale, dtype", [
+        (1, np.int16), (10**5, np.int32), (10**9, np.int64), (10**19, object),
+    ])
+    def test_polytope_matches_subset_check(self, monkeypatch, scale, dtype):
+        # points of t*P(M) as sums of bases, then moved along w_i - w_j
+        graphs = [k4_graph(), theta_graph(), double_triangle_graph()]
+        tables = [(g, CographicMatroid(g)) for g in graphs]
+        for _, matroid in tables:
+            matroid.rank_table()
+        seen = []
+        real = matroid_module._subset_sums
+        monkeypatch.setattr(matroid_module, "_subset_sums",
+                            lambda values, d: seen.append(d) or real(values, d))
+        rng = random.Random(101)
+        verdicts = []
+        for g, matroid in tables:
+            table = matroid.rank_table()
+            b = int(table[-1])
+            bases = [mask for mask in range(1 << g.n_edges)
+                     if bin(mask).count("1") == b == table[mask]]
+            for _ in range(12):
+                counts = [rng.randrange(4) for _ in bases]
+                if not any(counts):
+                    continue
+                t = sum(counts)
+                w = [sum(c for c, mask in zip(counts, bases) if mask >> i & 1)
+                     for i in range(g.n_edges)]
+                i, j = rng.sample(range(g.n_edges), 2)
+                d = rng.choice([0, 0, 1, Fraction(1, 3), 2 * t])
+                w[i] += d
+                w[j] -= d
+                denom = rng.choice([1, 7])
+                w = [Fraction(x * scale, denom) for x in w]
+                t = Fraction(t * scale, denom)
+                verdict = in_scaled_polytope(matroid, w, t)
+                assert verdict == polytope_by_subsets(g, w, t), (g.edges, w, t)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+        assert set(seen) == {dtype}
+
+    def test_analyze_memory_peak_on_the_cap_core(self):
+        # numpy reports its buffers to tracemalloc; the int64 tables of the
+        # 19-edge core peaked at 17.1 MB
+        g = cap_core_graph()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            analyze(g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * 10**6
 
 
 class TestCoverLP:
