@@ -21,9 +21,10 @@ would stay int8 and wrap silently.
 
 Results leave the module as Python ints and Fractions.  An independent
 covering-LP oracle computes the same constant exactly by column
-generation, its master solved by the integer-pivoting simplex in
-`simplex.py`: it reads neither the rank table nor the density scan, and it
-prices columns with Kruskal instead of listing spanning trees.
+generation, its master solved through its dual by the one-phase
+integer-pivoting simplex in `simplex.py`: it reads neither the rank table
+nor the density scan, and it prices columns with Kruskal instead of
+listing spanning trees.
 """
 
 from __future__ import annotations
@@ -263,7 +264,9 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     w = [q] * e
     slack = np.multiply(matroid.rank_table(), p, dtype=np.int16)
     slack -= _subset_sums(w, np.int16)
-    [tight] = _union(slack[None] == 0).tolist()
+    # At w = 1 the tight sets are the masks with q|S| = p rk(S), whose
+    # union is the density scan's T0.
+    tight = sum(1 << i for i in cert.t0)
     if not tight:
         raise CertificateError("no tight set at the all-ones start")
     rounds = 0
@@ -297,10 +300,11 @@ def cover_lp_oracle(g: Multigraph) -> Fraction:
 
     v_T is the indicator of the complement of spanning tree T.  Exact
     column generation, independent of the density route: the restricted
-    master is solved by the exact simplex (integer pivoting over a common
-    denominator) with its dual y, and the tree maximizing y(E - T) is a
-    minimum-weight tree, found by one Kruskal on y.  It stops when that
-    maximum is <= 1, which is the dual feasibility check; x is rechecked as
+    master is solved with its dual y by the exact simplex, which runs one
+    phase on the dual from y = 0 (feasible, as every cost is 1) with
+    integer pivoting over a common denominator, and the tree maximizing
+    y(E - T) is a minimum-weight tree, found by one Kruskal on y.  It
+    stops when that maximum is <= 1, which is the dual feasibility check; x is rechecked as
     a cover and y against strong duality.  No spanning-tree list is built.
     An edgeless graph raises MatroidError, as `density` does.
     """

@@ -489,20 +489,24 @@ class TestCoverLP:
         cap_core_graph,
         lambda: graph(12, make_doubled_2ngon(6).edges + ((0, 0), (5, 5))),
         dense_core_graph,
-    ], ids=["K6", "W6+chord", "D6", "cap19", "cap20", "dense20"])
+        lambda: graph(2, [(0, 1)] * 20),
+        lambda: graph(2, [(0, 1)] * 19 + [(0, 0)]),
+    ], ids=["K6", "W6+chord", "D6", "cap19", "cap20", "dense20", "banana20",
+            "banana19+loop"])
     def test_beyond_the_old_tree_guard(self, make):
         # K6 has 1,296 spanning trees, W6+chord 576 and the dense core
-        # 10,122; the LP lists none.
+        # 10,122; the LP lists none.  The bananas (m = 20/19 and 19/18)
+        # are the most degenerate masters at the edge cap.
         g = make()
         assert cover_lp_oracle(g) == density(CographicMatroid(g)).m
 
     @pytest.mark.parametrize("make, value, pivots", [
-        (k4_graph, 2, 37),
-        (k5_graph, Fraction(5, 3), 168),
-        (k6_graph, Fraction(3, 2), 566),
-        (wheel6_plus_chord, Fraction(13, 7), 211),
-        (cap_core_graph, 6, 505),
-        (dense_core_graph, 2, 429),
+        (k4_graph, 2, 28),
+        (k5_graph, Fraction(5, 3), 91),
+        (k6_graph, Fraction(3, 2), 225),
+        (wheel6_plus_chord, Fraction(13, 7), 99),
+        (cap_core_graph, 6, 412),
+        (dense_core_graph, 2, 79),
     ], ids=["K4", "K5", "K6", "W6+chord", "cap19", "dense20"])
     def test_frozen_pivot_counts(self, monkeypatch, make, value, pivots):
         # Recorded over the Fraction tableau: the integer one must take the

@@ -7,7 +7,7 @@ import pytest
 from modgraph import simplex
 from modgraph.graphs import spanning_trees
 from modgraph.selftest import k4_graph
-from modgraph.simplex import InfeasibleError, UnboundedError, minimize
+from modgraph.simplex import InfeasibleError, minimize
 
 
 def test_simple_cover():
@@ -50,9 +50,21 @@ def test_infeasible():
         minimize([1], [[-1]], [1])  # -x >= 1 with x >= 0
 
 
-def test_unbounded():
-    with pytest.raises(UnboundedError):
-        minimize([-1], [[1]], [0])  # min -x, x >= 0
+def test_negative_cost_raises():
+    # min -x over x >= 0 would be unbounded; costs must be nonnegative
+    with pytest.raises(ValueError, match="nonnegative"):
+        minimize([-1], [[1]], [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        minimize([1, Fraction(-1, 3)], [[1, 1]], [1])
+
+
+def test_empty_shapes():
+    # no rows: nothing to cover, so x = 0 is optimal
+    assert minimize([1, 2], [], []) == (0, [0, 0], [])
+    # no columns: A x = 0, feasible exactly when b <= 0
+    assert minimize([], [[], []], [0, -1]) == (0, [], [0, 0])
+    with pytest.raises(InfeasibleError):
+        minimize([], [[], []], [0, 1])
 
 
 def test_dimension_check():
@@ -134,8 +146,8 @@ def test_dual_of_tree_cover():
     assert_optimal_pair([1] * 16, a, [1] * 6, value, x, y)
 
 
-# The same two-phase method over a Fraction tableau, as the reference for
-# the integer one: every pivot (row, col) is appended to `pivots`.
+# The same one-phase dual method over a Fraction tableau, as the reference
+# for the integer one: every pivot (row, col) is appended to `pivots`.
 
 
 def _fraction_pivot(tab, basis, row, col, pivots):
@@ -150,65 +162,37 @@ def _fraction_pivot(tab, basis, row, col, pivots):
     basis[row] = col
 
 
-def _fraction_run(tab, basis, ncols, pivots):
-    while True:
-        obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
-            return
-        rows = [r for r in range(len(tab) - 1) if tab[r][col] > 0]
-        if not rows:
-            raise UnboundedError("objective unbounded below")
-        row = min(rows, key=lambda r: (tab[r][-1] / tab[r][col], basis[r]))
-        _fraction_pivot(tab, basis, row, col, pivots)
-
-
 def fraction_minimize(c, A, b, pivots):
     c = [Fraction(v) for v in c]
     A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]
     m, n = len(A), len(c)
-    ncols = n + 2 * m
-    tab = []
-    for i in range(m):
-        row = list(A[i]) + [Fraction(0)] * (2 * m) + [b[i]]
-        row[n + i] = Fraction(-1)
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[n + m + i] = Fraction(1)
-        tab.append(row)
-    basis = [n + m + i for i in range(m)]
-    phase1 = [Fraction(0)] * (n + m) + [Fraction(1)] * m + [Fraction(0)]
-    for line in tab:
-        phase1 = [x - y for x, y in zip(phase1, line)]
-    tab.append(phase1)
-    _fraction_run(tab, basis, ncols, pivots)
-    if tab[-1][-1] != 0:
-        raise InfeasibleError("no feasible point")
-    tab.pop()
-    for r in range(m):
-        if basis[r] >= n + m:
-            col = next((j for j in range(n + m) if tab[r][j] != 0), None)
-            if col is not None:
-                _fraction_pivot(tab, basis, r, col, pivots)
-    obj = c + [Fraction(0)] * (2 * m + 1)
-    for r in range(m):
-        factor = obj[basis[r]]
-        if factor:
-            obj = [a - factor * t for a, t in zip(obj, tab[r])]
-    tab.append(obj)
-    _fraction_run(tab, basis, n + m, pivots)
-    x = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tab[r][-1]
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x, tab[-1][n:n + m]
+    # max b.y, A^T y + s = c: one row per primal variable, y | s | rhs
+    tab = [[A[i][j] for i in range(m)]
+           + [Fraction(int(k == j)) for k in range(n)] + [c[j]]
+           for j in range(n)]
+    tab.append([-v for v in b] + [Fraction(0)] * (n + 1))
+    basis = [m + j for j in range(n)]
+    while True:
+        obj = tab[-1]
+        col = next((j for j in range(m + n) if obj[j] < 0), None)
+        if col is None:
+            break
+        rows = [r for r in range(n) if tab[r][col] > 0]
+        if not rows:
+            raise InfeasibleError("no feasible point")
+        row = min(rows, key=lambda r: (tab[r][-1] / tab[r][col], basis[r]))
+        _fraction_pivot(tab, basis, row, col, pivots)
+    y = [Fraction(0)] * m
+    for r in range(n):
+        if basis[r] < m:
+            y[basis[r]] = tab[r][-1]
+    return tab[-1][-1], tab[-1][m:m + n], y
 
 
 def random_lp(rng):
-    """A small LP mixing int and Fraction data, negative right-hand sides
-    (flipped rows), repeated rows (degenerate) and negative costs."""
+    """A small LP mixing int and Fraction data, negative right-hand sides,
+    repeated rows (degenerate) and zero costs."""
     m, n = rng.randint(1, 5), rng.randint(1, 6)
     exact = rng.random() < 0.5
 
@@ -222,7 +206,7 @@ def random_lp(rng):
         i = rng.randrange(m)
         a.append(list(a[i]))
         b.append(b[i])
-    c = [num([-1, 1, 2, 3, 5]) for _ in range(n)]
+    c = [num([0, 1, 2, 3, 5]) for _ in range(n)]
     return c, a, b
 
 
@@ -243,7 +227,7 @@ def pivot_log(monkeypatch):
 def solve(solver, *args):
     try:
         return solver(*args)
-    except (InfeasibleError, UnboundedError) as exc:
+    except InfeasibleError as exc:
         return type(exc)
 
 
@@ -258,24 +242,23 @@ def test_matches_the_fraction_tableau(pivot_log):
         got = solve(minimize, c, a, b)
         assert got == expected
         assert [(r, s) for r, s, _ in pivot_log] == expected_pivots
+        assert all(entry > 0 for _, _, entry in pivot_log)
         if isinstance(got, tuple):
             assert all(type(v) is Fraction for v in [got[0], *got[1], *got[2]])
             seen["solved"] += 1
-            seen["flipped"] += any(bi < 0 for bi in b)
+            seen["negative b"] += any(bi < 0 for bi in b)
             seen["repeated row"] += len(a) > len({tuple(r) for r in a})
             seen["fraction"] += any(type(v) is Fraction for v in c)
+            seen["zero cost"] += any(v == 0 for v in c)
         else:
             seen[got.__name__] += 1
     assert min(seen.values()) >= 20 and len(seen) == 6, seen
 
 
-def test_drive_out_pivots_on_a_negative_entry(pivot_log):
-    # Phase 1 leaves the artificial of row 2 basic at level 0; its row's
-    # only nonzero entry left of the artificials is negative.
+def test_zero_right_hand_sides():
+    # Degenerate: two of the three rows have b = 0, one of them with a
+    # negative entry, so the optimal dual is not unique.
     c, a, b = [2, 2], [[-1, 0], [0, 1], [2, 0]], [0, 1, 0]
-    expected_pivots = []
-    expected = fraction_minimize(c, a, b, expected_pivots)
-    assert minimize(c, a, b) == expected
-    assert [(r, s) for r, s, _ in pivot_log] == expected_pivots
-    assert any(entry < 0 for _, _, entry in pivot_log)
-    assert_optimal_pair(c, a, b, *expected)
+    value, x, y = minimize(c, a, b)
+    assert value == 2
+    assert_optimal_pair(c, a, b, value, x, y)
