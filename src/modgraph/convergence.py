@@ -19,7 +19,6 @@ import numpy as np
 
 from .graphs import (
     Multigraph,
-    _reduce,
     betti,
     bridges,
     contract_edges,
@@ -43,12 +42,14 @@ from .matroid import (
 
 SEARCH_MAX_EDGES = 15
 # Member entries (subspaces x nonzero members) of the largest table of
-# flats that the search's block pre-filter weighs: every flat of rank <= 6
-# in genus 6, of rank <= 2 in genus 7.  Layers with a larger table are
-# decided one candidate at a time.
-FLAT_ENTRIES = 24_576
-# Weight-table entries (candidates x max(2^b, flats of one rank)) per block.
-FLAT_BLOCK = 1 << 16
+# flats that the search's block pre-filter weighs: every table of genus
+# <= 7 fits (the largest, all 358,648 of GF(2)^7).  Rows whose table is
+# larger are decided on their rank tables.
+FLAT_ENTRIES = 1 << 19
+# Entries of a pre-filter chunk's largest array: rows x max(2^b, flats of
+# one rank) for the flat kernel, the rows x v x 2^(e-1) label cube of
+# `_rank_tables` for the rank tables.
+FLAT_BLOCK = 1 << 22
 
 
 class NoCyclesError(ValueError):
@@ -155,24 +156,20 @@ def _contract_to_optimal(matroid, cert) -> tuple[frozenset[int], Multigraph]:
 # Witness search
 
 
-def _series_classes(cols) -> list[list[int]]:
-    """Partition edges into cographic parallel classes ({e, f} a 2-cut).
-
-    `cols` are the cycle columns of a connected bridgeless graph.  Two of
-    its edges form a 2-cut exactly when their columns are equal, so the
-    classes are the groups of equal columns, listed by smallest edge id;
-    every class has matroid rank 1.
-    """
-    groups: dict[int, list[int]] = {}
-    for eid, col in enumerate(cols):
-        groups.setdefault(col, []).append(eid)
-    return list(groups.values())
-
-
 def _flat_rank_bound(n_vertices: int, n_edges: int, target: Fraction,
                      has_loop: bool) -> int | None:
     """Largest rank k of a flat with >= target * k edges under minimum
-    valence 3, or None when no bound holds (see `_density_reaches`)."""
+    valence 3, or None when no bound holds.
+
+    Every density maximizer extends to a flat, and (for target > 1) a
+    maximizer never contains a graph loop.  Under minimum valence 3 a
+    loop-free flat S of rank k with >= target*k edges forces
+    comp(G - S) <= v/2 + |S|/3 in a loopless graph, hence
+    k <= (3v - 6)/(4*target - 6); graphs with loops get the weaker bound
+    k <= (v - 2)/(target - 2) (single-vertex components may keep loops and
+    pay only their >= 2 non-loop endpoints, which bridgelessness forces).
+    A reaching flat also has target * k <= e, and k <= b.
+    """
     p, q = target.numerator, target.denominator
     if not has_loop and 4 * p > 6 * q:
         k_bound = ((3 * n_vertices - 6) * q) // (4 * p - 6 * q)
@@ -181,85 +178,6 @@ def _flat_rank_bound(n_vertices: int, n_edges: int, target: Fraction,
     else:
         return None
     return min(k_bound, n_edges * q // p, n_edges - n_vertices + 1)
-
-
-def _density_reaches(ends, n_vertices, cols, target: Fraction,
-                     min_valence_3: bool) -> bool:
-    """Exact decision: does some nonempty S have |S| >= target * rank(S)?
-
-    `cols` are the cycle columns of the connected bridgeless graph `ends`,
-    and rank(S) is the GF(2) rank of the columns in S.  Every density
-    maximizer extends to a flat, flats are unions of series classes, and
-    (for target > 1) a maximizer never contains a graph loop.
-    Under minimum valence 3 a loop-free flat of rank k with >= target*k
-    edges forces comp(G - S) <= v/2 + |S|/3 in a loopless graph, hence
-    k <= (3v - 6)/(4*target - 6); graphs with loops get the weaker bound
-    k <= (v - 2)/(target - 2) (single-vertex components may keep loops and
-    pay only their >= 2 non-loop endpoints, which bridgelessness forces).
-    The bound comes first: for k <= 1 only a series class (a group of
-    equal columns) can reach the target.  For k <= 3 the flats are weighed
-    in closed form over class vectors u, v, x: the line {u, v, u^v}, and
-    the plane that adds the coset {x, x^u, x^v, x^u^v} of a class x off
-    the line; a coset holds at most 4 classes, so a line whose weight plus
-    4 times the largest class stays below 3 * target has no reaching
-    plane.  Otherwise every union of series classes is scanned, its
-    weight and GF(2) rank carried over from a union with one class fewer.
-    The search decides a layer with this one candidate at a time only when
-    its table of flats is too large for `_flats_reach`.
-    """
-    p, q = target.numerator, target.denominator
-    k_bound = None
-    if min_valence_3:
-        k_bound = _flat_rank_bound(n_vertices, len(cols), target,
-                                   any(a == b for a, b in ends))
-        if k_bound is not None and k_bound <= 1:
-            # the largest class is at most e - (number of classes) + 1
-            return ((len(cols) - len(set(cols)) + 1) * q >= p
-                    and max(map(cols.count, cols)) * q >= p)
-    classes = _series_classes(cols)
-    sizes = [len(c) for c in classes]
-    if max(sizes) * q >= p:
-        return True
-    vecs = [cols[c[0]] for c in classes]
-    ncls = len(classes)
-
-    if k_bound is not None and k_bound <= 3:
-        size_of = dict(zip(vecs, sizes)).get
-        plane_cap = 3 * p - 4 * max(sizes) * q
-        for i in range(ncls):
-            u = vecs[i]
-            for j in range(i + 1, ncls):
-                v = vecs[j]
-                uv = u ^ v
-                line = sizes[i] + sizes[j] + size_of(uv, 0)
-                if line * q >= 2 * p:
-                    return True
-                if k_bound == 2 or line * q < plane_cap:
-                    continue
-                for k in range(j + 1, ncls):
-                    x = vecs[k]
-                    if x != uv and (
-                        line + sizes[k] + size_of(x ^ u, 0)
-                        + size_of(x ^ v, 0) + size_of(x ^ uv, 0)
-                    ) * q >= 3 * p:
-                        return True
-        return False
-
-    # Weighted scan over unions of series classes: exact, since every
-    # maximizer is such a union.  A union extends the one without its
-    # lowest class by that class's vector, reduced against the smaller
-    # union's pivot-indexed basis.
-    stack = [(ncls, 0, 0, (0,) * max(vecs).bit_length())]
-    while stack:
-        limit, weight, rank, basis = stack.pop()
-        for c in range(limit):
-            w = weight + sizes[c]
-            grown = _reduce(vecs[c], basis)
-            r = rank + 1 if grown else rank
-            if w * q >= p * r:
-                return True
-            stack.append((c, w, r, grown or basis))
-    return False
 
 
 def _flat_entries(b: int, k: int) -> int:
@@ -305,58 +223,79 @@ def _flats(b: int, k: int) -> tuple[np.ndarray, ...]:
 
 
 def _flats_reach(cols: np.ndarray, b: int, target: Fraction,
-                 ks: np.ndarray) -> np.ndarray:
-    """`_density_reaches` for a block of candidates at once: row r of
-    `cols` holds the cycle columns of one, each below 2^b, and ks[r] >= 1
-    is the largest rank of a flat that it needs weighed.
+                 k: int) -> np.ndarray:
+    """Does some nonempty S have |S| >= target * rank(S), for a block of
+    candidates at once: row r of `cols` holds the cycle columns of one,
+    each below 2^b, and k >= 1 bounds the rank of a reaching flat
+    (`_flat_rank_bound`).
 
     Some nonempty S has q|S| >= p rank(S) exactly when some subspace F of
-    dimension d <= ks[r] has q W(F) >= p d, where W(F) counts the edges
+    dimension d <= k has q W(F) >= p d, where W(F) counts the edges
     whose column is a nonzero member of F: the span of S has the rank of
     S and weight >= |S|, and the edges with columns in F have rank <= d.
     The weights are summed one member at a time over every subspace of
     the table; they are held value-major, (2^b, rows), so one member's
-    weights over the block are one contiguous run.
+    weights over the block are one contiguous run.  They are int8: a flat
+    weighs at most e <= SEARCH_MAX_EDGES.
     """
     rows, e = cols.shape
     p, q = target.numerator, target.denominator
     weight = np.bincount((cols * rows + np.arange(rows)[:, None]).ravel(),
-                         minlength=rows << b).astype(np.int16)
+                         minlength=rows << b).astype(np.int8)
     weight = weight.reshape(1 << b, rows)
     reach = np.zeros(rows, dtype=bool)
-    for d, flats in enumerate(_flats(b, int(ks.max())), 1):
+    for d, flats in enumerate(_flats(b, k), 1):
         need = -(-p * d // q)  # the least weight with q * weight >= p * d
         if need > e:
             break
         total = weight[flats[:, 0]]
         for j in range(1, flats.shape[1]):
             total += weight[flats[:, j]]
-        reach |= (total >= need).any(axis=0) & (ks >= d)
+        reach |= (total >= need).any(axis=0)
     return reach
+
+
+def _ranks_reach(v: int, block, target: Fraction) -> np.ndarray:
+    """The same decision for any flat rank, on the stacked rank tables of
+    `block`, edge lists on v vertices with e edges: a row passes when some
+    nonempty mask S has rank(S) <= q|S| // p, a cap worked out per size in
+    Python ints (and at most |S|, which no rank exceeds), so it is exact.
+    """
+    e = len(block[0])
+    p, q = target.numerator, target.denominator
+    cap = np.array([-1] + [min(q * s // p, s) for s in range(1, e + 1)],
+                   dtype=np.int8)
+    sizes = _subset_sums([1] * e, np.int8)
+    return (_rank_tables(v, block) <= cap[sizes]).any(axis=1)
 
 
 def _density_passes(v: int, e: int, target: Fraction, candidates):
     """The edge lists of the bridgeless candidates (ends, cols) of layer
     (v, e) under minimum valence 3 whose density reaches the target, in
-    order.  A chunk at a time by `_flats_reach` when the layer's flat table
-    holds at most FLAT_ENTRIES member entries, else one at a time by
-    `_density_reaches`.
+    order, decided a chunk at a time.  A chunk's loopless and looped rows
+    are decided apart, each kind with its own flat-rank bound k: by
+    `_flats_reach` when the table of flats of rank <= k holds at most
+    FLAT_ENTRIES member entries, else by `_ranks_reach`.  A chunk's largest
+    array holds at most FLAT_BLOCK entries, or one row.
     """
     b = e - v + 1
     ks = [b if k is None else max(k, 1)
           for k in (_flat_rank_bound(v, e, target, loop)
                     for loop in (False, True))]
-    if _flat_entries(b, max(ks)) > FLAT_ENTRIES:
-        for ends, cols in candidates:
-            if _density_reaches(ends, v, cols, target, min_valence_3=True):
-                yield ends
-        return
-    rows = max(1, FLAT_BLOCK // max(1 << b, *map(len, _flats(b, max(ks)))))
+    kernel = [_flat_entries(b, k) <= FLAT_ENTRIES for k in ks]
+    width = max(max(1 << b, *map(len, _flats(b, k))) if flat
+                else v << (e - 1) for k, flat in zip(ks, kernel))
+    rows = max(1, FLAT_BLOCK // width)
     while chunk := list(itertools.islice(candidates, rows)):
-        loops = [any(a == c for a, c in ends) for ends, _ in chunk]
-        reach = _flats_reach(np.array([cols for _, cols in chunk]), b, target,
-                             np.where(loops, ks[1], ks[0]))
-        yield from itertools.compress((ends for ends, _ in chunk), reach)
+        ends = [x for x, _ in chunk]
+        loops = np.array([any(a == c for a, c in x) for x in ends])
+        reach = np.empty(len(chunk), dtype=bool)
+        for picked, k, flat in zip((~loops, loops), ks, kernel):
+            if kind := list(itertools.compress(chunk, picked)):
+                reach[picked] = (
+                    _flats_reach(np.array([c for _, c in kind]), b, target, k)
+                    if flat else _ranks_reach(v, [x for x, _ in kind], target))
+        yield from itertools.compress(ends, reach)
 
 
 def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
@@ -560,9 +499,10 @@ def search_divergent(
     pre-filter before the exact density recheck.  The pre-filter bounds the
     rank k of a reaching flat per layer (v, e), with and without a loop,
     and weighs every flat of rank <= k, the subspaces of GF(2)^b, for a
-    block of candidates at a time (`_flats_reach`); a layer whose table of
-    flats has more than FLAT_ENTRIES entries is decided one candidate at a
-    time by `_density_reaches`.  On a layer where k <= 1 with and without
+    block of candidates at a time (`_flats_reach`); this decides every
+    layer of genus <= 7.  Rows whose table of flats has more than
+    FLAT_ENTRIES entries are decided a block at a time on their stacked
+    rank tables (`_ranks_reach`).  On a layer where k <= 1 with and without
     a loop, only a series class of ceil(target) edges can reach the target,
     so the generator drops every prefix that can no longer grow one.  The
     passes of a layer are rechecked in generation order, a block at a

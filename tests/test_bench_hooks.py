@@ -37,7 +37,10 @@ def test_tracer_installs_every_hook():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["convergence._connected"]
+    assert json.loads(proc.stdout) == [
+        "convergence._connected", "convergence._series_classes",
+        "convergence._density_reaches",
+    ]
 
 
 def test_tracer_counts_kirchhoff_terms():

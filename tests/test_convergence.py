@@ -33,7 +33,6 @@ import modgraph.matroid
 from modgraph.convergence import (
     _contract_to_optimal,
     _density_passes,
-    _density_reaches,
     _flat_entries,
     _flat_rank_bound,
     _flats,
@@ -42,7 +41,6 @@ from modgraph.convergence import (
     _hit_keys,
     _is_bridgeless,
     _recheck,
-    _series_classes,
 )
 from modgraph.graphs import (
     Multigraph,
@@ -51,7 +49,13 @@ from modgraph.graphs import (
     spanning_trees,
     valences,
 )
-from modgraph.matroid import CertificateError, DensityCertificate, MatroidError
+from modgraph.matroid import (
+    CertificateError,
+    DensityCertificate,
+    MatroidError,
+    _densities,
+    _rank_tables,
+)
 from modgraph.selftest import (
     bridged_triangles_graph,
     random_bridgeless_multigraph,
@@ -225,7 +229,12 @@ class TestGenerator:
     def test_columns_represent_the_cographic_matroid(self, min_valence,
                                                      bridgeless):
         # the generator's columns come from another spanning tree than
-        # _cycle_columns: same zero pattern, series classes and GF(2) ranks
+        # _cycle_columns: same zero pattern, series classes (groups of
+        # equal columns) and GF(2) ranks
+        def series_classes(cols):
+            return [[k for k, x in enumerate(cols) if x == col]
+                    for col in dict.fromkeys(cols)]
+
         rng = random.Random(79)
         cases = 0
         for v in range(1, 7):
@@ -235,7 +244,7 @@ class TestGenerator:
                     ref = _cycle_columns(ends, v)
                     assert len(cols) == e
                     assert [not c for c in cols] == [not c for c in ref], ends
-                    assert _series_classes(cols) == _series_classes(ref), ends
+                    assert series_classes(cols) == series_classes(ref), ends
                     for _ in range(4):
                         subset = [k for k in range(e) if rng.random() < 0.5]
                         assert (_gf2_rank(cols[k] for k in subset)
@@ -274,6 +283,7 @@ class TestGenerator:
                 if 3 * v > 2 * e:
                     continue
                 full = list(_gen_edge_lists(v, e, bridgeless=True))
+                m = None
                 for t in targets:
                     bounds = [_flat_rank_bound(v, e, t, loop)
                               for loop in (False, True)]
@@ -285,9 +295,11 @@ class TestGenerator:
 
                     def passing(lists):
                         return [(x, cols) for x, cols in lists
-                                if _is_bridgeless(cols) and _density_reaches(
-                                    x, v, cols, t, min_valence_3=True)]
+                                if _is_bridgeless(cols) and m[x] >= t]
 
+                    if m is None:
+                        m = _exact_densities(v, [x for x, cols in full
+                                                 if _is_bridgeless(cols)])
                     assert passing(pruned) == passing(full), (v, e, t)
                     if len(pruned) < len(full):
                         pruning.add((v, e, t))
@@ -303,6 +315,26 @@ class TestGenerator:
                  for x in _gen_edge_lists(v, e, bridgeless=True, series=5)]
         assert len(lists) == 7
         assert all(_is_bridgeless(cols) for _, cols in lists)
+
+
+def _exact_densities(v, lists) -> dict:
+    """The exact density of each edge list on v vertices, keyed by the
+    list: the exhaustive scan of `density`, on stacked rank tables."""
+    out = {}
+    for start in range(0, len(lists), 64):
+        block = lists[start:start + 64]
+        out.update(zip(block, (m for m, _ in _densities(_rank_tables(v, block)))))
+    return out
+
+
+def _decided(v, e, t, cands):
+    """The passes of `_density_passes` over the candidates (ends, cols) of
+    layer (v, e): by its default deciders, and by the rank tables alone."""
+    default = list(_density_passes(v, e, t, iter(cands)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
+        tables = list(_density_passes(v, e, t, iter(cands)))
+    return default, tables
 
 
 def _gf2_rank(vectors) -> int:
@@ -329,9 +361,10 @@ def _canonical_form(ends, v):
 
 
 class TestDensityDecision:
+    """`_density_passes` against the exact density, on both deciders."""
+
     def test_matches_exhaustive_density(self):
         # the search pre-filter must agree with the exact density scan
-        rng = random.Random(71)
         cases = 0
         for v in range(2, 5):
             for e in range(v + 1, min(v + 4, 9)):
@@ -342,8 +375,9 @@ class TestDensityDecision:
                     g = Multigraph(tuple((i, 0) for i in range(v)), ends)
                     m = density(CographicMatroid(g)).m
                     for t in (m, m + Fraction(1, 7), Fraction(3, 2), Fraction(5)):
-                        got = _density_reaches(ends, v, cols, t, min_valence_3=True)
-                        assert got == (m >= t), (ends, t, m)
+                        want = [ends] if m >= t else []
+                        got = _decided(v, e, t, [(ends, cols)])
+                        assert got == (want, want), (ends, t, m)
                     cases += 1
         assert cases > 50
 
@@ -361,23 +395,28 @@ class TestDensityDecision:
                     assert _flat_rank_bound(v, e, t, False) == free, (v, e, t)
                     assert _flat_rank_bound(v, e, t, True) == loop, (v, e, t)
 
+    @staticmethod
+    def _by_rank_tables(g, t):
+        """`_density_passes` on g by the rank tables, which need no flat-rank
+        bound and so no minimum valence."""
+        ends = _ends(g)
+        cols = _cycle_columns(ends, g.n_vertices)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
+            return list(_density_passes(g.n_vertices, g.n_edges, t,
+                                        iter([(ends, cols)]))) == [ends]
+
     def test_matches_without_valence_assumption(self):
         rng = random.Random(73)
         for _ in range(40):
             g = random_bridgeless_multigraph(rng, 5, 8, 10**9)
-            ends = tuple(
-                (gidx(g, t), gidx(g, h)) for t, h in g.edges
-            )
-            cols = _cycle_columns(ends, g.n_vertices)
             m = density(CographicMatroid(g)).m
             for t in (m, m + 1, Fraction(1, 2)):
-                got = _density_reaches(
-                    ends, g.n_vertices, cols, t, min_valence_3=False
-                )
-                assert got == (m >= t)
+                assert self._by_rank_tables(g, t) == (m >= t)
 
     def test_many_series_classes_without_valence_assumption(self):
-        # up to 15 series classes: the union scan covers every class count
+        # up to 15 series classes (groups of equal cycle columns), at up to
+        # SEARCH_MAX_EDGES edges
         rim = [(i, i % 7 + 1) for i in range(1, 8)]
         wheel = tuple([(0, i) for i in range(1, 8)] + rim)  # W7, 3-connected
         theta = ((0, 1),) * 3
@@ -388,17 +427,16 @@ class TestDensityDecision:
             (2, theta + ((0, 0),) * 6 + ((1, 1),) * 6),  # 15 classes
         ]
         for v, ends in cases:
-            cols = _cycle_columns(ends, v)
-            assert len(_series_classes(cols)) > 13
+            assert len(set(_cycle_columns(ends, v))) > 13
             g = Multigraph(tuple((i, 0) for i in range(v)), ends)
             m = density(CographicMatroid(g)).m
             for t in (m, m + Fraction(1, 7), m - Fraction(1, 7), Fraction(1, 2)):
-                got = _density_reaches(ends, v, cols, t, min_valence_3=False)
-                assert got == (m >= t), (ends, t, m)
+                assert self._by_rank_tables(g, t) == (m >= t), (ends, t, m)
 
     def test_loops_in_the_small_flat_branch(self):
         # min valence 3 with loops: targets above 2 bound the flat rank by
-        # (v - 2)/(target - 2), so flats of rank 2 and 3 are weighed directly
+        # (v - 2)/(target - 2), so the kernel weighs flats of rank 2 and 3
+        # and no higher
         cases = 0
         for v in range(2, 7):
             for e in range(v + 1, v + 4):
@@ -412,8 +450,9 @@ class TestDensityDecision:
                     m = density(CographicMatroid(g)).m
                     for t in (m, m + Fraction(1, 7), Fraction(5, 2), Fraction(3),
                               Fraction(7, 2)):
-                        got = _density_reaches(ends, v, cols, t, min_valence_3=True)
-                        assert got == (m >= t), (ends, t, m)
+                        want = [ends] if m >= t else []
+                        got = _decided(v, e, t, [(ends, cols)])
+                        assert got == (want, want), (ends, t, m)
                     cases += 1
         assert cases > 100
 
@@ -424,20 +463,13 @@ class TestDensityDecision:
         loopless_bounds = set()
         for v in range(4, 8):
             e = v + 4
-            for ends, cols in _gen_edge_lists(v, e, bridgeless=True):
-                if not _is_bridgeless(cols):
-                    continue
-                g = Multigraph(tuple((i, 0) for i in range(v)), ends)
-                m = density(CographicMatroid(g)).m
-                loopless = all(a != b for a, b in ends)
-                for t in targets:
-                    got = _density_reaches(ends, v, cols, t, min_valence_3=True)
-                    assert got == (m >= t), (ends, t, m)
-                    if loopless:
-                        # the loopless flat-rank bound of _density_reaches
-                        p, q = t.numerator, t.denominator
-                        loopless_bounds.add(min(
-                            (3 * v - 6) * q // (4 * p - 6 * q), e * q // p, 5))
+            cands = [(ends, cols) for ends, cols in _gen_edge_lists(
+                v, e, bridgeless=True) if _is_bridgeless(cols)]
+            m = _exact_densities(v, [ends for ends, _ in cands])
+            for t in targets:
+                want = [ends for ends, _ in cands if m[ends] >= t]
+                assert _decided(v, e, t, cands) == (want, want), (v, t)
+                loopless_bounds.add(_flat_rank_bound(v, e, t, False))
         assert {2, 3} <= loopless_bounds
 
 
@@ -478,9 +510,10 @@ class TestFlatKernel:
             best[rank] = max(best.get(rank, 0), len(subset))
         return best
 
-    def test_matches_reaches_and_brute_force(self, monkeypatch):
+    def test_matches_brute_force(self, monkeypatch):
         # random nonzero column multisets, loop and loopless rows mixed in
-        # one block, every bound from -1 to 3 and None for either kind
+        # one chunk, every bound from -1 to 3 and None for either kind; the
+        # kernel alone at each bound, and the chunk's rows split by kind
         rng = random.Random(83)
         pairs = [(-1, None), (0, 3), (1, 2), (2, 1), (3, 0), (None, -1),
                  (None, None), (2, 3)]
@@ -493,6 +526,9 @@ class TestFlatKernel:
                 block = [[rng.randrange(1, 1 << b) for _ in range(e)]
                          for _ in range(8)]
                 loops = [rng.random() < 0.5 for _ in block]
+                # one edge of each row's ends marks it: a loop or not
+                ends = [((r, r),) if loop else ((r, r + 1),)
+                        for r, loop in enumerate(loops)]
                 best = [self._best_by_rank(cols) for cols in block]
                 for bounds in pairs:
                     monkeypatch.setattr(modgraph.convergence, "_flat_rank_bound",
@@ -501,22 +537,98 @@ class TestFlatKernel:
                           for x in loops]
                     for t in targets:
                         p, q = t.numerator, t.denominator
-                        got = _flats_reach(np.array(block), b, t, np.array(ks))
-                        for r, cols in enumerate(block):
-                            brute = any(q * size >= p * rank
-                                        for rank, size in best[r].items()
-                                        if rank <= ks[r])
-                            ends = ((0, 0),) if loops[r] else ((0, 1),)
-                            reaches = _density_reaches(ends, 1, cols, t,
-                                                       min_valence_3=True)
-                            assert got[r] == brute == reaches, (cols, ks[r], t)
-                            decided.add(brute)
+                        brute = [any(q * size >= p * rank
+                                     for rank, size in best[r].items()
+                                     if rank <= ks[r])
+                                 for r in range(len(block))]
+                        for k in set(ks):
+                            got = _flats_reach(np.array(block), b, t, k)
+                            for r, cols in enumerate(block):
+                                if ks[r] == k:
+                                    assert got[r] == brute[r], (cols, k, t)
+                        passes = _density_passes(e - b + 1, e, t,
+                                                 zip(ends, block))
+                        assert (list(passes)
+                                == list(itertools.compress(ends, brute)))
+                        decided.update(brute)
         assert decided == {False, True}
+
+    def test_exact_in_int8_at_the_edge_cap(self):
+        # 15 = SEARCH_MAX_EDGES edges on one column, and on the three
+        # columns of a plane: the largest weight a search's int8 sums hold,
+        # at targets just below, at and above each row's density (15, 15/2)
+        block = [[1] * 15, [3] * 5 + [5] * 5 + [6] * 5]
+        best = [self._best_by_rank(cols) for cols in block]
+        assert best == [{1: 15}, {1: 5, 2: 15}]
+        eps = Fraction(1, 1000)
+        for m in (Fraction(15), Fraction(15, 2)):
+            for t in (m - eps, m, m + eps):
+                p, q = t.numerator, t.denominator
+                brute = [any(q * size >= p * rank for rank, size in x.items())
+                         for x in best]
+                for k in (1, 2, 3):
+                    got = _flats_reach(np.array(block), 3, t, k)
+                    assert got.tolist() == [brute[0], brute[1] and k >= 2]
+        # the same rows as graphs, on the rank tables: a 15-cycle, and a
+        # theta whose three paths have 5 edges each
+        cycle = tuple((i, (i + 1) % 15) for i in range(15))
+        theta = tuple(edge for path in range(3) for edge in zip(
+            [0, *range(2 + 4 * path, 6 + 4 * path)],
+            [*range(2 + 4 * path, 6 + 4 * path), 1]))
+        for ends, m in ((cycle, Fraction(15)), (theta, Fraction(15, 2))):
+            v = max(map(max, ends)) + 1
+            g = Multigraph(tuple((i, 0) for i in range(v)), ends)
+            assert density(CographicMatroid(g)).m == m
+            cand = [(ends, _cycle_columns(ends, v))]
+            for t in (m - eps, m, m + eps):
+                want = [ends] if m >= t else []
+                assert _decided(v, 15, t, cand)[1] == want, (v, t)
+
+    def test_rank_tables_at_extreme_targets(self):
+        # targets whose p and q are far beyond any int16 product: the
+        # rank tables decide them from Python ints, exactly
+        v, e = 4, 8
+        cands = [(ends, cols) for ends, cols in _gen_edge_lists(
+            v, e, bridgeless=True) if _is_bridgeless(cols)]
+        best = [self._best_by_rank(cols) for _, cols in cands]
+        found = {max(Fraction(s, r) for r, s in x.items()) for x in best}
+        assert min(found) < 3 and 3 in found and max(found) > 3
+        for t in (Fraction(10**22), Fraction(3 * 10**20 + 1, 10**20),
+                  Fraction(1, 10**22)):
+            p, q = t.numerator, t.denominator
+            want = [ends for (ends, _), x in zip(cands, best)
+                    if any(q * size >= p * rank for rank, size in x.items())]
+            assert _decided(v, e, t, cands) == (want, want), t
+
+    @pytest.mark.parametrize("v,e,kernel", [(6, 12, True), (5, 12, False)])
+    def test_genus_7_and_8_layers(self, v, e, kernel):
+        # the first 2,000 bridgeless candidates of the genus-7 layer (6, 12),
+        # which the kernel decides at bounds 2 and 4, and of the genus-8
+        # layer (5, 12), whose looped rows go to the rank tables (k = 3,
+        # 712,725 table entries)
+        t = Fraction(3)
+        b = e - v + 1
+        ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
+        assert ks == ([2, 4] if kernel else [1, 3])
+        fits = _flat_entries(b, ks[1]) <= modgraph.convergence.FLAT_ENTRIES
+        assert fits == kernel
+        cands = list(itertools.islice(
+            ((ends, cols) for ends, cols in _gen_edge_lists(
+                v, e, bridgeless=True) if _is_bridgeless(cols)), 2000))
+        assert len(cands) == 2000
+        want = []
+        for ends, _ in cands:
+            g = Multigraph(tuple((i, 0) for i in range(v)), ends)
+            if density(CographicMatroid(g)).m >= t:
+                want.append(ends)
+        assert 0 < len(want) < len(cands)
+        assert list(_density_passes(v, e, t, iter(cands))) == want
 
     @pytest.mark.parametrize("block", [1, 100, 1000, 1 << 16])
     def test_passes_in_order_across_chunks(self, monkeypatch, block):
         # layers whose loop and loopless rows get different flat ranks,
-        # decided a chunk of rows at a time, and by the fallback
+        # decided a chunk of rows at a time, by the kernel and by the rank
+        # tables
         layers = [(5, 6, Fraction(3)), (5, 8, Fraction(3)), (4, 4, Fraction(2)),
                   (4, 5, Fraction(5, 2)), (3, 3, Fraction(2))]
         monkeypatch.setattr(modgraph.convergence, "FLAT_BLOCK", block)
@@ -524,13 +636,10 @@ class TestFlatKernel:
             e = v + g - 1
             cands = [(x, cols) for x, cols in _gen_edge_lists(
                 v, e, bridgeless=True) if _is_bridgeless(cols)]
-            want = [x for x, cols in cands
-                    if _density_reaches(x, v, cols, t, min_valence_3=True)]
+            m = _exact_densities(v, [x for x, _ in cands])
+            want = [x for x, _ in cands if m[x] >= t]
             assert 0 < len(want) < len(cands)
-            assert list(_density_passes(v, e, t, iter(cands))) == want
-            with monkeypatch.context() as patch:
-                patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
-                assert list(_density_passes(v, e, t, iter(cands))) == want
+            assert _decided(v, e, t, cands) == (want, want)
 
 
 def tree_fingerprint(g):
@@ -540,10 +649,6 @@ def tree_fingerprint(g):
     monos = tuple(sorted(tuple(sorted(all_edges - t))
                          for t in spanning_trees(g)))
     return (g.n_vertices, g.n_edges, degs, monos)
-
-
-def gidx(g, vid):
-    return {v: i for i, (v, _) in enumerate(g.vertices)}[vid]
 
 
 class TestSearch:
@@ -669,12 +774,45 @@ class TestSearchBlocks:
         hits = search_divergent(5, 11, 3)
         assert sum(rows) >= len(hits) and max(rows) > 1
 
+    @pytest.mark.parametrize("block", [None, 1 << 16])
+    def test_prefilter_chunks_bounded_by_the_budget(self, monkeypatch, block):
+        # the kernel decides the rows of (5, 11, 3) whose flat rank is <= 2
+        # and the rank tables the rest: each call's largest array, the
+        # kernel's sums or the label cube of the rank tables, stays within
+        # FLAT_BLOCK entries, or holds one row (the recheck's stacks, of at
+        # most 2^14 table entries and v <= 7, are within both budgets)
+        if block is not None:
+            monkeypatch.setattr(modgraph.convergence, "FLAT_BLOCK", block)
+        monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES",
+                            _flat_entries(5, 2))
+        cap = modgraph.convergence.FLAT_BLOCK
+        weigh = modgraph.convergence._flats_reach
+        build = modgraph.convergence._rank_tables
+        rows = {"flats": [], "ranks": []}
+
+        def weigh_bounded(cols, b, target, k):
+            width = max(1 << b, *map(len, _flats(b, k)))
+            assert len(cols) * width <= cap or len(cols) == 1
+            rows["flats"].append(len(cols))
+            return weigh(cols, b, target, k)
+
+        def build_bounded(n, stack):
+            cube = len(stack) * n << len(stack[0]) - 1
+            assert cube <= cap or len(stack) == 1
+            rows["ranks"].append(len(stack))
+            return build(n, stack)
+
+        monkeypatch.setattr(modgraph.convergence, "_flats_reach", weigh_bounded)
+        monkeypatch.setattr(modgraph.convergence, "_rank_tables", build_bounded)
+        assert len(search_divergent(5, 11, 3)) == 470
+        assert min(map(max, rows.values())) > 1
+
     @pytest.mark.parametrize("entries,block", [(0, None), (1 << 30, 1),
                                                (1 << 30, 1 << 30)])
     def test_flat_table_size_leaves_output_unchanged(self, monkeypatch,
                                                      entries, block):
-        # every layer by _density_reaches, then one candidate per block,
-        # then one block per layer
+        # every layer by the rank tables, then one candidate per chunk,
+        # then one chunk per layer
         default = self._search((5, 11, 3))
         monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES", entries)
         if block is not None:
