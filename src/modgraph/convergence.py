@@ -189,37 +189,40 @@ def _flat_entries(b: int, k: int) -> int:
     return entries
 
 
-@functools.lru_cache(maxsize=None)
 def _flats(b: int, k: int) -> tuple[np.ndarray, ...]:
-    """The subspaces of GF(2)^b of dimension d = 1..min(k, b), one array of
-    shape (n_d, 2^d - 1) per d, each row the nonzero members of one.
+    """The subspaces of GF(2)^b of dimension d = 1..min(k, b), one
+    `_subspaces(b, d)` table per d."""
+    return tuple(_subspaces(b, d) for d in range(1, min(k, b) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _subspaces(b: int, d: int) -> np.ndarray:
+    """The subspaces of GF(2)^b of dimension d, shape (n_d, 2^d - 1), each
+    row the nonzero members of one.
 
     Each subspace is made once, from its reduced echelon basis: leading
     bits p_1 < ... < p_d, and basis vector i holds free bits at the
     positions below p_i that are no leading bit.
     """
-    out = []
-    for d in range(1, min(k, b) + 1):
-        tables = []
-        for pivots in itertools.combinations(range(b), d):
-            free = [[j for j in range(p) if j not in pivots] for p in pivots]
-            choice = np.arange(1 << sum(map(len, free)))
-            basis, shift = [], 0
-            for p, below in zip(pivots, free):
-                vec = np.full_like(choice, 1 << p)
-                for j in below:
-                    vec |= (choice >> shift & 1) << j
-                    shift += 1
-                basis.append(vec)
-            members = [np.zeros_like(choice)]
-            for c in range(1, 1 << d):
-                low = (c & -c).bit_length() - 1
-                members.append(members[c & (c - 1)] ^ basis[low])
-            tables.append(np.stack(members[1:], axis=1))
-        table = np.concatenate(tables)
-        table.flags.writeable = False  # shared by every caller
-        out.append(table)
-    return tuple(out)
+    tables = []
+    for pivots in itertools.combinations(range(b), d):
+        free = [[j for j in range(p) if j not in pivots] for p in pivots]
+        choice = np.arange(1 << sum(map(len, free)))
+        basis, shift = [], 0
+        for p, below in zip(pivots, free):
+            vec = np.full_like(choice, 1 << p)
+            for j in below:
+                vec |= (choice >> shift & 1) << j
+                shift += 1
+            basis.append(vec)
+        members = [np.zeros_like(choice)]
+        for c in range(1, 1 << d):
+            low = (c & -c).bit_length() - 1
+            members.append(members[c & (c - 1)] ^ basis[low])
+        tables.append(np.stack(members[1:], axis=1))
+    table = np.concatenate(tables)
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def _flats_reach(cols: np.ndarray, b: int, target: Fraction,
@@ -326,7 +329,11 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     quotient, so the first bridged tail ends the node.  The tree edge into
     y is such a bridge iff col[y] == 0 and y's subtree holds none or all of
     Z = {a..used-1}.  A list can still close with a bridge among its last
-    tail's edges, so the caller tests the columns.
+    tail's edges, so the caller tests the columns.  With v > 1 it also
+    pushes no node that cannot give every vertex two non-loop edge ends
+    (one is a bridge) and min_valence: a loop adds 2 to a valence, so an
+    unopened vertex needs 2 + extra more edges and a vertex of valence 1
+    needs 1 + extra, with extra = ceil(max(0, min_valence - 2) / 2).
 
     With series > 0 no child is kept that cannot grow a series class (a
     group of equal final columns) of `series` edges.  The tree never
@@ -339,6 +346,10 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     """
     mv = min_valence
     exact = mv > 0 and 2 * e == mv * v  # no slack valence
+    # edges a completion still needs at an unopened vertex, and at a
+    # vertex of valence 1 (completion bound; 0 disables it)
+    extra = -(-max(0, mv - 2) // 2)
+    fresh, lone = (2 + extra, 1 + extra) if bridgeless and v > 1 else (0, 0)
     deg = [0] * v
     deficit = mv * v  # sum over all v vertices of max(0, mv - valence)
     parent = [0] * v
@@ -431,9 +442,10 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
             if (max(map(cs.count, cs)) < series and cs.count(0)
                     + min(e - len(edges), v - used + 1) < series):
                 continue
-        if not slack:
+        r = e - len(edges)
+        if not r:
             yield tuple(edges), [col[y] for y in opened]
-        else:
+        elif not (r < fresh and used < v or r < lone and 1 in deg):
             needy = a  # vertices below the tail are final and not needy
             while needy < used and deg[needy] >= mv:
                 needy += 1
@@ -445,13 +457,32 @@ def _is_bridgeless(cols) -> bool:
     return all(cols)
 
 
-def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple]:
-    """(v, e, valence sequence, Kirchhoff monomial supports) of each edge
-    list in `block` on v vertices, given its rank table: each spanning tree
-    T gives one squarefree monomial on E - T with coefficient 1.
+@functools.lru_cache(maxsize=None)
+def _basis_codes(e: int) -> np.ndarray:
+    """The uint16 code (2^e - 1) - sum of 2^(e-1-i) over the bits i of
+    each mask of e edges, indexed by mask.
 
-    The supports E - T are the bases of the cographic matroid, the masks of
-    popcount b and rank b, listed as sorted edge ids.
+    Among masks of one size, codes ascend as the sorted edge-id tuples do
+    in lexicographic order: the smallest edge where two sets differ
+    belongs to the smaller tuple and sets the highest differing bit of
+    the reversed mask.  The code of S is the reversed mask of E - S.
+    """
+    codes = _subset_sums([1 << (e - 1 - i) for i in range(e)], np.uint16)[::-1]
+    codes.flags.writeable = False  # shared by every caller
+    return codes
+
+
+def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple[bytes, int]]:
+    """The hit key of each edge list in `block` on v vertices, given its
+    rank table, with its number of spanning trees.
+
+    A key is one bytes object: v, e and the sorted valence sequence, one
+    byte each, then the Kirchhoff monomial supports as big-endian uint16
+    `_basis_codes`, ascending.  Each spanning tree T gives one squarefree
+    monomial on E - T with coefficient 1, and the supports E - T are the
+    bases of the cographic matroid, the masks of popcount b and rank b.
+    Keys compare as the tuples (v, e, valences, sorted supports as sorted
+    edge-id tuples) do.
     """
     ends = np.asarray(block).reshape(len(block), -1, 2)
     e = ends.shape[1]
@@ -459,20 +490,24 @@ def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple]:
     degs = np.sort((ends[..., None] == np.arange(v)).sum(axis=(1, 2)), axis=1)
     sizes = _subset_sums([1] * e, np.int8)
     rows, masks = np.nonzero((ranks == b) & (sizes == b))
-    ids = np.nonzero(masks[:, None] >> np.arange(e) & 1)[1].reshape(-1, b)
-    ids = ids[np.lexsort((*ids.T[::-1], rows))].tolist()  # sorted per row
-    ends_at = np.cumsum(np.bincount(rows, minlength=len(block))).tolist()
-    return [
-        (v, e, tuple(d), tuple(map(tuple, ids[start:end])))
-        for d, start, end in zip(degs.tolist(), [0, *ends_at], ends_at)
-    ]
+    # codes sorted within each row, in one sort over all rows
+    codes = np.sort(rows << e | _basis_codes(e)[masks]) & ((1 << e) - 1)
+    packed = codes.astype(">u2").tobytes()
+    counts = np.bincount(rows, minlength=len(block)).tolist()
+    keys, at = [], 0
+    for d, n in zip(degs.tolist(), counts):
+        keys.append((bytes((v, e, *d)) + packed[at:at + 2 * n], n))
+        at += 2 * n
+    return keys
 
 
-def _recheck(v: int, block, target: Fraction) -> list[tuple[Fraction, tuple]]:
-    """Exact density m and hit key of each density-filter pass in `block`,
-    edge lists on v vertices with one edge count, from one stacked rank
-    table.  An edge of rank 0 is a bridge, and raises as CographicMatroid
-    does; an m below the target means the pre-filter is wrong.
+def _recheck(v: int, block,
+             target: Fraction) -> list[tuple[Fraction, tuple[bytes, int]]]:
+    """Exact density m and (hit key, tree count) of each density-filter
+    pass in `block`, edge lists on v vertices with one edge count, from one
+    stacked rank table.  An edge of rank 0 is a bridge, and raises as
+    CographicMatroid does; an m below the target means the pre-filter is
+    wrong.
     """
     ranks = _rank_tables(v, block)
     bridged = ranks[:, 1 << np.arange(len(block[0]))] == 0
@@ -494,7 +529,9 @@ def search_divergent(
 
     Enumerates connected bridgeless multigraphs with minimum valence 3 and
     at most max_edges edges, as canonical edge lists generated depth-first
-    without the prefixes that must end with a bridge; each candidate comes
+    without the prefixes that must end with a bridge or that have too few
+    edges left to give every vertex two non-loop edge ends and valence 3
+    (`_gen_edge_lists`); each candidate comes
     with its cycle columns, which decide bridgelessness and the density
     pre-filter before the exact density recheck.  The pre-filter bounds the
     rank k of a reaching flat per layer (v, e), with and without a loop,
@@ -511,10 +548,11 @@ def search_divergent(
     by the cheap fingerprint (v, e, valence sequence, Kirchhoff monomial
     set) only, the first of a key kept, so isomorphic duplicates can
     survive; the monomial supports are the bases of the recheck's rank
-    table, so no spanning tree is enumerated.  The output is sorted by c
-    descending, then edge count ascending.  If tree_counts is a list, the
-    number of spanning trees of each hit (its Kirchhoff monomials, already
-    listed for the fingerprint) is appended to it in output order.
+    table, so no spanning tree is enumerated, and each hit holds its
+    fingerprint as one packed bytes key (`_hit_keys`).  The output is
+    sorted by c descending, then edge count ascending, then key.  If
+    tree_counts is a list, the number of spanning trees of each hit (its
+    bases, counted for the key) is appended to it in output order.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -524,7 +562,7 @@ def search_divergent(
     if target <= 0:
         raise ValueError("target must be positive")
 
-    hits: dict[tuple, tuple[Multigraph, Fraction]] = {}
+    hits: dict[bytes, tuple[Multigraph, Fraction, int]] = {}
     for v in range(1, max_edges - target_genus + 2):
         e = v + target_genus - 1
         if e > max_edges:
@@ -541,14 +579,14 @@ def search_divergent(
             if _is_bridgeless(cols)
         ))
         while block := list(itertools.islice(passers, _stack_rows(e))):
-            for ends, (m, key) in zip(block, _recheck(v, block, target)):
+            for ends, (m, (key, n)) in zip(block, _recheck(v, block, target)):
                 if key not in hits:
                     vertices = tuple((i, 0) for i in range(v))
-                    hits[key] = (Multigraph(vertices, ends), m)
+                    hits[key] = (Multigraph(vertices, ends), m, n)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))
     if tree_counts is not None:
-        tree_counts.extend(len(key[3]) for key, _ in out)
-    return [pair for _, pair in out]
+        tree_counts.extend(n for _, (_, _, n) in out)
+    return [(g, m) for _, (g, m, _) in out]
 
 
 # ---------------------------------------------------------------------------

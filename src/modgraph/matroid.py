@@ -10,11 +10,13 @@ edge count: a matroid's table is its one-row case, and the search rechecks
 its candidates a block of at most STACK_ENTRIES entries at a time.
 
 Every 2^e array holds the smallest exact dtype.  Ranks and subset sizes
-are int8 (at most 20).  The density scan over a stack of tables and the
-witness are int16 (products at most 20 x 20); the witness runs on values
-scaled by the density denominator q (every coordinate lies in (1/q)Z for
-m = p/q).  The membership test scales by the lcm of its denominators and
-picks int16, int32, int64 or Python ints (object arrays) from the largest
+are int8 (at most 20).  The density scan over a stack of tables reads
+each mask's value |S|/rk(S) as an int16 code, ordered like the values,
+with one gather from a cached table over the (rank, size) pairs.  The
+witness is int16 (products at most 20 x 20) and runs on values scaled by
+the density denominator q (every coordinate lies in (1/q)Z for m = p/q).
+The membership test scales by the lcm of its denominators and picks
+int16, int32, int64 or Python ints (object arrays) from the largest
 magnitude it can meet.  Every product of such an array with a Python int
 names its dtype, as in `np.multiply(rank, p, dtype=np.int16)`: `p * rank`
 would stay int8 and wrap silently.
@@ -29,6 +31,7 @@ listing spanning trees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,28 +196,51 @@ def density(matroid: CographicMatroid) -> DensityCertificate:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _density_order(e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values |S|/rk(S) of the subsets of e edges in increasing order:
+    an int16 code per (rank, size) pair at index rank * (e + 1) + size, and
+    the value p/q of each code as arrays p and q.
+
+    Equal values share a code, and rank 0 takes code 0 (value 0/1), below
+    every value.  The codes rank the exact integer keys size * (L // rank),
+    where L is the lcm of 1..e, so no Fraction is compared.
+    """
+    lcm = math.lcm(*range(1, e + 1))
+    rank, size = np.divmod(np.arange((e + 1) ** 2), e + 1)
+    keys = np.where(rank > 0, size * (lcm // np.maximum(rank, 1)), -1)
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    out = codes.astype(np.int16), size[first], np.maximum(rank[first], 1)
+    for array in out:
+        array.flags.writeable = False  # shared by every caller
+    return out
+
+
 def _densities(ranks: np.ndarray) -> list[tuple[Fraction, int]]:
     """(m, T0 as a bitmask) for each row of a stack of rank tables.
 
-    m = p/q comes from the largest |S| at each rank, and T0 is the union of
-    the masks with q|S| = p rk(S); a T0 that fails to attain m raises.
+    One gather maps every mask to the int16 code of |S|/rk(S) in
+    `_density_order`; m = p/q is the value of the row's largest code, and
+    T0 is the union of the masks holding it.  A T0 with q|S| != p rk(S)
+    raises.
     """
     rows, size = ranks.shape
-    sizes = _subset_sums([1] * (size.bit_length() - 1), np.int8)
-    p = np.zeros(rows, dtype=np.int16)
-    q = np.ones(rows, dtype=np.int16)
-    for rk in range(1, int(ranks[:, -1].max()) + 1):
-        best = np.where(ranks == rk, sizes, 0).max(axis=1)
-        up = best * q > np.multiply(p, rk, dtype=np.int16)
-        p[up], q[up] = best[up], rk
-    # p, q <= 20: every product below is at most 400
-    tight = sizes * q[:, None] == np.multiply(p[:, None], ranks, dtype=np.int16)
-    t0 = _union(tight)
+    e = size.bit_length() - 1
+    order, p_of, q_of = _density_order(e)
+    sizes = _subset_sums([1] * e, np.int8)
+    index = np.multiply(ranks, e + 1, dtype=np.int16)
+    index += sizes
+    codes = order[index]
+    del index
+    best = codes.max(axis=1)
+    p, q = p_of[best], q_of[best]
+    t0 = _union(codes == best[:, None])
     if (sizes[t0] * q != p * ranks[np.arange(rows), t0]).any():
         raise CertificateError(
             "union of density maximizers fails to attain the maximum"
         )
-    return [(Fraction(int(a), int(b)), int(t)) for a, b, t in zip(p, q, t0)]
+    return [(Fraction(a, b), t)
+            for a, b, t in zip(p.tolist(), q.tolist(), t0.tolist())]
 
 
 def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:

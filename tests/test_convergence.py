@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ import modgraph.convergence
 import modgraph.graphs
 import modgraph.matroid
 from modgraph.convergence import (
+    _basis_codes,
     _contract_to_optimal,
     _density_passes,
     _flat_entries,
@@ -210,15 +212,17 @@ class TestGenerator:
                 deg[b] += 1
             assert min(deg) >= 3
 
-    @pytest.mark.parametrize("min_valence", [0, 1, 2, 3])
+    @pytest.mark.parametrize("min_valence", [0, 1, 2, 3, 4])
     def test_pruning_keeps_every_bridgeless_list(self, min_valence):
         # the pruned generator, filtered by an independent bridge test,
-        # equals the bridgeless subsequence of the unpruned one, in order
+        # equals the bridgeless subsequence of the unpruned one, in order;
+        # e <= 9 at min_valence 0 and 1, where the unpruned stream is the
+        # largest (the same holds at e = 10, about 50 s each)
         def bridgeless(lists, v):
             return [ends for ends, _ in lists if all(_cycle_columns(ends, v))]
 
         for v in range(1, 8):
-            for e in range(1, 10):
+            for e in range(1, 10 if min_valence < 2 else 11):
                 full = _gen_edge_lists(v, e, min_valence=min_valence)
                 pruned = _gen_edge_lists(v, e, min_valence=min_valence,
                                          bridgeless=True)
@@ -260,15 +264,36 @@ class TestGenerator:
                     assert max(cols) < 1 << (e - v + 1), ends
 
     def test_yield_counts(self):
-        # v <= 6, e <= 8, minimum valence 3: pruning drops 1,156 of the
-        # 2,497 lists; 1,241 are bridgeless and 100 keep a last-tail bridge
+        # v <= 6, e <= 8, minimum valence 3: pruning drops 1,222 of the
+        # 2,497 lists; 1,241 are bridgeless and 34 keep a last-tail bridge
+        # (100 before the completion bound)
         grid = [(v, e) for v in range(1, 7) for e in range(1, 9)]
         full = [x for v, e in grid for x, _ in _gen_edge_lists(v, e)]
         pruned = [(x, cols) for v, e in grid
                   for x, cols in _gen_edge_lists(v, e, bridgeless=True)]
         assert len(full) == 2497
-        assert len(pruned) == 1341
+        assert len(pruned) == 1275
         assert sum(all(cols) for _, cols in pruned) == 1241
+
+    def test_completion_bound_on_the_search_layers(self):
+        # the layers of search_divergent(5, 13, 3) yield 5,000 candidates
+        # (5,640 before the completion bound) and the same 4,866 bridgeless
+        # lists, in order (sha256 of their compact JSON)
+        t = Fraction(3)
+        lists = []
+        for v in range(1, 10):
+            e = v + 4
+            if 3 * v > 2 * e:
+                continue
+            bounds = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
+            series = 3 if None not in bounds and max(bounds) <= 1 else 0
+            lists += _gen_edge_lists(v, e, bridgeless=True, series=series)
+        assert len(lists) == 5000
+        kept = [[list(p) for p in ends] for ends, cols in lists if all(cols)]
+        assert len(kept) == 4866
+        text = json.dumps(kept, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "57c94f77fa28fa93505b821abb90f81f3401cbf218f099a31e6b4059420fbbc3")
 
     def test_series_prune_keeps_every_passing_candidate(self):
         # genus 4-6, e <= 11: wherever the flat-rank bound is <= 1 with and
@@ -642,6 +667,16 @@ class TestFlatKernel:
             assert _decided(v, e, t, cands) == (want, want)
 
 
+def decode_key(key):
+    """The tuple (v, e, valences, sorted edge-id tuples of the Kirchhoff
+    monomial supports) that a packed hit key stands for."""
+    v, e = key[0], key[1]
+    codes = np.frombuffer(key, dtype=">u2", offset=2 + v).tolist()
+    monos = tuple(tuple(i for i in range(e) if not code >> (e - 1 - i) & 1)
+                  for code in codes)
+    return v, e, tuple(key[2:2 + v]), monos
+
+
 def tree_fingerprint(g):
     """The search's hit key read from a spanning-tree enumeration."""
     degs = tuple(sorted(valences(g).values()))
@@ -708,12 +743,56 @@ class TestSearch:
                           raising=False)
             hits = search_divergent(4, 9, 2, tree_counts=counts)
         assert len(hits) == len(counts) == 169
-        # the rank table's bases are the complements of the spanning trees
+        # the rank table's bases are the complements of the spanning trees;
+        # the packed key decodes to them, sorted
         for (g, _), n_trees in zip(hits, counts):
-            key = _hit_keys(g.n_vertices, [_ends(g)],
-                            CographicMatroid(g).rank_table()[None])[0]
-            assert key == tree_fingerprint(g)
-            assert n_trees == len(key[3]) == len(spanning_trees(g))
+            [(key, n)] = _hit_keys(g.n_vertices, [_ends(g)],
+                                   CographicMatroid(g).rank_table()[None])
+            assert decode_key(key) == tree_fingerprint(g)
+            assert n_trees == n == len(spanning_trees(g))
+
+    def test_codes_ascend_with_sorted_edge_tuples(self):
+        # among subsets of one size, up to the 15-edge search cap
+        rng = random.Random(101)
+        for e in (1, 2, 5, 9, 13, 15):
+            codes = _basis_codes(e)
+            assert codes.dtype == np.uint16 and len(codes) == 1 << e
+            for size in {0, 1, e // 2, e - 1, e}:
+                subsets = {tuple(sorted(rng.sample(range(e), size)))
+                           for _ in range(300)}
+                by_code = sorted(subsets, key=lambda ids: codes[
+                    sum(1 << i for i in ids)])
+                assert by_code == sorted(subsets), (e, size)
+
+    def test_keys_order_as_fingerprints(self):
+        # two blocks of one layer: packed keys sort as the tuples they
+        # stand for, and counts are the bases per row
+        lists = [ends for ends, cols in _gen_edge_lists(5, 9, bridgeless=True)
+                 if all(cols)][:60]
+        keys = []
+        for block in (lists[:23], lists[23:]):
+            keys += _hit_keys(5, block, _rank_tables(5, block))
+        decoded = [decode_key(key) for key, _ in keys]
+        assert [len(d[3]) for d in decoded] == [n for _, n in keys]
+        assert sorted(range(60), key=lambda i: keys[i][0]) == sorted(
+            range(60), key=lambda i: decoded[i])
+
+    def test_memory_peak(self):
+        # tracemalloc peak of a warm search_divergent(5, 11, 3): 2.8 MiB with
+        # a tuple of edge-id tuples per hit, 1.3 MiB with packed keys
+        search_divergent(5, 11, 3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            search_divergent(5, 11, 3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2 << 20
 
     def test_all_hits_satisfy_contract(self):
         for g, c in search_divergent(3, 7, Fraction(2)):

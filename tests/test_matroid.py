@@ -231,6 +231,68 @@ class TestDensity:
         with pytest.raises(MatroidError, match="capped"):
             density(CographicMatroid(g))
 
+    @staticmethod
+    def _brute_densities(ranks):
+        """(max Fraction(|S|, rk S) over nonempty S, OR of the masks that
+        attain it) for each row of a stack of bridgeless rank tables."""
+        e = ranks.shape[1].bit_length() - 1
+        masks = np.arange(1 << e)
+        sizes = sum(masks >> i & 1 for i in range(e))
+        out = []
+        for row in ranks.astype(np.int64):
+            m = max(Fraction(s, r) for r, s in
+                    set(zip(row[1:].tolist(), sizes[1:].tolist())))
+            tight = sizes * m.denominator == row * m.numerator
+            out.append((m, int(np.bitwise_or.reduce(masks[tight]))))
+        return out
+
+    def test_densities_match_brute_force_on_random_stacks(self):
+        # stacks of random bridgeless graphs with one (v, e), e <= 12
+        rng = random.Random(97)
+        for e in range(1, 13):
+            v = rng.randint(1, e // 2 + 1)
+            stack = []
+            while len(stack) < 6:
+                ends = [tuple(sorted((rng.randrange(v), rng.randrange(v))))
+                        for _ in range(e)]
+                try:
+                    g = graph(v, ends)
+                except GraphError:
+                    continue  # disconnected
+                if not bridges(g):
+                    stack.append(ends)
+            ranks = _rank_tables(v, stack)
+            assert _densities(ranks) == self._brute_densities(ranks), e
+
+    def test_densities_match_brute_force_at_the_edge_cap(self):
+        # one-row tables of the dense core, the cap core and the 20-edge
+        # core with 27,204 spanning trees
+        tree_core = graph(11, [(1, 0), (2, 0), (3, 2), (4, 3), (5, 3), (6, 0),
+                               (7, 1), (8, 0), (9, 5), (10, 8), (2, 1), (5, 7),
+                               (2, 10), (6, 7), (9, 4), (10, 9), (10, 6),
+                               (5, 8), (2, 4), (2, 3)])
+        for g in (dense_core_graph(), cap_core_graph(), tree_core):
+            ranks = CographicMatroid(g).rank_table()[None]
+            assert _densities(ranks) == self._brute_densities(ranks)
+
+    def test_memory_peak_on_the_dense_core(self):
+        # the density scan held int16 products of the whole 2^20 table,
+        # 6.0 MiB at its peak; the order-table gather holds less
+        matroid = CographicMatroid(dense_core_graph())
+        matroid.rank_table()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            density(matroid)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 6 << 20
+
 
 class TestPolytope:
     def test_p3_examples(self):
