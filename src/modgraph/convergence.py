@@ -46,9 +46,8 @@ SEARCH_MAX_EDGES = 15
 # <= 7 fits (the largest, all 358,648 of GF(2)^7).  Rows whose table is
 # larger are decided on their rank tables.
 FLAT_ENTRIES = 1 << 19
-# Entries of a pre-filter chunk's largest array: rows x max(2^b, flats of
-# one rank) for the flat kernel, the rows x v x 2^(e-1) label cube of
-# `_rank_tables` for the rank tables.
+# Entries of the flat kernel's largest array in a pre-filter chunk:
+# rows x max(2^b, flats of one rank).
 FLAT_BLOCK = 1 << 22
 
 
@@ -259,17 +258,18 @@ def _flats_reach(cols: np.ndarray, b: int, target: Fraction,
 
 
 def _ranks_reach(v: int, block, target: Fraction) -> np.ndarray:
-    """The same decision for any flat rank, on the stacked rank tables of
-    `block`, edge lists on v vertices with e edges: a row passes when some
-    nonempty mask S has rank(S) <= q|S| // p, a cap worked out per size in
-    Python ints (and at most |S|, which no rank exceeds), so it is exact.
+    """The same decision for any flat rank, on the rank tables of `block`
+    (edge lists on v vertices with e edges), `_stack_rows(e)` per stack: a
+    row passes when some nonempty mask S has rank(S) <= q|S| // p, a cap
+    worked out per size in Python ints (and at most |S|), so it is exact.
     """
     e = len(block[0])
     p, q = target.numerator, target.denominator
     cap = np.array([-1] + [min(q * s // p, s) for s in range(1, e + 1)],
-                   dtype=np.int8)
-    sizes = _subset_sums([1] * e, np.int8)
-    return (_rank_tables(v, block) <= cap[sizes]).any(axis=1)
+                   dtype=np.int8)[_subset_sums([1] * e, np.int8)]
+    n = _stack_rows(e)
+    return np.concatenate([(_rank_tables(v, block[i:i + n]) <= cap).any(axis=1)
+                           for i in range(0, len(block), n)])
 
 
 def _density_passes(v: int, e: int, target: Fraction, candidates):
@@ -278,16 +278,16 @@ def _density_passes(v: int, e: int, target: Fraction, candidates):
     order, decided a chunk at a time.  A chunk's loopless and looped rows
     are decided apart, each kind with its own flat-rank bound k: by
     `_flats_reach` when the table of flats of rank <= k holds at most
-    FLAT_ENTRIES member entries, else by `_ranks_reach`.  A chunk's largest
-    array holds at most FLAT_BLOCK entries, or one row.
+    FLAT_ENTRIES member entries, else by `_ranks_reach`.  The kernel's
+    largest array holds at most FLAT_BLOCK entries, or one row.
     """
     b = e - v + 1
     ks = [b if k is None else max(k, 1)
           for k in (_flat_rank_bound(v, e, target, loop)
                     for loop in (False, True))]
     kernel = [_flat_entries(b, k) <= FLAT_ENTRIES for k in ks]
-    width = max(max(1 << b, *map(len, _flats(b, k))) if flat
-                else v << (e - 1) for k, flat in zip(ks, kernel))
+    width = max([1 << b] + [len(flats) for k, flat in zip(ks, kernel) if flat
+                            for flats in _flats(b, k)])
     rows = max(1, FLAT_BLOCK // width)
     while chunk := list(itertools.islice(candidates, rows)):
         ends = [x for x, _ in chunk]
@@ -311,9 +311,10 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     vertex and only the head b may open a new one, max_used + 1 (a vertex
     opened as a tail has no earlier neighbour, and no later edge reaches
     back).  So every list is connected, and every connected isomorphism
-    class keeps its lexicographically minimal labelling.  Valences are
-    forced >= min_valence.  Depth-first on an explicit stack, one frame
-    per placed edge, with the valence deficit kept incrementally.
+    class keeps its lexicographically minimal labelling.  One rule forces
+    every valence >= min_valence: no child is placed whose deficit, the sum
+    of max(0, min_valence - valence), exceeds the 2r its r later edges add.
+    Depth-first on an explicit stack, one frame per placed edge.
 
     The edge that opens vertex y is a spanning-tree edge from parent[y] < y.
     The k-th non-tree edge owns bit k, and col[y] holds the bits of the
@@ -345,7 +346,6 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
     edges among them and one more non-tree edge (each has its own bit).
     """
     mv = min_valence
-    exact = mv > 0 and 2 * e == mv * v  # no slack valence
     # edges a completion still needs at an unopened vertex, and at a
     # vertex of valence 1 (completion bound; 0 disables it)
     extra = -(-max(0, mv - 2) // 2)
@@ -387,10 +387,6 @@ def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
                             if not col[y] and (not s or s == z):
                                 a = hi_a + 1
                                 break
-                elif exact and (a == b or deg[a] >= mv or deg[b] >= mv):
-                    # every valence lands exactly on min_valence; a loop
-                    # would leave its vertex with one non-loop edge, a bridge
-                    b += 1
                 elif (deficit - (deg[a] < mv) - (deg[b] + (a == b) < mv) > slack
                       or not slack and b + 1 < v and used < v):
                     b += 1  # the child misses min_valence or a vertex
@@ -531,28 +527,26 @@ def search_divergent(
     at most max_edges edges, as canonical edge lists generated depth-first
     without the prefixes that must end with a bridge or that have too few
     edges left to give every vertex two non-loop edge ends and valence 3
-    (`_gen_edge_lists`); each candidate comes
-    with its cycle columns, which decide bridgelessness and the density
-    pre-filter before the exact density recheck.  The pre-filter bounds the
-    rank k of a reaching flat per layer (v, e), with and without a loop,
-    and weighs every flat of rank <= k, the subspaces of GF(2)^b, for a
-    block of candidates at a time (`_flats_reach`); this decides every
-    layer of genus <= 7.  Rows whose table of flats has more than
-    FLAT_ENTRIES entries are decided a block at a time on their stacked
-    rank tables (`_ranks_reach`).  On a layer where k <= 1 with and without
-    a loop, only a series class of ceil(target) edges can reach the target,
-    so the generator drops every prefix that can no longer grow one.  The
-    passes of a layer are rechecked in generation order, a block at a
-    time, on one stacked rank table per block of at most STACK_ENTRIES
-    entries (one graph when its table is larger).  Hits are deduplicated
-    by the cheap fingerprint (v, e, valence sequence, Kirchhoff monomial
-    set) only, the first of a key kept, so isomorphic duplicates can
-    survive; the monomial supports are the bases of the recheck's rank
-    table, so no spanning tree is enumerated, and each hit holds its
-    fingerprint as one packed bytes key (`_hit_keys`).  The output is
-    sorted by c descending, then edge count ascending, then key.  If
-    tree_counts is a list, the number of spanning trees of each hit (its
-    bases, counted for the key) is appended to it in output order.
+    (`_gen_edge_lists`); each candidate comes with its cycle columns,
+    which decide bridgelessness and the density pre-filter before the
+    exact density recheck.  The pre-filter bounds the rank k of a reaching
+    flat per layer (v, e), with and without a loop, and weighs every flat
+    of rank <= k, the subspaces of GF(2)^b, for a block of candidates at a
+    time (`_flats_reach`); this decides every layer of genus <= 7.  Rows
+    whose table of flats has more than FLAT_ENTRIES entries are decided on
+    their rank tables (`_ranks_reach`).  On a layer where k <= 1 with and
+    without a loop, only a series class of ceil(target) edges can reach
+    the target, so the generator drops every prefix that can no longer
+    grow one.  The passes of a layer are rechecked in generation order.
+    Every rank table is built in a stack of `matroid._stack_rows(e)` graphs.
+    Hits are deduplicated by the cheap fingerprint (v, e, valence sequence,
+    Kirchhoff monomial set) only, the first of a key kept, so isomorphic
+    duplicates can survive; the monomial supports are the bases of the
+    recheck's rank table, so no spanning tree is enumerated, and each hit
+    holds its fingerprint as one packed bytes key (`_hit_keys`).  The
+    output is sorted by c descending, then edge count ascending, then key.
+    If tree_counts is a list, the number of spanning trees of each hit
+    (its bases, counted for the key) is appended to it in output order.
     """
     if target_genus < 2:
         raise ValueError("search needs genus >= 2")
@@ -567,8 +561,6 @@ def search_divergent(
         e = v + target_genus - 1
         if e > max_edges:
             break
-        if 3 * v > 2 * e:
-            continue  # minimum valence 3 unreachable
         k_bounds = [_flat_rank_bound(v, e, target, loop)
                     for loop in (False, True)]
         series = (math.ceil(target)
@@ -578,10 +570,10 @@ def search_divergent(
                 v, e, bridgeless=True, series=series)
             if _is_bridgeless(cols)
         ))
+        vertices = tuple((i, 0) for i in range(v))  # shared by the layer
         while block := list(itertools.islice(passers, _stack_rows(e))):
             for ends, (m, (key, n)) in zip(block, _recheck(v, block, target)):
                 if key not in hits:
-                    vertices = tuple((i, 0) for i in range(v))
                     hits[key] = (Multigraph(vertices, ends), m, n)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))
     if tree_counts is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 
 class GraphError(ValueError):
@@ -26,20 +27,26 @@ class Multigraph:
     """A connected undirected multigraph.
 
     vertices: tuple of (vertex id, genus); edges: tuple of (tail, head).
-    Connectivity is enforced at construction; a single vertex with no
-    edges counts as connected.
+    Every id, genus and endpoint must be an int (not a bool), or
+    GraphError is raised; nothing is coerced.  Connectivity is enforced at
+    construction; a single vertex with no edges counts as connected.
     """
 
     vertices: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", tuple((int(v), int(g)) for v, g in self.vertices)
-        )
-        object.__setattr__(
-            self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
-        )
+        for name, what in (("vertices", "vertex"), ("edges", "edge")):
+            pairs = getattr(self, name)  # the caller's tuples are kept
+            if type(pairs) is not tuple or {*map(type, pairs)} - {tuple}:
+                pairs = tuple(map(tuple, pairs))
+                object.__setattr__(self, name, pairs)
+            # one pass over the types; the per-value test only when it fails
+            if {*map(len, pairs)} - {2} or {*map(type, chain(*pairs))} - {int}:
+                for k, pair in enumerate(pairs):
+                    if len(pair) != 2 or not all(map(_is_json_int, pair)):
+                        raise GraphError(
+                            f"{what} {k} is not a pair of ints: {pair!r}")
         ids = [v for v, _ in self.vertices]
         if not ids:
             raise GraphError("graph needs at least one vertex")

@@ -6,8 +6,8 @@ the maximal attaining set T0, the scaled-base-polytope membership test and
 the iterative witness construction are exhaustive scans over all 2^e edge
 bitmasks, capped at 20 edges.  Each scan is an exact integer numpy kernel.
 Rank tables come from one stacked kernel over graphs with one vertex and
-edge count: a matroid's table is its one-row case, and the search rechecks
-its candidates a block of at most STACK_ENTRIES entries at a time.
+edge count: a matroid's table is its one-row case, and the search builds
+every table in stacks of at most STACK_ENTRIES entries (`_stack_rows`).
 
 Every 2^e array holds the smallest exact dtype.  Ranks and subset sizes
 are int8 (at most 20).  The density scan over a stack of tables reads
@@ -42,8 +42,9 @@ from . import simplex
 from .graphs import Multigraph, _ends, _kruskal, bridges
 
 MAX_GROUND_SET = 20
-# Rank-table entries (graphs x 2^e) per stacked `_rank_tables` call.
-STACK_ENTRIES = 1 << 14
+# Rank-table entries (graphs x 2^e) of every stacked `_rank_tables` call
+# of the search, the pre-filter's and the recheck's (`_stack_rows`).
+STACK_ENTRIES = 1 << 16
 
 
 class MatroidError(ValueError):

@@ -195,6 +195,35 @@ class TestGenerator:
                         brute.add(_canonical_form(combo, v))
                 assert generated == brute, (v, e)
 
+    @pytest.mark.parametrize("bridgeless", [False, True])
+    def test_classes_match_brute_force(self, bridgeless):
+        # v <= 4, e <= 6, min_valence 0-4: the classes of the generated
+        # lists (bridgeless ones, when asked, as the caller filters) are
+        # exactly the connected classes with every valence >= min_valence
+        # (and no bridge, when asked)
+        for v in range(1, 5):
+            pairs = [(a, b) for a in range(v) for b in range(a, v)]
+            for e in range(1, 7):
+                # the class of each list; min valence, bridgeless per class
+                form, kind = {}, {}
+                for combo in itertools.combinations_with_replacement(pairs, e):
+                    cols = _cycle_columns(combo, v)
+                    if cols is None:
+                        continue
+                    form[combo] = f = _canonical_form(combo, v)
+                    deg = [0] * v
+                    for a, b in combo:
+                        deg[a] += 1
+                        deg[b] += 1
+                    kind[f] = (min(deg), all(cols))
+                for mv in range(5):
+                    want = {f for f, (low, free) in kind.items()
+                            if low >= mv and (free or not bridgeless)}
+                    got = {form[ends] for ends, cols in _gen_edge_lists(
+                        v, e, mv, bridgeless=bridgeless)
+                        if all(cols) or not bridgeless}
+                    assert got == want, (mv, v, e, want - got, got - want)
+
     @pytest.mark.parametrize("min_valence", [0, 3])
     def test_every_candidate_connected(self, min_valence):
         for v in range(1, 6):
@@ -264,14 +293,15 @@ class TestGenerator:
                     assert max(cols) < 1 << (e - v + 1), ends
 
     def test_yield_counts(self):
-        # v <= 6, e <= 8, minimum valence 3: pruning drops 1,222 of the
-        # 2,497 lists; 1,241 are bridgeless and 34 keep a last-tail bridge
+        # v <= 6, e <= 8, minimum valence 3: pruning drops 1,234 of the
+        # 2,509 lists (12 of them looped lists with a bridge on layers with
+        # 2e = 3v); 1,241 are bridgeless and 34 keep a last-tail bridge
         # (100 before the completion bound)
         grid = [(v, e) for v in range(1, 7) for e in range(1, 9)]
         full = [x for v, e in grid for x, _ in _gen_edge_lists(v, e)]
         pruned = [(x, cols) for v, e in grid
                   for x, cols in _gen_edge_lists(v, e, bridgeless=True)]
-        assert len(full) == 2497
+        assert len(full) == 2509
         assert len(pruned) == 1275
         assert sum(all(cols) for _, cols in pruned) == 1241
 
@@ -820,7 +850,8 @@ class TestSearch:
 
 
 class TestSearchBlocks:
-    """The exact recheck runs on stacked rank tables, a block at a time."""
+    """Every rank table of the search is built in a stack of
+    `matroid._stack_rows(e)` graphs: the pre-filter's and the recheck's."""
 
     @staticmethod
     def _search(args):
@@ -830,61 +861,71 @@ class TestSearchBlocks:
 
     @pytest.mark.parametrize("args", [(5, 11, 3), (4, 9, 2)])
     def test_block_size_leaves_output_unchanged(self, monkeypatch, args):
+        # every pre-filter decision on the rank tables, one graph per
+        # stack, then one stack per call
         default = self._search(args)
-        for entries in (1, 1 << 30):  # one graph per block, one per layer
+        monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
+        for entries in (1, 1 << 30):
             monkeypatch.setattr(modgraph.matroid, "STACK_ENTRIES", entries)
             assert self._search(args) == default
 
     @pytest.mark.parametrize("entries", [None, 1 << 9])
     def test_blocks_bounded_by_the_cap(self, monkeypatch, entries):
+        # the kernel decides the rows of (5, 11, 3) whose flat rank is <= 2
+        # and the rank tables the rest; each stack of the rank tables or of
+        # the recheck holds at most STACK_ENTRIES table entries, or one row
+        # (at 2^9 entries, every rank-table row of e >= 10 edges alone)
         if entries is not None:
             monkeypatch.setattr(modgraph.matroid, "STACK_ENTRIES", entries)
+        monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES",
+                            _flat_entries(5, 2))
         cap = modgraph.matroid.STACK_ENTRIES
         build = modgraph.convergence._rank_tables
-        rows = []
+        decide = modgraph.convergence._ranks_reach
+        rows = {"prefilter": [], "recheck": []}
+        caller = ["recheck"]
 
         def bounded(n, stack):
             ranks = build(n, stack)
             assert len(stack) * ranks.shape[1] <= cap or len(stack) == 1
-            rows.append(len(stack))
+            rows[caller[0]].append(len(stack))
             return ranks
 
+        def prefilter(*args):
+            caller[0] = "prefilter"
+            try:
+                return decide(*args)
+            finally:
+                caller[0] = "recheck"
+
         monkeypatch.setattr(modgraph.convergence, "_rank_tables", bounded)
+        monkeypatch.setattr(modgraph.convergence, "_ranks_reach", prefilter)
         hits = search_divergent(5, 11, 3)
-        assert sum(rows) >= len(hits) and max(rows) > 1
+        assert len(hits) == 470 and sum(rows["recheck"]) >= len(hits)
+        assert max(rows["recheck"]) > 1
+        assert max(rows["prefilter"]) > 1 or entries is not None
 
     @pytest.mark.parametrize("block", [None, 1 << 16])
     def test_prefilter_chunks_bounded_by_the_budget(self, monkeypatch, block):
-        # the kernel decides the rows of (5, 11, 3) whose flat rank is <= 2
-        # and the rank tables the rest: each call's largest array, the
-        # kernel's sums or the label cube of the rank tables, stays within
-        # FLAT_BLOCK entries, or holds one row (the recheck's stacks, of at
-        # most 2^14 table entries and v <= 7, are within both budgets)
+        # the kernel's largest array, its weights or its sums over the flats
+        # of one rank, stays within FLAT_BLOCK entries, or holds one row
         if block is not None:
             monkeypatch.setattr(modgraph.convergence, "FLAT_BLOCK", block)
         monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES",
                             _flat_entries(5, 2))
         cap = modgraph.convergence.FLAT_BLOCK
         weigh = modgraph.convergence._flats_reach
-        build = modgraph.convergence._rank_tables
-        rows = {"flats": [], "ranks": []}
+        rows = []
 
         def weigh_bounded(cols, b, target, k):
             width = max(1 << b, *map(len, _flats(b, k)))
             assert len(cols) * width <= cap or len(cols) == 1
-            rows["flats"].append(len(cols))
+            rows.append(len(cols))
             return weigh(cols, b, target, k)
 
-        def build_bounded(n, stack):
-            cube = len(stack) * n << len(stack[0]) - 1
-            assert cube <= cap or len(stack) == 1
-            rows["ranks"].append(len(stack))
-            return build(n, stack)
-
         monkeypatch.setattr(modgraph.convergence, "_flats_reach", weigh_bounded)
-        monkeypatch.setattr(modgraph.convergence, "_rank_tables", build_bounded)
         assert len(search_divergent(5, 11, 3)) == 470
-        assert min(map(max, rows.values())) > 1
+        assert max(rows) > 1
 
     @pytest.mark.parametrize("entries,block", [(0, None), (1 << 30, 1),
                                                (1 << 30, 1 << 30)])

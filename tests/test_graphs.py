@@ -168,6 +168,35 @@ class TestBasics:
         assert is_stable(Multigraph(((0, 2),), ()))  # genus 2 isolated
         assert valences(parse_graph("0 0\n0 1"))[0] == 3
 
+    @pytest.mark.parametrize("vertices,edges", [
+        (((0.7, 0), (1, 0.9)), ((0, 1),)),
+        (((0, 2.5),), ()),
+        ((("1", 0), (2, 0)), (("1", 2),)),
+        (((0, 0), (1, 0)), ((True, 1),)),
+        (((0, False),), ()),
+        (((0, 0), (1, 0)), ((0, 1, 1),)),
+        (((0,),), ()),
+    ])
+    def test_non_integer_values_raise(self, vertices, edges):
+        with pytest.raises(GraphError, match="not a pair of ints"):
+            Multigraph(vertices, edges)
+
+    def test_caller_pairs_kept(self):
+        vertices = ((0, 0), (1, 2))
+        edges = ((0, 1), (1, 1), (0, 1))
+        g = Multigraph(vertices, edges)
+        assert g.vertices is vertices and g.edges is edges
+        listed = Multigraph([[0, 0], [1, 0]], [[0, 1]])
+        assert listed.vertices == ((0, 0), (1, 0)) and listed.edges == ((0, 1),)
+
+    def test_int_subclasses_accepted(self):
+        # only bool, of the int subclasses, is refused (as in JSON input)
+        class Label(int):
+            pass
+
+        g = Multigraph(((Label(0), 0), (1, Label(2))), ((Label(0), 1),))
+        assert g.vertices == ((0, 0), (1, 2)) and genus(g) == 2
+
 
 class TestContract:
     def test_contract_p3_edge(self):
