@@ -292,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run growth probes at s = c and s = c + 1/2 "
                         "(JSON output only)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--max-edges", type=_edge_limit, default=20,
-                   help="refuse graphs with more edges (default 20)")
+    p.add_argument("--max-edges", type=_edge_limit, default=MAX_GROUND_SET,
+                   help="refuse graphs with more edges (default: the "
+                        f"{MAX_GROUND_SET}-edge cap of the exhaustive scans)")
     p.add_argument("--seed", type=int, default=None,
                    help="probe seed (default: MODGRAPH_SEED or built-in)")
     p.add_argument("--out", default=None, help="output file (default stdout)")

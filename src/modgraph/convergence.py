@@ -272,19 +272,16 @@ def _ranks_reach(v: int, block, target: Fraction) -> np.ndarray:
                            for i in range(0, len(block), n)])
 
 
-def _density_passes(v: int, e: int, target: Fraction, candidates):
+def _density_passes(v: int, e: int, target: Fraction, ks, candidates):
     """The edge lists of the bridgeless candidates (ends, cols) of layer
     (v, e) under minimum valence 3 whose density reaches the target, in
     order, decided a chunk at a time.  A chunk's loopless and looped rows
-    are decided apart, each kind with its own flat-rank bound k: by
-    `_flats_reach` when the table of flats of rank <= k holds at most
-    FLAT_ENTRIES member entries, else by `_ranks_reach`.  The kernel's
-    largest array holds at most FLAT_BLOCK entries, or one row.
+    are decided apart, each kind with its own flat-rank bound k >= 1 from
+    the pair ks: by `_flats_reach` when the table of flats of rank <= k
+    holds at most FLAT_ENTRIES member entries, else by `_ranks_reach`.
+    The kernel's largest array holds at most FLAT_BLOCK entries, or one row.
     """
     b = e - v + 1
-    ks = [b if k is None else max(k, 1)
-          for k in (_flat_rank_bound(v, e, target, loop)
-                    for loop in (False, True))]
     kernel = [_flat_entries(b, k) <= FLAT_ENTRIES for k in ks]
     width = max([1 << b] + [len(flats) for k, flat in zip(ks, kernel) if flat
                             for flats in _flats(b, k)])
@@ -530,7 +527,7 @@ def search_divergent(
     (`_gen_edge_lists`); each candidate comes with its cycle columns,
     which decide bridgelessness and the density pre-filter before the
     exact density recheck.  The pre-filter bounds the rank k of a reaching
-    flat per layer (v, e), with and without a loop, and weighs every flat
+    flat once per layer (v, e), with and without a loop, and weighs every flat
     of rank <= k, the subspaces of GF(2)^b, for a block of candidates at a
     time (`_flats_reach`); this decides every layer of genus <= 7.  Rows
     whose table of flats has more than FLAT_ENTRIES entries are decided on
@@ -561,11 +558,12 @@ def search_divergent(
         e = v + target_genus - 1
         if e > max_edges:
             break
-        k_bounds = [_flat_rank_bound(v, e, target, loop)
-                    for loop in (False, True)]
-        series = (math.ceil(target)
-                  if None not in k_bounds and max(k_bounds) <= 1 else 0)
-        passers = _density_passes(v, e, target, (
+        # no flat has rank above b = target_genus >= 2
+        ks = [target_genus if k is None else max(k, 1)
+              for k in (_flat_rank_bound(v, e, target, loop)
+                        for loop in (False, True))]
+        series = math.ceil(target) if max(ks) == 1 else 0
+        passers = _density_passes(v, e, target, ks, (
             (ends, cols) for ends, cols in _gen_edge_lists(
                 v, e, bridgeless=True, series=series)
             if _is_bridgeless(cols)

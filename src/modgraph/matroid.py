@@ -3,8 +3,9 @@
 The matroid lives on the edge set of a connected bridgeless multigraph;
 its bases are the complements of spanning trees.  The maximal density m,
 the maximal attaining set T0, the scaled-base-polytope membership test and
-the iterative witness construction are exhaustive scans over all 2^e edge
-bitmasks, capped at 20 edges.  Each scan is an exact integer numpy kernel.
+the witness, the greedy vertex on the least-slack prefix chain, are
+exhaustive scans over all 2^e edge bitmasks, capped at 20 edges.  Each
+scan is an exact integer numpy kernel.
 Rank tables come from one stacked kernel over graphs with one vertex and
 edge count: a matroid's table is its one-row case, and the search builds
 every table in stacks of at most STACK_ENTRIES entries (`_stack_rows`).
@@ -190,7 +191,6 @@ def density(matroid: CographicMatroid) -> DensityCertificate:
     which is rechecked there.
     """
     e = matroid.n_edges
-    _check_size(e)
     [(m, t0_mask)] = _densities(matroid.rank_table()[None])
     return DensityCertificate(
         m=m, t0=frozenset(i for i in range(e) if t0_mask >> i & 1)
@@ -273,48 +273,26 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
 def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     """Constructive witness w >= 1 with w in m*P(M), certifying the threshold.
 
-    Iterative tightening: starting from the all-ones vector, repeatedly pick
-    the smallest edge outside the maximal tight family and raise its
-    coordinate by the largest feasible amount.  The maximal tight set grows
-    strictly, so at most e rounds occur.  The walk runs on int16 values
-    scaled by q, where m = p/q, tracking slack[S] = p*rk(S) - q*phi_S(w),
-    which stays within [0, p*e] (p <= e <= 20, so at most 400).
-    The result is rechecked against the polytope definition before being
-    returned.
+    f(S) = m*rk(S) - |S| is submodular and >= 0, so g(S) = min of f(T)
+    over the supersets T of S is a polymatroid rank function.  Edmonds'
+    greedy algorithm ("Submodular functions, matroids and certain
+    polyhedra", 1970) gives its vertex u on the prefix chain {0..i}:
+    u_i = g({0..i}) - g({0..i-1}), so u >= 0, u(S) <= g(S) <= f(S) and
+    u(E) = f(E), and w = 1 + u lies in m*P(M).  It reads one int16 table
+    slack[S] = p*rk(S) - q*|S| = q*f(S), m = p/q, within [0, p*e] (at most
+    400), and each g({0..i}) is one strided min.  The result is rechecked
+    against the polytope definition before being returned.
     """
     e = matroid.n_edges
     cert = density(matroid)
     m = cert.m
     p, q = m.numerator, m.denominator
-    full = (1 << e) - 1
 
-    w = [q] * e
     slack = np.multiply(matroid.rank_table(), p, dtype=np.int16)
-    slack -= _subset_sums(w, np.int16)
-    # At w = 1 the tight sets are the masks with q|S| = p rk(S), whose
-    # union is the density scan's T0.
-    tight = sum(1 << i for i in cert.t0)
-    if not tight:
-        raise CertificateError("no tight set at the all-ones start")
-    rounds = 0
-    while tight != full:
-        rounds += 1
-        if rounds > e:
-            raise CertificateError("tight family stopped growing")
-        ek = next(i for i in range(e) if not tight >> i & 1)
-        # The masks containing edge ek, as a view of slack.
-        with_ek = slack.reshape(-1, 2, 1 << ek)[:, 1, :]
-        eps = int(with_ek.min())
-        if eps <= 0:
-            raise CertificateError("no positive slack outside the tight family")
-        w[ek] += eps
-        with_ek -= eps
-        [new_tight] = _union(slack[None] == 0).tolist()
-        if new_tight & tight != tight or new_tight == tight:
-            raise CertificateError("tight family stopped growing")
-        tight = new_tight
-
-    witness = tuple(Fraction(x, q) for x in w)
+    slack -= _subset_sums([q] * e, np.int16)
+    # The masks holding the prefix {0..i} are every (2 << i)-th from its own.
+    chain = [0] + [int(slack[(2 << i) - 1::2 << i].min()) for i in range(e)]
+    witness = tuple(Fraction(q + chain[i + 1] - chain[i], q) for i in range(e))
     if any(x < 1 for x in witness):
         raise CertificateError("witness dropped below the all-ones floor")
     if not in_scaled_polytope(matroid, witness, m):

@@ -315,8 +315,7 @@ class TestGenerator:
             e = v + 4
             if 3 * v > 2 * e:
                 continue
-            bounds = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
-            series = 3 if None not in bounds and max(bounds) <= 1 else 0
+            series = 3 if max(_layer_ks(v, e, t)) == 1 else 0
             lists += _gen_edge_lists(v, e, bridgeless=True, series=series)
         assert len(lists) == 5000
         kept = [[list(p) for p in ends] for ends, cols in lists if all(cols)]
@@ -340,9 +339,7 @@ class TestGenerator:
                 full = list(_gen_edge_lists(v, e, bridgeless=True))
                 m = None
                 for t in targets:
-                    bounds = [_flat_rank_bound(v, e, t, loop)
-                              for loop in (False, True)]
-                    if None in bounds or max(bounds) > 1:
+                    if max(_layer_ks(v, e, t)) > 1:
                         continue
                     series = -(-t.numerator // t.denominator)
                     pruned = list(_gen_edge_lists(v, e, bridgeless=True,
@@ -382,13 +379,22 @@ def _exact_densities(v, lists) -> dict:
     return out
 
 
+def _layer_ks(v, e, t):
+    """The flat-rank bounds of layer (v, e) without and with a loop, as
+    `search_divergent` passes them to `_density_passes`: None is mapped to
+    b = e - v + 1, and every bound to at least 1."""
+    return [e - v + 1 if k is None else max(k, 1)
+            for k in (_flat_rank_bound(v, e, t, loop) for loop in (False, True))]
+
+
 def _decided(v, e, t, cands):
     """The passes of `_density_passes` over the candidates (ends, cols) of
     layer (v, e): by its default deciders, and by the rank tables alone."""
-    default = list(_density_passes(v, e, t, iter(cands)))
+    ks = _layer_ks(v, e, t)
+    default = list(_density_passes(v, e, t, ks, iter(cands)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
-        tables = list(_density_passes(v, e, t, iter(cands)))
+        tables = list(_density_passes(v, e, t, ks, iter(cands)))
     return default, tables
 
 
@@ -458,7 +464,8 @@ class TestDensityDecision:
         cols = _cycle_columns(ends, g.n_vertices)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
-            return list(_density_passes(g.n_vertices, g.n_edges, t,
+            v, e = g.n_vertices, g.n_edges
+            return list(_density_passes(v, e, t, _layer_ks(v, e, t),
                                         iter([(ends, cols)]))) == [ends]
 
     def test_matches_without_valence_assumption(self):
@@ -565,10 +572,11 @@ class TestFlatKernel:
             best[rank] = max(best.get(rank, 0), len(subset))
         return best
 
-    def test_matches_brute_force(self, monkeypatch):
+    def test_matches_brute_force(self):
         # random nonzero column multisets, loop and loopless rows mixed in
-        # one chunk, every bound from -1 to 3 and None for either kind; the
-        # kernel alone at each bound, and the chunk's rows split by kind
+        # one chunk, every bound from -1 to 3 and None for either kind,
+        # mapped as `search_divergent` maps them; the kernel alone at each
+        # bound, and the chunk's rows split by kind
         rng = random.Random(83)
         pairs = [(-1, None), (0, 3), (1, 2), (2, 1), (3, 0), (None, -1),
                  (None, None), (2, 3)]
@@ -586,10 +594,8 @@ class TestFlatKernel:
                         for r, loop in enumerate(loops)]
                 best = [self._best_by_rank(cols) for cols in block]
                 for bounds in pairs:
-                    monkeypatch.setattr(modgraph.convergence, "_flat_rank_bound",
-                                        lambda v, e, t, loop: bounds[loop])
-                    ks = [b if bounds[x] is None else max(bounds[x], 1)
-                          for x in loops]
+                    pair = [b if k is None else max(k, 1) for k in bounds]
+                    ks = [pair[x] for x in loops]
                     for t in targets:
                         p, q = t.numerator, t.denominator
                         brute = [any(q * size >= p * rank
@@ -601,7 +607,7 @@ class TestFlatKernel:
                             for r, cols in enumerate(block):
                                 if ks[r] == k:
                                     assert got[r] == brute[r], (cols, k, t)
-                        passes = _density_passes(e - b + 1, e, t,
+                        passes = _density_passes(e - b + 1, e, t, pair,
                                                  zip(ends, block))
                         assert (list(passes)
                                 == list(itertools.compress(ends, brute)))
@@ -677,7 +683,7 @@ class TestFlatKernel:
             if density(CographicMatroid(g)).m >= t:
                 want.append(ends)
         assert 0 < len(want) < len(cands)
-        assert list(_density_passes(v, e, t, iter(cands))) == want
+        assert list(_density_passes(v, e, t, ks, iter(cands))) == want
 
     @pytest.mark.parametrize("block", [1, 100, 1000, 1 << 16])
     def test_passes_in_order_across_chunks(self, monkeypatch, block):

@@ -383,6 +383,39 @@ class TestWitness:
             assert all(type(x) is Fraction for x in cert.witness)
             assert all(type(x.numerator) is int for x in cert.witness)
 
+    @staticmethod
+    def _chain_by_subsets(g, m, masks):
+        """(i + 1) + the minimum of m rk(T) - |T| over the masks T in `masks`
+        holding the prefix {0..i}, for each i, in Fractions."""
+        e = g.n_edges
+        pairs = [set() for _ in range(e + 1)]  # by the longest prefix T holds
+        for t in masks:
+            if ones := (t ^ (t + 1)).bit_length() - 1:
+                pairs[ones].add((rank_by_components(g, t), t.bit_count()))
+        return [i + 1 + min(m * rank - size for held in pairs[i + 1:]
+                            for rank, size in held)
+                for i in range(e)]
+
+    def test_prefix_sums_are_the_least_slack_chain(self):
+        # w({0..i}) = (i + 1) + min of m rk(T) - |T| over T holding {0..i}:
+        # the greedy vertex of that superset minimum, plus the all-ones floor
+        rng = random.Random(29)
+        cases = [(g, range(1 << g.n_edges)) for g in (
+            *(random_bridgeless_multigraph(rng, 6, 10, 10**9) for _ in range(40)),
+            make_doubled_2ngon(5), make_doubled_2ngon(6))]
+        # the banana's parallel edges are interchangeable, so T may be
+        # taken as {0..k-1}, with or without the loop 19
+        banana = graph(2, [(0, 1)] * 19 + [(0, 0)])
+        cases.append((banana, [(1 << k) - 1 | loop << 19
+                               for k in range(20) for loop in (0, 1)]))
+        raised = 0
+        for g, masks in cases:
+            cert = build_witness(CographicMatroid(g))
+            sums = list(itertools.accumulate(cert.witness))
+            assert sums == self._chain_by_subsets(g, cert.m, masks), g.edges
+            raised += any(x > 1 for x in cert.witness)
+        assert raised >= 10
+
     def test_report_is_plain_json(self):
         g = graph(4, fractional_witness_graph().edges + ((2, 3),))
         report = analyze(g).to_json_dict()
