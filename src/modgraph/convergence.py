@@ -156,9 +156,9 @@ def _contract_to_optimal(matroid, cert) -> tuple[frozenset[int], Multigraph]:
 
 
 def _flat_rank_bound(n_vertices: int, n_edges: int, target: Fraction,
-                     has_loop: bool) -> int | None:
-    """Largest rank k of a flat with >= target * k edges under minimum
-    valence 3, or None when no bound holds.
+                     has_loop: bool) -> int:
+    """Bound k, 1 <= k <= b, on the rank of a flat with >= target * k
+    edges under minimum valence 3, on layer (v, e) with or without a loop.
 
     Every density maximizer extends to a flat, and (for target > 1) a
     maximizer never contains a graph loop.  Under minimum valence 3 a
@@ -167,16 +167,18 @@ def _flat_rank_bound(n_vertices: int, n_edges: int, target: Fraction,
     k <= (3v - 6)/(4*target - 6); graphs with loops get the weaker bound
     k <= (v - 2)/(target - 2) (single-vertex components may keep loops and
     pay only their >= 2 non-loop endpoints, which bridgelessness forces).
-    A reaching flat also has target * k <= e, and k <= b.
+    A reaching flat also has target * k <= e, and k <= b, the bound where
+    neither formula applies; one below 1 (no flat reaches) is raised to 1.
     """
     p, q = target.numerator, target.denominator
+    b = n_edges - n_vertices + 1
     if not has_loop and 4 * p > 6 * q:
         k_bound = ((3 * n_vertices - 6) * q) // (4 * p - 6 * q)
     elif has_loop and p > 2 * q:
         k_bound = ((n_vertices - 2) * q) // (p - 2 * q)
     else:
-        return None
-    return min(k_bound, n_edges * q // p, n_edges - n_vertices + 1)
+        return b
+    return max(1, min(k_bound, n_edges * q // p, b))
 
 
 def _flat_entries(b: int, k: int) -> int:
@@ -556,12 +558,7 @@ def search_divergent(
     hits: dict[bytes, tuple[Multigraph, Fraction, int]] = {}
     for v in range(1, max_edges - target_genus + 2):
         e = v + target_genus - 1
-        if e > max_edges:
-            break
-        # no flat has rank above b = target_genus >= 2
-        ks = [target_genus if k is None else max(k, 1)
-              for k in (_flat_rank_bound(v, e, target, loop)
-                        for loop in (False, True))]
+        ks = [_flat_rank_bound(v, e, target, loop) for loop in (False, True)]
         series = math.ceil(target) if max(ks) == 1 else 0
         passers = _density_passes(v, e, target, ks, (
             (ends, cols) for ends, cols in _gen_edge_lists(

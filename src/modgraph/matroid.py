@@ -96,10 +96,17 @@ class CographicMatroid:
     def rank_table(self) -> np.ndarray:
         """Rank of every subset, indexed by bitmask; built once per matroid.
 
-        A read-only int8 array: the one-row case of `_rank_tables`.
+        A read-only int8 array: the one-row case of `_rank_tables`.  Every
+        exhaustive scan reads it, so the MAX_GROUND_SET cap is checked here.
         """
         if self._rank_table is None:
-            _check_size(self.n_edges)
+            if self.n_edges > MAX_GROUND_SET:
+                raise MatroidError(
+                    f"ground set has {self.n_edges} edges; exhaustive scans "
+                    f"are capped at {MAX_GROUND_SET} (contract the graph first)"
+                )
+            if self.n_edges == 0:
+                raise MatroidError("empty ground set")
             rank = _rank_tables(self.graph.n_vertices, [self._ends])[0]
             rank.flags.writeable = False
             self._rank_table = rank
@@ -145,16 +152,6 @@ def _rank_tables(n: int, ends_stack) -> np.ndarray:
     rank = _subset_sums([1] * e, np.int8) - comps[:, ::-1]
     rank += 1
     return rank
-
-
-def _check_size(e: int):
-    if e > MAX_GROUND_SET:
-        raise MatroidError(
-            f"ground set has {e} edges; exhaustive scans are capped at "
-            f"{MAX_GROUND_SET} (contract the graph first)"
-        )
-    if e == 0:
-        raise MatroidError("empty ground set")
 
 
 def _subset_sums(values, dtype) -> np.ndarray:
@@ -248,7 +245,6 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
     """Exact membership of w in t*P(M): 0 <= phi_S(w) <= t*rk(S) for all S,
     with equality phi_E(w) = t*rk(E)."""
     e = matroid.n_edges
-    _check_size(e)
     w = [Fraction(x) for x in w]
     if len(w) != e:
         raise MatroidError("weight vector length must equal the edge count")

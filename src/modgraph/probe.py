@@ -49,13 +49,13 @@ PROBE_MAX_EDGES = 6
 # (3 dimensions, 216 strata), so one stratum always fits in a block
 MAX_SAMPLES = 10_000_000
 # points per integrand call, Monte Carlo or quadrature (at least one
-# quadrature row); bounds the temporaries whatever the samples or nodes
+# quadrature row); bounds the temporaries whatever the samples or rule
 BLOCK_POINTS = 1 << 16
 QUADRATURE_MAX_EDGES = 4
-# Gauss-Legendre nodes per axis; 48^4 = 5.3 million quadrature points,
-# evaluated in blocks of at most BLOCK_POINTS points or one 48^3-point row,
-# into one full-grid buffer (42 MB at 48^4) per exponent
-MAX_NODES = 48
+# Gauss-Legendre nodes per axis of the probe's quadrature: 32^4 = 1 million
+# points in blocks of BLOCK_POINTS, one 8.4 MB full-grid buffer per exponent
+# (model_integral's 48 nodes: 5.3 million points, one-row blocks, 42 MB)
+QUADRATURE_NODES = 32
 DEFAULT_SEED = 53771
 DEFAULT_GRID = (
     math.exp(4.0),
@@ -89,8 +89,7 @@ class ProbeConfig:
     r_grid: tuple[float, ...] = DEFAULT_GRID
     samples: int = 100_000
     seed: int = DEFAULT_SEED
-    method: str = "monte_carlo"  # or "tensor_quadrature"
-    nodes: int = 32  # Gauss-Legendre nodes per axis for quadrature
+    method: str = "monte_carlo"  # or "tensor_quadrature" (QUADRATURE_NODES per axis)
 
     def __post_init__(self):
         if not _is_real(self.s) or not math.isfinite(self.s) or self.s <= 0:
@@ -111,12 +110,8 @@ class ProbeConfig:
             raise ValueError("every grid radius must be >= e (so ln >= 1)")
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ValueError("r_grid must be strictly increasing")
-        for name in ("samples", "nodes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.nodes <= MAX_NODES:
-            raise ValueError(f"nodes must be in 1..{MAX_NODES}, got {self.nodes}")
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1000:
             raise ValueError(f"samples must be at least 1000, got {self.samples}")
         if self.samples > MAX_SAMPLES:
@@ -213,25 +208,23 @@ def _stream_states(seed: int, region: int, strata):
 
     This is numpy's SeedSequence algorithm followed by PCG64's srandom
     step, both stable by NumPy's policy (NEP 19).  The pool mixed from the
-    seed alone is SeedSequence(seed).pool; the spawn key's words (the
-    region's, then the stratum's: one word, as each stratum is below
-    2**32) are then mixed into it, and generate_state hashes the pool into
-    the 128-bit seed and increment.  Only the stratum word varies, so each
-    step runs on uint32 rows with one entry per stratum and wraps modulo
-    2**32 as the C code does.
+    seed and the region is SeedSequence(seed, spawn_key=(region,)).pool;
+    the stratum's word (one, as each stratum is below 2**32) is then mixed
+    into it, and generate_state hashes the pool into the 128-bit seed and
+    increment.  Only the stratum word varies, so each step runs on uint32
+    rows with one entry per stratum and wraps modulo 2**32 as the C code
+    does.
     """
     strata = np.asarray(strata, dtype=np.uint32)
     pool = [np.full(strata.size, word, dtype=np.uint32)
-            for word in np.random.SeedSequence(seed).pool]
-    # mixing the padded seed stepped the hash constant _POOL_SIZE times a word
-    calls = _POOL_SIZE * max(_POOL_SIZE, len(_uint32_words(seed)))
-    hash_const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
-    spawn_words = [np.full_like(strata, w) for w in _uint32_words(region)]
-    for word in spawn_words + [strata]:
-        for dst in range(_POOL_SIZE):
-            hashed, hash_const = _hashed(word, hash_const, _MULT_A)
-            value = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
-            pool[dst] = value ^ (value >> np.uint32(16))
+            for word in np.random.SeedSequence(seed, spawn_key=(region,)).pool]
+    # mixing each padded-seed and region word stepped the hash _POOL_SIZE times
+    mixed = max(_POOL_SIZE, len(_uint32_words(seed))) + len(_uint32_words(region))
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * mixed, 1 << 32) & _MASK32
+    for dst in range(_POOL_SIZE):
+        hashed, hash_const = _hashed(strata, hash_const, _MULT_A)
+        value = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+        pool[dst] = value ^ (value >> np.uint32(16))
     # generate_state(4, np.uint64): eight words hashed from the cycled pool
     hash_const = _INIT_B
     words = np.empty((8, strata.size), dtype=np.uint64)
@@ -403,7 +396,7 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig, *,
         )
     supports = psi_trees(g).supports()
     logs = [math.log(r) for r in cfg.r_grid]
-    rule = (np.polynomial.legendre.leggauss(cfg.nodes)
+    rule = (np.polynomial.legendre.leggauss(QUADRATURE_NODES)
             if cfg.method == "tensor_quadrature" else None)
 
     regions: list[tuple[list[float], list[float]]] = [([0.0] * e, [logs[0]] * e)]

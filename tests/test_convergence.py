@@ -65,6 +65,8 @@ from modgraph.selftest import (
     theta_graph,
 )
 
+from helpers import cap_graph, gf2_rank
+
 
 class TestFamilies:
     def test_ngon(self):
@@ -280,8 +282,8 @@ class TestGenerator:
                     assert series_classes(cols) == series_classes(ref), ends
                     for _ in range(4):
                         subset = [k for k in range(e) if rng.random() < 0.5]
-                        assert (_gf2_rank(cols[k] for k in subset)
-                                == _gf2_rank(ref[k] for k in subset)), ends
+                        assert (gf2_rank(cols[k] for k in subset)
+                                == gf2_rank(ref[k] for k in subset)), ends
                     cases += 1
         assert cases > 1000
 
@@ -315,7 +317,8 @@ class TestGenerator:
             e = v + 4
             if 3 * v > 2 * e:
                 continue
-            series = 3 if max(_layer_ks(v, e, t)) == 1 else 0
+            ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
+            series = 3 if max(ks) == 1 else 0
             lists += _gen_edge_lists(v, e, bridgeless=True, series=series)
         assert len(lists) == 5000
         kept = [[list(p) for p in ends] for ends, cols in lists if all(cols)]
@@ -339,7 +342,8 @@ class TestGenerator:
                 full = list(_gen_edge_lists(v, e, bridgeless=True))
                 m = None
                 for t in targets:
-                    if max(_layer_ks(v, e, t)) > 1:
+                    if max(_flat_rank_bound(v, e, t, loop)
+                           for loop in (False, True)) > 1:
                         continue
                     series = -(-t.numerator // t.denominator)
                     pruned = list(_gen_edge_lists(v, e, bridgeless=True,
@@ -379,33 +383,15 @@ def _exact_densities(v, lists) -> dict:
     return out
 
 
-def _layer_ks(v, e, t):
-    """The flat-rank bounds of layer (v, e) without and with a loop, as
-    `search_divergent` passes them to `_density_passes`: None is mapped to
-    b = e - v + 1, and every bound to at least 1."""
-    return [e - v + 1 if k is None else max(k, 1)
-            for k in (_flat_rank_bound(v, e, t, loop) for loop in (False, True))]
-
-
 def _decided(v, e, t, cands):
     """The passes of `_density_passes` over the candidates (ends, cols) of
     layer (v, e): by its default deciders, and by the rank tables alone."""
-    ks = _layer_ks(v, e, t)
+    ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
     default = list(_density_passes(v, e, t, ks, iter(cands)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
         tables = list(_density_passes(v, e, t, ks, iter(cands)))
     return default, tables
-
-
-def _gf2_rank(vectors) -> int:
-    basis: list[int] = []
-    for x in vectors:
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis.append(x)
-    return len(basis)
 
 
 def _canonical_form(ends, v):
@@ -443,18 +429,24 @@ class TestDensityDecision:
         assert cases > 50
 
     def test_flat_rank_bound_matches_its_formulas(self):
+        # the formula where one applies, capped by e / target and b and
+        # raised to 1, else b: an int in 1..b on every layer of e <= 15
         targets = [Fraction(n, d) for d in (1, 2, 3, 7) for n in range(1, 8 * d)]
-        for v in range(1, 13):
+        targets += [Fraction(7, 4), Fraction(100)]
+        for v in range(1, 16):
             for e in range(v, 16):
+                b = e - v + 1
                 for t in targets:
                     p, q = t.numerator, t.denominator
-                    cap = min(e * q // p, e - v + 1)
-                    free = (min(((3 * v - 6) * q) // (4 * p - 6 * q), cap)
-                            if 4 * p > 6 * q else None)
-                    loop = (min(((v - 2) * q) // (p - 2 * q), cap)
-                            if p > 2 * q else None)
-                    assert _flat_rank_bound(v, e, t, False) == free, (v, e, t)
-                    assert _flat_rank_bound(v, e, t, True) == loop, (v, e, t)
+                    cap = min(e * q // p, b)
+                    free = (max(1, min(((3 * v - 6) * q) // (4 * p - 6 * q), cap))
+                            if 4 * p > 6 * q else b)
+                    looped = (max(1, min(((v - 2) * q) // (p - 2 * q), cap))
+                              if p > 2 * q else b)
+                    for loop, want in ((False, free), (True, looped)):
+                        k = _flat_rank_bound(v, e, t, loop)
+                        assert type(k) is int and k == want, (v, e, t, loop)
+                        assert 1 <= k <= b
 
     @staticmethod
     def _by_rank_tables(g, t):
@@ -465,7 +457,8 @@ class TestDensityDecision:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
             v, e = g.n_vertices, g.n_edges
-            return list(_density_passes(v, e, t, _layer_ks(v, e, t),
+            ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
+            return list(_density_passes(v, e, t, ks,
                                         iter([(ends, cols)]))) == [ends]
 
     def test_matches_without_valence_assumption(self):
@@ -568,7 +561,7 @@ class TestFlatKernel:
         best = {}
         for mask in range(1, 1 << len(cols)):
             subset = [c for i, c in enumerate(cols) if mask >> i & 1]
-            rank = _gf2_rank(subset)
+            rank = gf2_rank(subset)
             best[rank] = max(best.get(rank, 0), len(subset))
         return best
 
@@ -958,17 +951,6 @@ class TestSearchBlocks:
         assert m == Fraction(5, 2)
         with pytest.raises(MatroidError, match=r"bridges \[2\]"):
             _recheck(4, [square, digons], Fraction(1))
-
-
-def cap_graph():
-    """K4 with every edge a 3-path, plus a loop and a pendant bridge:
-    20 edges; the 19-edge core has c = 6."""
-    edges, v = [], 4
-    for a, b in itertools.combinations(range(4), 2):
-        edges += [(a, v), (v, v + 1), (v + 1, b)]
-        v += 2
-    edges += [(0, 0), (1, v)]
-    return Multigraph(tuple((i, 0) for i in range(v + 1)), tuple(edges))
 
 
 def graphs_with_bridges(seed, count):

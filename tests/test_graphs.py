@@ -36,6 +36,8 @@ from modgraph.selftest import (
     theta_graph,
 )
 
+from helpers import cap_graph, gf2_rank
+
 
 def laplacian_tree_count(g):
     """Independent Matrix-Tree oracle: determinant of the reduced Laplacian."""
@@ -432,8 +434,6 @@ class TestSpanningTrees:
             gc.enable()
 
     def test_count_matches_matrix_tree_at_edge_cap(self):
-        from test_convergence import cap_graph
-
         # the 20-edge cap graph has a loop and a pendant bridge
         g = cap_graph()
         assert len(spanning_trees(g)) == laplacian_tree_count(g) == 432
@@ -637,16 +637,6 @@ def kernel_corpus():
     rng = random.Random(31)
     for _ in range(30):
         yield random_connected_multigraph(rng, 8, 12)
-
-
-def gf2_rank(vectors) -> int:
-    basis = []
-    for vec in vectors:
-        for b in basis:
-            vec = min(vec, vec ^ b)
-        if vec:
-            basis.append(vec)
-    return len(basis)
 
 
 class TestCycleColumns:

@@ -36,21 +36,12 @@ from modgraph.selftest import (
     theta_graph,
 )
 
+from helpers import cap_graph
+
+
 def complete_graph(n):
     return parse_graph("\n".join(f"{i} {j}" for i in range(n)
                                  for j in range(i + 1, n)))
-
-
-def cap_graph():
-    """K4 with every edge subdivided into a 3-path (18 edges), one loop
-    (edge 18) and one pendant bridge (edge 19)."""
-    edges, v = [], 4
-    for a in range(4):
-        for b in range(a + 1, 4):
-            edges += [(a, v), (v, v + 1), (v + 1, b)]
-            v += 2
-    edges += [(0, 0), (1, v)]
-    return parse_graph("\n".join(f"{a} {b}" for a, b in edges))
 
 
 class TestKirchhoffPolynomial:

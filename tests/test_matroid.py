@@ -307,6 +307,13 @@ class TestPolytope:
         assert in_scaled_polytope(m, (1, 1, 1), Fraction(3, 2))
         assert not in_scaled_polytope(m, (1, 1, 1), Fraction(4, 3))
 
+    def test_edge_cap(self):
+        # the 20-edge cap holds here through the rank table, which checks it
+        banana = CographicMatroid(Multigraph(((0, 0), (1, 0)), ((0, 1),) * 21))
+        with pytest.raises(MatroidError, match=(
+                r"^ground set has 21 edges; exhaustive scans are capped at 20 "
+                r"\(contract the graph first\)$")):
+            in_scaled_polytope(banana, [1] * 21, Fraction(21, 20))
 
     def test_huge_denominators_stay_exact(self):
         # scaled by 2^70 the coordinates pass 2^62, so the check runs on

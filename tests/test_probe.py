@@ -20,7 +20,6 @@ from modgraph.probe import (
     BLOCK_POINTS,
     DEFAULT_GRID,
     DEFAULT_SEED,
-    MAX_NODES,
     MAX_SAMPLES,
     PROBE_MAX_EDGES,
     GrowthVerdict,
@@ -84,20 +83,10 @@ class TestProbeConfig:
         with pytest.raises(ValueError):
             ProbeConfig(s=1.0, method="laplace")
 
-    @pytest.mark.parametrize("name", ["samples", "nodes"])
     @pytest.mark.parametrize("value", [150_000.0, 32.0, True, "32", None])
-    def test_samples_and_nodes_must_be_int(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            ProbeConfig(s=1.0, **{name: value})
-
-    @pytest.mark.parametrize("nodes", [0, -3, MAX_NODES + 1])
-    def test_nodes_range(self, nodes):
-        with pytest.raises(ValueError, match=f"nodes must be in 1..{MAX_NODES}"):
-            ProbeConfig(s=1.0, method="tensor_quadrature", nodes=nodes)
-
-    def test_nodes_bounds_accepted(self):
-        for nodes in (1, MAX_NODES):
-            assert ProbeConfig(s=1.0, nodes=nodes).nodes == nodes
+    def test_samples_must_be_int(self, value):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            ProbeConfig(s=1.0, samples=value)
 
 
 class TestStreamStates:
@@ -441,7 +430,7 @@ class TestFrozenOutputs:
     # Recorded the same way from the per-stratum implementation, before the
     # stream set-up was batched and the quadrature grid broadcast: a
     # multi-word and a 200-bit seed, seed 0, two points per stratum, and
-    # quadrature at 1 and 2 dimensions and away from 32 nodes.
+    # quadrature at 1 and 2 dimensions.
     CONFIG_GRAPHS = {
         **GRAPHS,
         "loop": lambda: parse_graph('{"edges": [[0, 0]]}'),
@@ -449,7 +438,7 @@ class TestFrozenOutputs:
     }
 
     EXPECTED_CONFIG = {
-        ("monte_carlo", "theta", 1.5, 2**64 + 3, 100_000, 32): GrowthVerdict(
+        ("monte_carlo", "theta", 1.5, 2**64 + 3, 100_000): GrowthVerdict(
             values=(
                 7.513211660099237, 17.380778649066155, 28.895731813435177,
                 41.094303236594456,
@@ -463,7 +452,7 @@ class TestFrozenOutputs:
             verdict="diverging",
             decay_ratio=1.0593678714131114,
         ),
-        ("monte_carlo", "theta", 2.0, 2**200 + 7, 100_000, 32): GrowthVerdict(
+        ("monte_carlo", "theta", 2.0, 2**200 + 7, 100_000): GrowthVerdict(
             values=(
                 0.6849368855733609, 0.8241855107507763, 0.8556439958922766,
                 0.8616517960743569,
@@ -477,7 +466,7 @@ class TestFrozenOutputs:
             verdict="saturating",
             decay_ratio=0.19097550804043192,
         ),
-        ("monte_carlo", "K4", 2.5, 0, 100_000, 32): GrowthVerdict(
+        ("monte_carlo", "K4", 2.5, 0, 100_000): GrowthVerdict(
             values=(
                 0.04713890014908858, 0.06213610054620382, 0.06421396328311789,
                 0.06440171226416955,
@@ -493,7 +482,7 @@ class TestFrozenOutputs:
             verdict="saturating",
             decay_ratio=0.09035677752731969,
         ),
-        ("monte_carlo", "K4", 2.0, 1, 1000, 32): GrowthVerdict(
+        ("monte_carlo", "K4", 2.0, 1, 1000): GrowthVerdict(
             values=(
                 3.6459666781615403, 13.247223559233765, 25.83585372216313,
                 39.58945351827013,
@@ -507,7 +496,7 @@ class TestFrozenOutputs:
             verdict="diverging",
             decay_ratio=1.0925414138075333,
         ),
-        ("tensor_quadrature", "loop", 1.5, None, 100_000, 32): GrowthVerdict(
+        ("tensor_quadrature", "loop", 1.5, None, 100_000): GrowthVerdict(
             values=(
                 1.7293294335267753, 1.9004258632642728, 1.9633687222225322,
                 1.9865241060018297,
@@ -518,7 +507,7 @@ class TestFrozenOutputs:
             verdict="saturating",
             decay_ratio=0.3678794411714423,
         ),
-        ("tensor_quadrature", "banana2", 1.5, None, 100_000, 32): GrowthVerdict(
+        ("tensor_quadrature", "banana2", 1.5, None, 100_000): GrowthVerdict(
             values=(
                 12.195665973147761, 41.60551125512068, 122.34782539861999,
                 342.1237603032225,
@@ -529,37 +518,15 @@ class TestFrozenOutputs:
             verdict="diverging",
             decay_ratio=2.7219424812868955,
         ),
-        ("tensor_quadrature", "theta", 1.75, None, 100_000, 20): GrowthVerdict(
-            values=(
-                2.11522575309256, 3.2079906781312344, 3.7472144514475403,
-                3.977050799098911,
-            ),
-            stderrs=(0.0, 0.0, 0.0, 0.0),
-            increments=(1.0927649250386742, 0.5392237733163057, 0.22983634765137068),
-            ratios=(0.4934490126476396, 0.4262355612361882),
-            verdict="saturating",
-            decay_ratio=0.4262355612361882,
-        ),
-        ("tensor_quadrature", "banana4", 4 / 3, None, 100_000, 16): GrowthVerdict(
-            values=(
-                23.716545630019112, 76.83193003980269, 155.91233110922775,
-                251.42766263523237,
-            ),
-            stderrs=(0.0, 0.0, 0.0, 0.0),
-            increments=(53.11538440978357, 79.08040106942505, 95.51533152600463),
-            ratios=(1.4888417348036525, 1.2078255830057218),
-            verdict="diverging",
-            decay_ratio=1.2078255830057218,
-        ),
     }
 
     @pytest.mark.parametrize(
         "key", list(EXPECTED_CONFIG), ids=lambda k: "-".join(map(str, k))
     )
     def test_bit_identical_config(self, key):
-        method, name, s, seed, samples, nodes = key
+        method, name, s, seed, samples = key
         seed = DEFAULT_SEED if seed is None else seed
-        cfg = ProbeConfig(s=s, method=method, seed=seed, samples=samples, nodes=nodes)
+        cfg = ProbeConfig(s=s, method=method, seed=seed, samples=samples)
         assert truncated_J(self.CONFIG_GRAPHS[name](), cfg) == self.EXPECTED_CONFIG[key]
 
     # model_integral's sum mode at non-integer s: 48-node quadrature
@@ -682,10 +649,10 @@ class TestReferenceKernels:
 
     @pytest.mark.parametrize("method", ["monte_carlo", "tensor_quadrature"])
     def test_s_values_match_separate_calls(self, method):
-        cfg = ProbeConfig(s=9.0, method=method, nodes=12, samples=2000)
+        cfg = ProbeConfig(s=9.0, method=method, samples=2000)
         exponents = (1.5, 1.0, 2.0)
         assert truncated_J(theta_graph(), cfg, s_values=exponents) == tuple(
-            truncated_J(theta_graph(), ProbeConfig(s=s, method=method, nodes=12,
+            truncated_J(theta_graph(), ProbeConfig(s=s, method=method,
                                                    samples=2000))
             for s in exponents)
 
@@ -740,14 +707,14 @@ class TestBlocks:
         # 48^4 points: one float64 buffer is 42 MB; the grid itself, or a
         # second full-grid temporary, would take the peak past twice that
         supports = psi_trees(make_ngon(4)).supports()
-        rule = np.polynomial.legendre.leggauss(MAX_NODES)
+        rule = np.polynomial.legendre.leggauss(48)  # model_integral's rule
         tracemalloc.start()
         try:
             _gl_region(supports, (2.5,), [0.0] * 4, [4.0] * 4, rule)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * MAX_NODES**4 * 8
+        assert peak < 2 * 48**4 * 8
 
 
 class TestSValues:
