@@ -20,16 +20,17 @@ configuration, not truth.
 
 Each Monte Carlo stratum still draws from its own stream, PCG64 seeded by
 SeedSequence(seed, spawn_key=(region, stratum)); only the set-up is
-batched: the states of all strata of a region are derived in one numpy
-pass (_stream_states) and the strata are evaluated in bounded blocks (see
-_mc_region).  The points depend on the seed, the grid and the sample count
-but not on s, so truncated_J(..., s_values=...) draws and evaluates them
-once for several exponents, and analyze --probe takes c and c + 1/2 from
-one pass.  Tensor quadrature builds its Gauss-Legendre rule once per probe
-and evaluates the grid from its per-axis coordinates in blocks of at most
-BLOCK_POINTS points (one leading-axis row when a row is larger), for all
-exponents at once; its memory is one full-grid buffer per exponent (see
-_gl_region).
+batched: a copy of SeedSequence's hash derives the seed words of all
+strata of a region in one numpy pass, numpy's PCG64 seeds itself from them
+through the ISeedSequence interface, and the strata are evaluated in
+bounded blocks, one row per variable (see _mc_region).  The points depend
+on the seed, the grid and the sample count but not on s, so
+truncated_J(..., s_values=...) draws and evaluates them once for several
+exponents, and analyze --probe takes c and c + 1/2 from one pass.  Tensor
+quadrature builds its Gauss-Legendre rule once per probe and evaluates the
+grid from its per-axis coordinates in blocks of at most BLOCK_POINTS
+points (one leading-axis row when a row is larger), for all exponents at
+once; its memory is one full-grid buffer per exponent (see _gl_region).
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ DEFAULT_GRID = (
     math.exp(10.0),
 )
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
-# PCG64 multiplier (O'Neill 2014), for _stream_states
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for
+# _stream_states
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -74,8 +75,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _is_real(x) -> bool:
@@ -186,13 +185,9 @@ def _strata_per_axis(dim: int) -> int:
     return max(1, int(round(256 ** (1.0 / dim))))
 
 
-def _uint32_words(n: int) -> list[int]:
-    # SeedSequence's coercion of a non-negative int: little-endian 32-bit words
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _n_words(n: int) -> int:
+    # the 32-bit words of SeedSequence's coercion of a non-negative int
+    return max(1, -(-n.bit_length() // 32))
 
 
 def _hashed(value, const: int, mult: int):
@@ -202,24 +197,25 @@ def _hashed(value, const: int, mult: int):
     return value ^ (value >> np.uint32(16)), nxt
 
 
-def _stream_states(seed: int, region: int, strata):
-    """PCG64 (state, inc) of SeedSequence(seed, spawn_key=(region, k)) for
-    every k in strata, as two lists of ints, derived in one pass.
+def _stream_states(seed: int, region: int, strata) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(region, k)).generate_state(4, np.uint64)
+    for every k in strata, as the columns of one (4, len(strata)) uint64
+    array, derived in one pass.
 
-    This is numpy's SeedSequence algorithm followed by PCG64's srandom
-    step, both stable by NumPy's policy (NEP 19).  The pool mixed from the
-    seed and the region is SeedSequence(seed, spawn_key=(region,)).pool;
-    the stratum's word (one, as each stratum is below 2**32) is then mixed
-    into it, and generate_state hashes the pool into the 128-bit seed and
-    increment.  Only the stratum word varies, so each step runs on uint32
-    rows with one entry per stratum and wraps modulo 2**32 as the C code
-    does.
+    This is numpy's SeedSequence algorithm, stable by NumPy's policy
+    (NEP 19).  The pool mixed from the seed and the region is
+    SeedSequence(seed, spawn_key=(region,)).pool; the stratum's word (one,
+    as each stratum is below 2**32) is then mixed into it, and
+    generate_state hashes the pool into the words.  Only the stratum word
+    varies, so each step runs on uint32 rows with one entry per stratum and
+    wraps modulo 2**32 as the C code does.
     """
+    np.random.bit_generator.ISeedSequence.register(_StreamWords)
     strata = np.asarray(strata, dtype=np.uint32)
     pool = [np.full(strata.size, word, dtype=np.uint32)
             for word in np.random.SeedSequence(seed, spawn_key=(region,)).pool]
     # mixing each padded-seed and region word stepped the hash _POOL_SIZE times
-    mixed = max(_POOL_SIZE, len(_uint32_words(seed))) + len(_uint32_words(region))
+    mixed = max(_POOL_SIZE, _n_words(seed)) + _n_words(region)
     hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * mixed, 1 << 32) & _MASK32
     for dst in range(_POOL_SIZE):
         hashed, hash_const = _hashed(strata, hash_const, _MULT_A)
@@ -230,12 +226,20 @@ def _stream_states(seed: int, region: int, strata):
     words = np.empty((8, strata.size), dtype=np.uint64)
     for i in range(8):
         words[i], hash_const = _hashed(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-    seed64 = (words[0::2] | (words[1::2] << np.uint64(32))).astype(object)
-    # pcg64_set_seed: the first uint64 is the high half of each 128-bit value
-    init_state = (seed64[0] << 64) | seed64[1]
-    inc = (((seed64[2] << 64) | seed64[3]) << 1 | 1) & _MASK128
-    state = ((inc + init_state) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
+    return words[0::2] | (words[1::2] << np.uint64(32))
+
+
+@dataclass
+class _StreamWords:
+    """One stratum's _stream_states words, one contiguous row (PCG64 reads
+    generate_state(4, np.uint64) from the array's data), for np.random.PCG64
+    to seed itself from.  _stream_states registers it as an ISeedSequence;
+    subclassing that would load numpy.random whenever modgraph is imported."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
@@ -245,14 +249,16 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
     Each stratum draws its points from its own stream, PCG64 seeded by
     SeedSequence(seed, spawn_key=(region_index, stratum)), so the estimate
     is reproducible for a given seed regardless of evaluation order or
-    worker count.  The streams' states are derived for all strata at once
-    (_stream_states) and loaded into one reused generator; each stratum's
-    draws are mapped to its cell as cell_lo + span * r, the operations of
-    Generator.uniform.  Strata are evaluated in blocks of at most
-    BLOCK_POINTS points, one integrand call per block for all exponents,
-    and their means and variances enter each exponent's totals in stratum
-    order, so the result does not depend on the block size or on the other
-    exponents.
+    worker count; each stratum's PCG64 seeds itself from its _stream_states
+    words.  Strata are evaluated in blocks of at most BLOCK_POINTS points,
+    one integrand call per block for all exponents.  Each stratum draws its
+    (per, dim) rows of the block's point-major buffer, which is mapped to
+    its cells as cell_lo + span * r, the operations of Generator.uniform,
+    into a variable-major (dim, count, per) array, one row of points per
+    variable, whose rows are added left to right as numpy's row sum of the
+    points does.  Each stratum's mean and variance (numpy's mean and
+    var(ddof=1)) enter each exponent's totals in stratum order, so the
+    result does not depend on the block size or on the other exponents.
     """
     dim = len(lo)
     splits = _strata_per_axis(dim)
@@ -262,45 +268,38 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
     lo = np.asarray(lo, dtype=float)
     widths = (np.asarray(hi, dtype=float) - lo) / splits
     # digit d of a stratum's index in base `splits` is its cell along axis d
-    k = np.arange(n_strata)[:, None] // splits ** np.arange(dim) % splits
-    cell_lo = lo + k * widths
-    span = lo + (k + 1) * widths - cell_lo
-    vols = span[:, 0].copy()  # left to right, as math.prod
-    for d in range(1, dim):
-        vols *= span[:, d]
-    states, incs = _stream_states(seed, region_index, range(n_strata))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    totals = [0.0] * len(s_values)
-    var_totals = [0.0] * len(s_values)
+    k = np.arange(n_strata) // splits ** np.arange(dim)[:, None] % splits
+    cell_lo = lo[:, None] + k * widths[:, None]
+    span = lo[:, None] + (k + 1) * widths[:, None] - cell_lo
+    vols = span.prod(axis=0)  # rows multiplied left to right, as math.prod
+    words = np.ascontiguousarray(_stream_states(seed, region_index, range(n_strata)).T)
+    means, variances = np.empty((2, len(s_values), n_strata))
 
-    def moments(f):  # the mean and variance of each stratum in the block
+    def moments(f):  # numpy's mean and var(ddof=1) of each stratum; overwrites f
         f = f.reshape(-1, per)
-        return f.mean(axis=1).tolist(), f.var(axis=1, ddof=1).tolist()
+        mean = f.sum(axis=1) / per
+        np.square(np.subtract(f, mean[:, None], out=f), out=f)
+        return mean, f.sum(axis=1) / (per - 1)
 
     for first in range(0, n_strata, block):
         count = min(block, n_strata - first)
         u = np.empty((count, per, dim))
-        for i in range(count):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": states[first + i], "inc": incs[first + i]},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.random(out=u[i])
-        u *= span[first : first + count, None, :]
-        u += cell_lo[first : first + count, None, :]
-        flat = u.reshape(count * per, dim)
-        ys = flat.T.copy()
+        part = slice(first, first + count)
+        for row, out in zip(words[part], u):
+            np.random.Generator(np.random.PCG64(_StreamWords(row))).random(out=out)
+        ys = np.multiply(u.transpose(2, 0, 1), span[:, part, None], order="C")
+        ys += cell_lo[:, part, None]
+        usum = ys[0].copy()
+        for d in range(1, dim):
+            usum += ys[d]
         np.exp(ys, out=ys)
-        stats = _integrand(supports, s_values, flat.sum(axis=1), ys, moments)
-        block_vols = vols[first : first + count].tolist()
-        for j, (means, variances) in enumerate(stats):
-            for vol, mean, var in zip(block_vols, means, variances):
-                totals[j] += vol * mean
-                var_totals[j] += vol * vol * var / per
-    return [(total, math.sqrt(var)) for total, var in zip(totals, var_totals)]
+        stats = _integrand(supports, s_values, usum.ravel(), ys, moments)
+        del u, ys, usum  # freed before the next block's are formed
+        means[:, part], variances[:, part] = zip(*stats)
+    # accumulate adds in stratum order, where np.sum would add pairwise
+    totals = np.add.accumulate(vols * means, axis=1)[:, -1]
+    errs = np.sqrt(np.add.accumulate(vols * vols * variances / per, axis=1)[:, -1])
+    return list(zip(totals.tolist(), errs.tolist()))
 
 
 def _gl_region(supports, s_values, lo, hi, rule):

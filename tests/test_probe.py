@@ -90,7 +90,7 @@ class TestProbeConfig:
 
 
 class TestStreamStates:
-    """The batched stream derivation against numpy's own seeding."""
+    """The batched seed-word derivation against numpy's own seeding."""
 
     SEEDS = [0, 1, 53771, 2**32 - 1, 2**32, 2**40 + 5, 2**96 + 3,
              (1 << 199) + 0x5DEECE66D]
@@ -100,11 +100,15 @@ class TestStreamStates:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_numpy(self, seed):
         for region in self.REGIONS:
-            states, incs = _stream_states(seed, region, self.STRATA)
-            for k, state, inc in zip(self.STRATA, states, incs):
+            words = _stream_states(seed, region, self.STRATA)
+            assert words.shape == (4, len(self.STRATA))
+            assert words.dtype == np.uint64
+            # one contiguous row per stratum, as _mc_region hands them on
+            for k, row in zip(self.STRATA, np.ascontiguousarray(words.T)):
                 seq = np.random.SeedSequence(seed, spawn_key=(region, k))
-                expected = np.random.PCG64(seq).state["state"]
-                assert (state, inc) == (expected["state"], expected["inc"])
+                assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+                assert (np.random.PCG64(probe._StreamWords(row)).state
+                        == np.random.PCG64(seq).state)
 
 
 class TestTruncatedJ:
@@ -599,10 +603,12 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("dim", range(1, PROBE_MAX_EDGES + 1))
     @pytest.mark.parametrize("samples, seed, region", [
         (1000, 0, 0), (5000, 2**64 + 3, 7), (3000, (1 << 199) + 1, 2**33 + 1),
-    ], ids=["one-word-seed", "three-word-seed", "seven-word-seed"])
+        (150_000, 2**40 + 5, 18),
+    ], ids=["one-word-seed", "three-word-seed", "seven-word-seed", "multi-block"])
     def test_monte_carlo(self, dim, samples, seed, region):
         # several exponents on one set of points, each equal to the reference
-        # at that exponent; 1.0 takes numpy's reciprocal path for ** -1.0
+        # at that exponent; 1.0 takes numpy's reciprocal path for ** -1.0.
+        # At 150,000 samples every dim spans three blocks, the last partial.
         supports, lo, hi = self._case(dim, samples)
         exponents = (1.7, 1.0, 2.6)
         args = (lo, hi, samples, seed, region)
@@ -715,6 +721,22 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 48**4 * 8
+
+    @pytest.mark.parametrize("dim, graph", [(1, None), (3, theta_graph),
+                                            (6, k4_graph)])
+    def test_monte_carlo_memory_is_a_few_blocks(self, dim, graph):
+        # the point buffer and the variable-major block are dim block-sized
+        # arrays each, the integrand's temporaries a few more; one buffer of
+        # the region's points (480 MB at dim 6) would be far past the bound
+        supports = psi_trees(graph()).supports() if graph else [(0,)]
+        tracemalloc.start()
+        try:
+            probe._mc_region(supports, (2.0, 3.0), [0.0] * dim, [1.0] * dim,
+                             MAX_SAMPLES, 5, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * dim + 6) * BLOCK_POINTS * 8
 
 
 class TestSValues:
