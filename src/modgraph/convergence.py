@@ -2,9 +2,10 @@
 
 The threshold c of a connected graph is the maximal density of the
 cographic matroid of its bridgeless core, certified by a maximizing edge
-set and a polytope witness.  Every graph contracts onto an "optimal" one
-with e/b equal to the same threshold; the contraction is read off the
-maximal density-attaining set and rechecked exactly.
+set and a polytope witness, both from one rank table per block of the
+core.  Every graph contracts onto an "optimal" one with e/b equal to the
+same threshold; the contraction is read off the maximal density-attaining
+set and rechecked exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .graphs import (
     Multigraph,
     betti,
     bridges,
+    component_count,
     contract_edges,
     delete_edges,
     genus,
@@ -29,15 +31,15 @@ from .graphs import (
 from .kirchhoff import KirchhoffPolynomial, psi_from_graph
 from .matroid import (
     CertificateError,
-    CographicMatroid,
     DensityCertificate,
     MatroidError,
+    _blocks,
     _densities,
     _rank_tables,
     _stack_rows,
     _subset_sums,
-    build_witness,
-    density,
+    _sum_density,
+    _sum_witness,
 )
 
 SEARCH_MAX_EDGES = 15
@@ -103,30 +105,28 @@ def optimal_contraction(g: Multigraph) -> tuple[frozenset[int], Multigraph]:
     (same threshold, threshold = edge count / Betti number) is recomputed
     from scratch and a failure raises CertificateError.
     """
-    matroid = CographicMatroid(g)
-    return _contract_to_optimal(matroid, density(matroid))
+    return _contract_to_optimal(g, _sum_density(_blocks(g)))
 
 
 @dataclass(frozen=True)
 class _Core:
-    """One graph's bridgeless core, its input-to-core edge map, its matroid
-    (one rank table) and its threshold certificate in core edge ids."""
+    """One graph's bridgeless core, its input-to-core edge map and its
+    threshold certificate in core edge ids, from one rank table per block
+    of the core."""
 
     graph: Multigraph
     edge_map: dict[int, int]
-    matroid: CographicMatroid
     certificate: DensityCertificate
 
 
 def _core(g: Multigraph, bridge_ids) -> _Core:
     core, edge_map = contract_edges(g, bridge_ids)
-    matroid = CographicMatroid(core)
-    return _Core(core, edge_map, matroid, build_witness(matroid))
+    return _Core(core, edge_map, _sum_witness(_blocks(core)))
 
 
-def _contract_to_optimal(matroid, cert) -> tuple[frozenset[int], Multigraph]:
-    """optimal_contraction of matroid.graph, given its density certificate."""
-    g = matroid.graph
+def _contract_to_optimal(g: Multigraph,
+                         cert) -> tuple[frozenset[int], Multigraph]:
+    """optimal_contraction of g, given its density certificate."""
     contracted = frozenset(range(g.n_edges)) - cert.t0
     loops = frozenset(e for e in contracted if g.is_loop(e))
     trimmed, del_map = delete_edges(g, loops)
@@ -135,13 +135,14 @@ def _contract_to_optimal(matroid, cert) -> tuple[frozenset[int], Multigraph]:
     )
     if reduced.n_edges != len(cert.t0):
         raise CertificateError("contraction did not leave exactly T0")
-    if betti(reduced) != matroid.corank(cert.t0):
+    # the matroid rank of T0: |T0| - components(g - T0) + 1
+    if betti(reduced) != len(cert.t0) - component_count(g, cert.t0) + 1:
         raise CertificateError("contraction changed the matroid rank of T0")
     try:
-        reduced_matroid = CographicMatroid(reduced)
+        blocks = _blocks(reduced)
     except MatroidError:
         raise CertificateError("optimal contraction produced a bridge") from None
-    c_bar = density(reduced_matroid).m
+    c_bar = _sum_density(blocks).m
     if c_bar != cert.m:
         raise CertificateError(
             f"threshold changed under contraction: {cert.m} -> {c_bar}"
@@ -751,7 +752,7 @@ def analyze(g: Multigraph, with_probe: bool = False,
             "determinant and spanning-tree routes disagree on the Kirchhoff "
             "polynomial"
         )
-    contracted_core, gbar = _contract_to_optimal(core.matroid, cert)
+    contracted_core, gbar = _contract_to_optimal(core.graph, cert)
     inv_map = {new: old for old, new in core.edge_map.items()}
     contracted_original = tuple(sorted(inv_map[e] for e in contracted_core))
 

@@ -259,6 +259,30 @@ def _cycle_columns(ends, n_vertices) -> list[int] | None:
     return cols
 
 
+def _components(cols) -> list[tuple[int, ...]]:
+    """The classes of the column indices whose supports overlap, directly
+    or through a chain: ascending ids per class, classes by smallest id.
+
+    For the cycle columns of `_cycle_columns`, a basis matrix [I | A] of
+    the cographic matroid, these are its connected components, the edge
+    sets of the graph's blocks: a zero column (a bridge) and a loop's
+    column, whose bit no other column holds, are classes of their own.
+    Each class is held as the OR of its columns; a column merges every
+    class it meets.
+    """
+    classes: list[tuple[int, list[int]]] = []
+    for k, col in enumerate(cols):
+        ids, apart = [k], []
+        for mask, members in classes:
+            if mask & col:
+                col |= mask
+                ids += members
+            else:
+                apart.append((mask, members))
+        classes = apart + [(col, ids)]
+    return sorted(tuple(sorted(ids)) for _, ids in classes)
+
+
 def bridges(g: Multigraph) -> frozenset[int]:
     """Edge ids whose deletion disconnects the graph; loops never qualify.
 

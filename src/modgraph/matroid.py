@@ -6,6 +6,11 @@ the maximal attaining set T0, the scaled-base-polytope membership test and
 the witness, the greedy vertex on the least-slack prefix chain, are
 exhaustive scans over all 2^e edge bitmasks, capped at 20 edges.  Each
 scan is an exact integer numpy kernel.
+The matroid of a graph is the direct sum of its blocks' matroids
+(`_blocks`), so the threshold's certificate (`_sum_witness`) runs every
+scan per block, over one table of 2^e_i masks for each block's e_i edges;
+the cap still holds on the whole ground set, and a graph of one block is
+scanned whole, as `build_witness` scans any matroid.
 Rank tables come from one stacked kernel over graphs with one vertex and
 edge count: a matroid's table is its one-row case, and the search builds
 every table in stacks of at most STACK_ENTRIES entries (`_stack_rows`).
@@ -40,7 +45,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .graphs import Multigraph, _ends, _kruskal, bridges
+from .graphs import (
+    Multigraph,
+    _components,
+    _cycle_columns,
+    _ends,
+    _kruskal,
+    bridges,
+)
 
 MAX_GROUND_SET = 20
 # Rank-table entries (graphs x 2^e) of every stacked `_rank_tables` call
@@ -100,17 +112,47 @@ class CographicMatroid:
         exhaustive scan reads it, so the MAX_GROUND_SET cap is checked here.
         """
         if self._rank_table is None:
-            if self.n_edges > MAX_GROUND_SET:
-                raise MatroidError(
-                    f"ground set has {self.n_edges} edges; exhaustive scans "
-                    f"are capped at {MAX_GROUND_SET} (contract the graph first)"
-                )
-            if self.n_edges == 0:
-                raise MatroidError("empty ground set")
+            _check_ground_set(self.n_edges)
             rank = _rank_tables(self.graph.n_vertices, [self._ends])[0]
             rank.flags.writeable = False
             self._rank_table = rank
         return self._rank_table
+
+
+def _check_ground_set(n_edges: int):
+    """Raise unless the exhaustive scans may run over n_edges edges."""
+    if n_edges > MAX_GROUND_SET:
+        raise MatroidError(
+            f"ground set has {n_edges} edges; exhaustive scans "
+            f"are capped at {MAX_GROUND_SET} (contract the graph first)"
+        )
+    if n_edges == 0:
+        raise MatroidError("empty ground set")
+
+
+def _blocks(g: Multigraph) -> list[tuple[tuple[int, ...], CographicMatroid]]:
+    """The connected components of the cographic matroid of g, one per
+    block of g (`_components` of its cycle columns), by smallest edge id:
+    each block's edge ids, ascending, and the matroid of those edges on a
+    copy of g's block, its vertices renumbered in order of first use.
+
+    A g of one block is its own component and gets no copy.  The edge cap
+    holds on g's whole ground set, which no block's table would check.
+    """
+    matroid = CographicMatroid(g)
+    blocks = _components(_cycle_columns(matroid._ends, g.n_vertices))
+    if len(blocks) == 1:
+        return [(blocks[0], matroid)]
+    _check_ground_set(g.n_edges)
+    out = []
+    for ids in blocks:
+        index: dict[int, int] = {}
+        ends = tuple((index.setdefault(a, len(index)),
+                      index.setdefault(b, len(index)))
+                     for a, b in (matroid._ends[i] for i in ids))
+        block = Multigraph(tuple((v, 0) for v in range(len(index))), ends)
+        out.append((ids, CographicMatroid(block)))
+    return out
 
 
 def _stack_rows(e: int) -> int:
@@ -269,6 +311,45 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
 def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     """Constructive witness w >= 1 with w in m*P(M), certifying the threshold.
 
+    The greedy vertex of `_witness` at m = density(matroid), over the
+    matroid's whole table: the one-block case of `_sum_witness`.
+    """
+    return _sum_witness([(tuple(range(matroid.n_edges)), matroid)])
+
+
+def _sum_density(blocks) -> DensityCertificate:
+    """m and T0 of the direct sum of `_blocks`, in the whole ground set's
+    edge ids, from one density scan per block.
+
+    m is the largest m of a block, since sum |S_i| / sum rk(S_i) <= max
+    |S_i| / rk(S_i), and T0 is the union of the T0 of the blocks that
+    attain it (Oxley, "Matroid Theory", 2nd ed., 2011, on direct sums).
+    """
+    certs = [density(matroid) for _, matroid in blocks]
+    m = max(cert.m for cert in certs)
+    return DensityCertificate(m=m, t0=frozenset(
+        ids[i] for (ids, _), cert in zip(blocks, certs) if cert.m == m
+        for i in cert.t0))
+
+
+def _sum_witness(blocks) -> DensityCertificate:
+    """`_sum_density` with the witness: each block's `_witness` at the
+    global m.  f(S) = m*rk(S) - |S| and its superset minimum g are sums
+    over the blocks, so the greedy vertex along the whole prefix chain is
+    each block's along its induced edge order, and w lies in m*P(M),
+    the product of the blocks' m*P(M_i), when each part lies in its own.
+    """
+    cert = _sum_density(blocks)
+    witness: dict[int, Fraction] = {}
+    for ids, matroid in blocks:
+        witness.update(zip(ids, _witness(matroid, cert.m)))
+    return DensityCertificate(m=cert.m, t0=cert.t0,
+                              witness=tuple(x for _, x in sorted(witness.items())))
+
+
+def _witness(matroid: CographicMatroid, m: Fraction) -> tuple[Fraction, ...]:
+    """Witness w >= 1 in m*P(M) for any m at least the matroid's density.
+
     f(S) = m*rk(S) - |S| is submodular and >= 0, so g(S) = min of f(T)
     over the supersets T of S is a polymatroid rank function.  Edmonds'
     greedy algorithm ("Submodular functions, matroids and certain
@@ -280,10 +361,7 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     against the polytope definition before being returned.
     """
     e = matroid.n_edges
-    cert = density(matroid)
-    m = cert.m
     p, q = m.numerator, m.denominator
-
     slack = np.multiply(matroid.rank_table(), p, dtype=np.int16)
     slack -= _subset_sums([q] * e, np.int16)
     # The masks holding the prefix {0..i} are every (2 << i)-th from its own.
@@ -293,7 +371,7 @@ def build_witness(matroid: CographicMatroid) -> DensityCertificate:
         raise CertificateError("witness dropped below the all-ones floor")
     if not in_scaled_polytope(matroid, witness, m):
         raise CertificateError("witness failed the scaled-polytope recheck")
-    return DensityCertificate(m=m, t0=cert.t0, witness=witness)
+    return witness
 
 
 def cover_lp_oracle(g: Multigraph) -> Fraction:

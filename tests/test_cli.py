@@ -107,6 +107,33 @@ class TestAnalyze:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "21 edges" in err
 
+    def test_separable_core_over_cap_exits_1_before_kirchhoff(
+            self, tmp_path, capsys, monkeypatch):
+        # the cap core plus two loops at vertex 0: 21 edges in blocks of
+        # 18, 1, 1 and 1, each under the cap; the cap holds on the core
+        import modgraph.convergence as convergence
+        from modgraph import MatroidError, Multigraph, analyze
+        from modgraph.selftest import cap_core_graph
+
+        def unreachable(g):
+            raise AssertionError("Kirchhoff routes ran on an oversize core")
+
+        monkeypatch.setattr(convergence, "psi_from_graph", unreachable)
+        core = cap_core_graph()
+        g = Multigraph(core.vertices, core.edges + ((0, 0),) * 2)
+        message = ("ground set has 21 edges; exhaustive scans are capped at "
+                   "20 (contract the graph first)")
+        with pytest.raises(MatroidError) as caught:
+            analyze(g)
+        assert str(caught.value) == message
+        path = tmp_path / "cap21.json"
+        path.write_text(json.dumps(g.to_json_dict()))
+        assert main(["analyze", str(path), "--max-edges", "21"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
     def test_byte_identical_reruns(self, files, capsys):
         main(["analyze", files["p3.txt"], "--probe"])
         first = capsys.readouterr().out

@@ -5,7 +5,6 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,13 +155,13 @@ class TestOptimalContraction:
         assert betti(gbar) == 1
 
     def test_bridge_in_reduced_graph_is_a_certificate_error(self):
-        # a stub matroid on a bridged graph, as if the contraction had
-        # produced the bridge
+        # a bridged graph with T0 = E: nothing is contracted, so the
+        # reduced graph keeps the bridge, as if the contraction had
+        # produced it
         g = parse_graph("0 1\n0 1\n1 2")
-        stub = SimpleNamespace(graph=g, corank=lambda subset: betti(g))
         cert = DensityCertificate(Fraction(3), frozenset(range(3)))
         with pytest.raises(CertificateError, match="produced a bridge"):
-            _contract_to_optimal(stub, cert)
+            _contract_to_optimal(g, cert)
 
     def test_c_preserved_random(self):
         rng = random.Random(67)
@@ -970,14 +969,20 @@ def graphs_with_bridges(seed, count):
 class TestAnalyze:
     def test_core_built_once(self, monkeypatch):
         g = cap_graph()
-        builds = []
-        init = CographicMatroid.__init__
+        builds, tables = [], []
+        init, table = CographicMatroid.__init__, CographicMatroid.rank_table
 
         def counting_init(self, graph):
-            builds.append(graph)
+            builds.append(graph.n_edges)
             init(self, graph)
 
+        def counting_table(self):
+            if self._rank_table is None:
+                tables.append(self.n_edges)
+            return table(self)
+
         monkeypatch.setattr(CographicMatroid, "__init__", counting_init)
+        monkeypatch.setattr(CographicMatroid, "rank_table", counting_table)
         on_input = {"bridges": 0, "contract_edges": 0}
         for name, fn in [("bridges", bridges), ("contract_edges", contract_edges)]:
             def counted(h, *args, _fn=fn, _name=name):
@@ -991,7 +996,11 @@ class TestAnalyze:
                     monkeypatch.setattr(module, name, counted)
         rep = analyze(g)
         assert rep.c == 6 and rep.core.n_edges == 19
-        assert len(builds) == 2  # the core, and the reduced-graph recheck
+        # the core (its bridge check), its two blocks (18 edges and the
+        # loop), and the reduced graph's one block for the recheck; a table
+        # for each block, none for the core as a whole
+        assert builds == [19, 18, 1, 18]
+        assert tables == [18, 1, 18]
         assert on_input == {"bridges": 1, "contract_edges": 1}
 
     def test_agrees_with_public_wrappers(self):

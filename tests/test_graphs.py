@@ -23,7 +23,9 @@ from modgraph import (
     valences,
 )
 from modgraph.graphs import (
+    _components,
     _cycle_columns,
+    _ends,
     _forest,
     _kruskal,
     _reduce,
@@ -694,3 +696,60 @@ class TestCycleColumns:
         assert _cycle_columns((), 2) is None
         assert _cycle_columns(((0, 0), (1, 1)), 2) is None
         assert _cycle_columns((), 1) == []  # edgeless but connected
+
+
+class TestComponents:
+    """`_components` of the cycle columns against a circuit oracle: edges
+    i != j share a matroid component exactly when some circuit holds both
+    (Oxley, "Matroid Theory", 2nd ed., Prop. 4.1.2).  The circuits are
+    those of the graphic matroid, which has the cographic matroid's
+    components: minimal sets whose cut vectors are dependent."""
+
+    @staticmethod
+    def circuit_classes(g):
+        e = g.n_edges
+        cuts = [(1 << a) ^ (1 << b) for a, b in _ends(g)]
+        rank = [gf2_rank([cuts[i] for i in range(e) if mask >> i & 1])
+                for mask in range(1 << e)]
+        together = [[i == j for j in range(e)] for i in range(e)]
+        for mask in range(1, 1 << e):
+            size = mask.bit_count()
+            members = [i for i in range(e) if mask >> i & 1]
+            if rank[mask] == size - 1 and all(
+                    rank[mask ^ (1 << i)] == size - 1 for i in members):
+                for i in members:
+                    for j in members:
+                        together[i][j] = True
+        return together
+
+    def test_matches_circuit_oracle(self):
+        rng = random.Random(41)
+        graphs = [random_connected_multigraph(rng, 6, 9) for _ in range(150)]
+        # two triangles at a cut vertex, with a loop, a digon and a bridge
+        graphs.append(parse_graph("0 1\n1 2\n2 0\n0 3\n3 4\n4 0\n"
+                                  "4 4\n4 5\n5 6\n5 6"))
+        seen = {"loop": 0, "parallel": 0, "bridge": 0, "separable": 0}
+        for g in graphs:
+            classes = _components(_cycle_columns(_ends(g), g.n_vertices))
+            assert sorted(i for ids in classes for i in ids) == list(
+                range(g.n_edges))
+            assert classes == sorted(classes)
+            assert all(list(ids) == sorted(ids) for ids in classes)
+            label = {i: k for k, ids in enumerate(classes) for i in ids}
+            together = self.circuit_classes(g)
+            for i in range(g.n_edges):
+                for j in range(g.n_edges):
+                    assert (label[i] == label[j]) == together[i][j], (
+                        g.edges, i, j)
+            seen["loop"] += any(g.is_loop(k) for k in range(g.n_edges))
+            seen["parallel"] += len(set(g.edges)) < g.n_edges
+            seen["bridge"] += bool(bridges(g))
+            seen["separable"] += sum(len(ids) > 1 for ids in classes) > 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_loops_and_zero_columns_stand_alone(self):
+        assert _components([]) == []
+        assert _components([0, 0]) == [(0,), (1,)]
+        # bits 0 and 1 meet only through column 2, which comes last
+        assert _components([1, 2, 0, 4, 3]) == [(0, 1, 4), (2,), (3,)]
+

@@ -327,6 +327,61 @@ class TestDetContract:
         det = psi_det(cycle_form(g, fundamental_cycle_basis(g)))
         assert str(det) == "x0*x1*x2 + x0*x1*x3 + x0*x1*x4"
 
+    @staticmethod
+    def direct_sum(forms):
+        """The block-diagonal form of `forms`, its rows in reverse order."""
+        nvars = sum(form.nvars for form in forms)
+        rows, offset = [], 0
+        for form in forms:
+            rows += [(0,) * offset + row + (0,) * (nvars - offset - form.nvars)
+                     for row in form.cycles]
+            offset += form.nvars
+        return CycleForm(nvars, tuple(rows[::-1]))
+
+    def test_direct_sum_is_the_product(self):
+        # theta + K4 + a loop, glued at vertex 0 for the tree route
+        parts = [theta_graph(), complete_graph(4), parse_graph("0 0")]
+        forms = [cycle_form(g, fundamental_cycle_basis(g)) for g in parts]
+        product, offset = [0], 0
+        for form in forms:
+            product = [a | b << offset for a in product
+                       for b in psi_det(form).terms()]
+            offset += form.nvars
+        det = psi_det(self.direct_sum(forms))
+        assert det == KirchhoffPolynomial(10, product)
+        assert len(det.terms()) == 3 * 16
+        at = {0: 0, 1: 2, 2: 3, 3: 4}  # K4 meets theta at vertex 0
+        k4 = [(at[a], at[b]) for a, b in complete_graph(4).edges]
+        glued = parse_graph("\n".join(
+            f"{a} {b}" for a, b in [(0, 1)] * 3 + k4 + [(0, 0)]))
+        assert det == psi_trees(glued)
+
+    def test_not_totally_unimodular_part_of_a_direct_sum(self):
+        theta, loop = (cycle_form(g, fundamental_cycle_basis(g))
+                       for g in (theta_graph(), parse_graph("0 0")))
+        bad = CycleForm(2, ((1, 1), (1, -1)))  # a minor of -2
+        assert psi_det(self.direct_sum([theta, loop, theta])).terms()
+        with pytest.raises(PolynomialError,
+                           match="^cycle matrix is not totally unimodular$"):
+            psi_det(self.direct_sum([theta, loop, bad, theta]))
+
+    def test_one_psi_det_call_per_route_call(self, monkeypatch):
+        import modgraph.kirchhoff
+
+        calls = []
+        det = modgraph.kirchhoff.psi_det
+
+        def counted(form):
+            calls.append(form)
+            return det(form)
+
+        monkeypatch.setattr(modgraph.kirchhoff, "psi_det", counted)
+        for g in (dense_core_graph(), cap_graph(),
+                  parse_graph("0 0\n1 1\n0 1\n0 1\n1 2\n2 0")):
+            calls.clear()
+            psi_from_graph(g)
+            assert len(calls) == 1
+
 
 def _evaluate(psi, point):
     return math.fsum(math.prod(point[i] for i in support)

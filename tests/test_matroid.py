@@ -28,8 +28,11 @@ import numpy as np
 from modgraph.graphs import GraphError, _ends, bridges, component_count
 from modgraph.matroid import (
     CertificateError,
+    _blocks,
     _densities,
     _rank_tables,
+    _sum_density,
+    _sum_witness,
     _union,
 )
 from modgraph.selftest import (
@@ -428,6 +431,69 @@ class TestWitness:
         report = analyze(g).to_json_dict()
         assert report["certificate"]["witness"][0] == "4/3"
         assert json.loads(json.dumps(report)) == report
+
+
+def separable_cores(seed, count):
+    """Bridgeless cores of 2-3 random bridgeless pieces, each glued at one
+    vertex to a random vertex of the pieces before it, with the edge ids
+    shuffled so that every block's ids interleave with the others'."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        edges, n = [], 1
+        for _ in range(rng.randint(2, 3)):
+            piece = random_bridgeless_multigraph(rng, 4, 6, 10**9)
+            glue = rng.randrange(n)
+            index = {v: n + i - 1 if i else glue
+                     for i, (v, _) in enumerate(piece.vertices)}
+            edges += [(index[a], index[b]) for a, b in piece.edges]
+            n += piece.n_vertices - 1
+        rng.shuffle(edges)
+        yield graph(n, edges)
+
+
+class TestDirectSum:
+    """The certificate from one table per block equals the one from the
+    whole core's table."""
+
+    def check(self, g):
+        blocks = _blocks(g)
+        whole = CographicMatroid(g)
+        cert = _sum_witness(blocks)
+        assert cert == build_witness(whole), g.edges
+        assert _sum_density(blocks) == density(whole)
+        assert in_scaled_polytope(whole, cert.witness, cert.m)
+        return blocks
+
+    def test_random_separable_cores(self):
+        mixed = interleaved = 0
+        for g in separable_cores(97, 120):
+            assert not bridges(g)
+            blocks = self.check(g)
+            assert len(blocks) > 1
+            mixed += len({density(matroid).m for _, matroid in blocks}) > 1
+            interleaved += [i for ids, _ in blocks for i in ids] != list(
+                range(g.n_edges))
+        assert mixed >= 60 and interleaved >= 60
+
+    def test_named_cores(self):
+        for g in (double_triangle_graph(), cap_core_graph(),
+                  dense_core_graph()):
+            self.check(g)
+
+    def test_one_block_is_its_own_matroid(self):
+        for g in (k5_graph(), theta_graph(), make_ngon(4)):
+            [(ids, matroid)] = _blocks(g)
+            assert ids == tuple(range(g.n_edges)) and matroid.graph is g
+
+    def test_blocks_renumber_their_vertices(self):
+        # two triangles at vertex 2, a loop at 4: blocks in edge-id order
+        g = graph(5, [(2, 3), (0, 1), (3, 4), (1, 2), (4, 4), (2, 0),
+                      (4, 2)])
+        assert [(ids, m.graph.edges) for ids, m in _blocks(g)] == [
+            ((0, 2, 6), ((0, 1), (1, 2), (2, 0))),
+            ((1, 3, 5), ((0, 1), (1, 2), (2, 0))),
+            ((4,), ((0, 0),)),
+        ]
 
 
 def polytope_by_subsets(g, w, t):
