@@ -124,8 +124,8 @@ def _core(g: Multigraph, bridge_ids) -> _Core:
     return _Core(core, edge_map, _sum_witness(_blocks(core)))
 
 
-def _contract_to_optimal(g: Multigraph,
-                         cert) -> tuple[frozenset[int], Multigraph]:
+def _contract_to_optimal(g: Multigraph, cert: DensityCertificate
+                         ) -> tuple[frozenset[int], Multigraph]:
     """optimal_contraction of g, given its density certificate."""
     contracted = frozenset(range(g.n_edges)) - cert.t0
     loops = frozenset(e for e in contracted if g.is_loop(e))

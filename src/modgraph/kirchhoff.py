@@ -218,12 +218,12 @@ def psi_det(form: CycleForm) -> KirchhoffPolynomial:
         base |= 1 << keep.pop(int(np.flatnonzero(sub[:, i])[0]))
         del rows[i]
     mat = cols[np.ix_(keep, rows)]
-    nonzero = mat != 0
+    weights = [1 << r for r in range(len(rows))]
     masks = [base]
-    for ids in _components([sum(1 << r for r in np.flatnonzero(row).tolist())
-                            for row in nonzero]):
-        ids = list(ids)
-        part = mat[np.ix_(ids, np.flatnonzero(nonzero[ids].any(axis=0)))]
+    for ids in _components([sum(itertools.compress(weights, col))
+                            for col in mat.tolist()]):
+        part = mat[list(ids)]
+        part = part[:, part.any(axis=0)]
         if part.size:
             masks = [a | b for b in _minors(part, [keep[i] for i in ids])
                      for a in masks]
