@@ -343,8 +343,8 @@ def _sum_witness(blocks) -> DensityCertificate:
     witness: dict[int, Fraction] = {}
     for ids, matroid in blocks:
         witness.update(zip(ids, _witness(matroid, cert.m)))
-    return DensityCertificate(m=cert.m, t0=cert.t0,
-                              witness=tuple(x for _, x in sorted(witness.items())))
+    return DensityCertificate(m=cert.m, t0=cert.t0, witness=tuple(
+        witness[i] for i in range(len(witness))))
 
 
 def _witness(matroid: CographicMatroid, m: Fraction) -> tuple[Fraction, ...]:

@@ -231,8 +231,10 @@ def criterion_5_witness_certificates() -> tuple[bool, str]:
     table per block (`threshold`) on the corpus and the cap and dense
     cores, each checked against the whole graph's polytope."""
     corpus = corpus_graphs()
-    cores = [("cap_core", cap_core_graph()), ("dense_core", dense_core_graph())]
-    certs = [(name, g, build_witness(CographicMatroid(g))) for name, g in corpus]
+    cores = [("cap_core", cap_core_graph()),
+             ("dense_core", dense_core_graph())]
+    certs = [(name, g, build_witness(CographicMatroid(g)))
+             for name, g in corpus]
     certs += [(f"{name} by blocks", g, threshold(g)[1])
               for name, g in corpus + cores]
     for name, g, cert in certs:
