@@ -2,10 +2,10 @@
 
 The threshold c of a connected graph is the maximal density of the
 cographic matroid of its bridgeless core, certified by a maximizing edge
-set and a polytope witness, both from one rank table per block of the
-core.  Every graph contracts onto an "optimal" one with e/b equal to the
-same threshold; the contraction is read off the maximal density-attaining
-set and rechecked exactly.
+set and a polytope witness (`matroid.build_witness`, which scans the
+core's blocks one at a time).  Every graph contracts onto an "optimal"
+one with e/b equal to the same threshold; the contraction is read off the
+maximal density-attaining set and rechecked exactly.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ from .graphs import (
 from .kirchhoff import KirchhoffPolynomial, psi_from_graph
 from .matroid import (
     CertificateError,
+    CographicMatroid,
     DensityCertificate,
     MatroidError,
-    _blocks,
     _densities,
     _rank_tables,
     _stack_rows,
     _subset_sums,
-    _sum_density,
-    _sum_witness,
+    build_witness,
+    density,
 )
 
 SEARCH_MAX_EDGES = 15
@@ -105,14 +105,13 @@ def optimal_contraction(g: Multigraph) -> tuple[frozenset[int], Multigraph]:
     (same threshold, threshold = edge count / Betti number) is recomputed
     from scratch and a failure raises CertificateError.
     """
-    return _contract_to_optimal(g, _sum_density(_blocks(g)))
+    return _contract_to_optimal(g, density(CographicMatroid(g)))
 
 
 @dataclass(frozen=True)
 class _Core:
     """One graph's bridgeless core, its input-to-core edge map and its
-    threshold certificate in core edge ids, from one rank table per block
-    of the core."""
+    threshold certificate (`build_witness`) in core edge ids."""
 
     graph: Multigraph
     edge_map: dict[int, int]
@@ -121,7 +120,7 @@ class _Core:
 
 def _core(g: Multigraph, bridge_ids) -> _Core:
     core, edge_map = contract_edges(g, bridge_ids)
-    return _Core(core, edge_map, _sum_witness(_blocks(core)))
+    return _Core(core, edge_map, build_witness(CographicMatroid(core)))
 
 
 def _contract_to_optimal(g: Multigraph, cert: DensityCertificate
@@ -139,10 +138,10 @@ def _contract_to_optimal(g: Multigraph, cert: DensityCertificate
     if betti(reduced) != len(cert.t0) - component_count(g, cert.t0) + 1:
         raise CertificateError("contraction changed the matroid rank of T0")
     try:
-        blocks = _blocks(reduced)
+        matroid = CographicMatroid(reduced)
     except MatroidError:
         raise CertificateError("optimal contraction produced a bridge") from None
-    c_bar = _sum_density(blocks).m
+    c_bar = density(matroid).m
     if c_bar != cert.m:
         raise CertificateError(
             f"threshold changed under contraction: {cert.m} -> {c_bar}"

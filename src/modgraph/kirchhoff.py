@@ -13,8 +13,9 @@ the two is a standing cross-check used throughout the package.
   batched integer elimination decides it in int8 without overflow: every
   intermediate entry is itself a minor divided by a minor of +-1.
   C splits into the block-diagonal parts that its own nonzero pattern
-  shows, and the polynomial is the product of the parts'.  It never
-  enumerates spanning trees and never takes a GF(2) rank.
+  shows (a loop is a part of one entry, a bridge an empty part), and the
+  polynomial is the product of the parts'.  It never enumerates spanning
+  trees and never takes a GF(2) rank.
 
 Either way the polynomial is a sum of distinct squarefree monomials with
 coefficient 1, so `KirchhoffPolynomial` holds one bit mask per monomial;
@@ -178,16 +179,15 @@ def psi_det(form: CycleForm) -> KirchhoffPolynomial:
     X = diag(x), so det = sum over b-subsets S of the columns of
     det(C_S)^2 x^S (Kirchhoff's theorem; Bogner & Weinzierl, "Feynman graph
     polynomials", arXiv:1002.3458).  C is taken from the form as an int8
-    array, one row per variable.  Zero columns (bridges) are dropped; a
-    column that is the only nonzero entry of some row (a loop, for one)
-    lies in every nonsingular S, so its variable is factored out and the
-    row and column deleted, repeatedly.  What is left splits into the
-    classes of columns whose row supports overlap (`graphs._components`
-    reads only the supports): over them C is block diagonal, so det(C_S)
-    is nonzero exactly when S meets each part in a nonsingular subset of
-    its rows' count, and the polynomial is the product of the parts'
-    polynomials in disjoint variables.  Each part's subsets are decided
-    by `_minors`, in batches of int8 elimination (`_nonsingular`): a
+    array, one row per variable; a zero row makes every det(C_S) zero.
+    The columns split into the classes whose row supports overlap
+    (`graphs._components` reads only the supports): over them C is block
+    diagonal, so det(C_S) is nonzero exactly when S meets each part in a
+    nonsingular subset of its rows' count, and the polynomial is the
+    product of the parts' polynomials in disjoint variables.  A loop is a
+    1 x 1 part, so its variable divides every term, and a zero column (a
+    bridge) is an empty part.  Each part's subsets are decided by
+    `_minors`, in batches of int8 elimination (`_nonsingular`): a
     separable 20-edge core of parts with 18 and 2 edges takes
     C(18, 9) + 2 subsets instead of C(20, 10).
 
@@ -202,31 +202,17 @@ def psi_det(form: CycleForm) -> KirchhoffPolynomial:
     nvars = form.nvars
     if form.size == 0:
         return KirchhoffPolynomial(nvars, (0,))
-    cols = np.ascontiguousarray(np.array(form.cycles, dtype=np.int8).T)
-    keep = [v for v in range(nvars) if cols[v].any()]
-    rows = list(range(form.size))
-    base = 0  # the factored variables
-    while rows:
-        sub = cols[np.ix_(keep, rows)] != 0
-        counts = sub.sum(axis=0)
-        if not counts.all():
-            return KirchhoffPolynomial(nvars, ())
-        single = np.flatnonzero(counts == 1)
-        if not single.size:
-            break
-        i = single[0]
-        base |= 1 << keep.pop(int(np.flatnonzero(sub[:, i])[0]))
-        del rows[i]
-    mat = cols[np.ix_(keep, rows)]
-    weights = [1 << r for r in range(len(rows))]
-    masks = [base]
+    cols = np.array(form.cycles, dtype=np.int8).T
+    if not cols.any(axis=0).all():
+        return KirchhoffPolynomial(nvars, ())
+    weights = [1 << r for r in range(form.size)]
+    masks = [0]
     for ids in _components([sum(itertools.compress(weights, col))
-                            for col in mat.tolist()]):
-        part = mat[list(ids)]
+                            for col in cols.tolist()]):
+        part = cols[list(ids)]
         part = part[:, part.any(axis=0)]
         if part.size:
-            masks = [a | b for b in _minors(part, [keep[i] for i in ids])
-                     for a in masks]
+            masks = [a | b for b in _minors(part, ids) for a in masks]
     return KirchhoffPolynomial(nvars, masks)
 
 

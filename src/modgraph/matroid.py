@@ -7,10 +7,9 @@ the witness, the greedy vertex on the least-slack prefix chain, are
 exhaustive scans over all 2^e edge bitmasks, capped at 20 edges.  Each
 scan is an exact integer numpy kernel.
 The matroid of a graph is the direct sum of its blocks' matroids
-(`_blocks`), so the threshold's certificate (`_sum_witness`) runs every
-scan per block, over one table of 2^e_i masks for each block's e_i edges;
-the cap still holds on the whole ground set, and a graph of one block is
-scanned whole, as `build_witness` scans any matroid.
+(`_blocks`), so `density` and `build_witness` run every scan per block,
+over one table of 2^e_i masks for each block's e_i edges; the cap still
+holds on the whole ground set, and a graph of one block is scanned whole.
 Rank tables come from one stacked kernel over graphs with one vertex and
 edge count: a matroid's table is its one-row case, and the search builds
 every table in stacks of at most STACK_ENTRIES entries (`_stack_rows`).
@@ -95,6 +94,7 @@ class CographicMatroid:
         self.n_edges = graph.n_edges
         self._ends = _ends(graph)
         self._rank_table: np.ndarray | None = None
+        self._parts: list | None = None  # the block copies, from `_blocks`
 
     def corank(self, subset) -> int:
         """Matroid rank of an edge subset: |S| - (components(G - S) - 1)."""
@@ -130,29 +130,35 @@ def _check_ground_set(n_edges: int):
         raise MatroidError("empty ground set")
 
 
-def _blocks(g: Multigraph) -> list[tuple[tuple[int, ...], CographicMatroid]]:
-    """The connected components of the cographic matroid of g, one per
-    block of g (`_components` of its cycle columns), by smallest edge id:
+def _blocks(matroid: CographicMatroid
+            ) -> list[tuple[tuple[int, ...], CographicMatroid]]:
+    """The connected components of a cographic matroid, one per block of
+    its graph (`_components` of its cycle columns), by smallest edge id:
     each block's edge ids, ascending, and the matroid of those edges on a
-    copy of g's block, its vertices renumbered in order of first use.
+    copy of the block, its vertices renumbered in order of first use.
+    Found once per matroid.
 
-    A g of one block is its own component and gets no copy.  The edge cap
-    holds on g's whole ground set, which no block's table would check.
+    A matroid of one block is its own component and gets no copy; it is
+    not stored on itself, so no reference cycle keeps its table alive.
+    The edge cap holds on the whole ground set, which no block's table
+    would check.
     """
-    matroid = CographicMatroid(g)
-    blocks = _components(_cycle_columns(matroid._ends, g.n_vertices))
-    if len(blocks) == 1:
-        return [(blocks[0], matroid)]
-    _check_ground_set(g.n_edges)
-    out = []
-    for ids in blocks:
-        index: dict[int, int] = {}
-        ends = tuple((index.setdefault(a, len(index)),
-                      index.setdefault(b, len(index)))
-                     for a, b in (matroid._ends[i] for i in ids))
-        block = Multigraph(tuple((v, 0) for v in range(len(index))), ends)
-        out.append((ids, CographicMatroid(block)))
-    return out
+    if matroid._parts is None:
+        ends = matroid._ends
+        blocks = _components(_cycle_columns(ends, matroid.graph.n_vertices))
+        parts = []
+        if len(blocks) > 1:
+            _check_ground_set(matroid.n_edges)
+            for ids in blocks:
+                index: dict[int, int] = {}
+                block = tuple((index.setdefault(a, len(index)),
+                               index.setdefault(b, len(index)))
+                              for a, b in (ends[i] for i in ids))
+                vertices = tuple((v, 0) for v in range(len(index)))
+                parts.append(
+                    (ids, CographicMatroid(Multigraph(vertices, block))))
+        matroid._parts = parts
+    return matroid._parts or [(tuple(range(matroid.n_edges)), matroid)]
 
 
 def _stack_rows(e: int) -> int:
@@ -225,15 +231,20 @@ def _union(selected: np.ndarray) -> np.ndarray:
 def density(matroid: CographicMatroid) -> DensityCertificate:
     """Maximal density m = max |S|/rk(S) and the union T0 of all maximizers.
 
-    Exhaustive scan over all nonempty subsets, the one-row case of
+    The matroid is the direct sum of its `_blocks`' matroids, so m is the
+    largest m of a block, since sum |S_i| / sum rk(S_i) <= max |S_i| /
+    rk(S_i), and T0 is the union of the T0 of the blocks that attain it
+    (Oxley, "Matroid Theory", 2nd ed., 2011, on direct sums).  Each block
+    is an exhaustive scan over its nonempty subsets, the one-row case of
     `_densities`; T0 attains the maximum by union closure of maximizers,
     which is rechecked there.
     """
-    e = matroid.n_edges
-    [(m, t0_mask)] = _densities(matroid.rank_table()[None])
-    return DensityCertificate(
-        m=m, t0=frozenset(i for i in range(e) if t0_mask >> i & 1)
-    )
+    blocks = _blocks(matroid)
+    found = [_densities(block.rank_table()[None])[0] for _, block in blocks]
+    m = max(m_i for m_i, _ in found)
+    return DensityCertificate(m=m, t0=frozenset(
+        i for (ids, _), (m_i, t0) in zip(blocks, found) if m_i == m
+        for k, i in enumerate(ids) if t0 >> k & 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,40 +322,18 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
 def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     """Constructive witness w >= 1 with w in m*P(M), certifying the threshold.
 
-    The greedy vertex of `_witness` at m = density(matroid), over the
-    matroid's whole table: the one-block case of `_sum_witness`.
-    """
-    return _sum_witness([(tuple(range(matroid.n_edges)), matroid)])
-
-
-def _sum_density(blocks) -> DensityCertificate:
-    """m and T0 of the direct sum of `_blocks`, in the whole ground set's
-    edge ids, from one density scan per block.
-
-    m is the largest m of a block, since sum |S_i| / sum rk(S_i) <= max
-    |S_i| / rk(S_i), and T0 is the union of the T0 of the blocks that
-    attain it (Oxley, "Matroid Theory", 2nd ed., 2011, on direct sums).
-    """
-    certs = [density(matroid) for _, matroid in blocks]
-    m = max(cert.m for cert in certs)
-    return DensityCertificate(m=m, t0=frozenset(
-        ids[i] for (ids, _), cert in zip(blocks, certs) if cert.m == m
-        for i in cert.t0))
-
-
-def _sum_witness(blocks) -> DensityCertificate:
-    """`_sum_density` with the witness: each block's `_witness` at the
+    m and T0 are `density`'s, and w is each block's `_witness` at that
     global m.  f(S) = m*rk(S) - |S| and its superset minimum g are sums
     over the blocks, so the greedy vertex along the whole prefix chain is
-    each block's along its induced edge order, and w lies in m*P(M),
-    the product of the blocks' m*P(M_i), when each part lies in its own.
+    each block's along its induced edge order, and w lies in m*P(M), the
+    product of the blocks' m*P(M_i), when each part lies in its own.
     """
-    cert = _sum_density(blocks)
+    cert = density(matroid)
     witness: dict[int, Fraction] = {}
-    for ids, matroid in blocks:
-        witness.update(zip(ids, _witness(matroid, cert.m)))
+    for ids, block in _blocks(matroid):
+        witness.update(zip(ids, _witness(block, cert.m)))
     return DensityCertificate(m=cert.m, t0=cert.t0, witness=tuple(
-        witness[i] for i in range(len(witness))))
+        witness[i] for i in range(matroid.n_edges)))
 
 
 def _witness(matroid: CographicMatroid, m: Fraction) -> tuple[Fraction, ...]:

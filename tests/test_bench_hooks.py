@@ -43,6 +43,35 @@ def test_tracer_installs_every_hook():
     ]
 
 
+ANALYZE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import modgraph.cli
+from modgraph.selftest import cap_core_graph
+import tracer
+t = tracer.Tracer()
+tracer.install(t)
+modgraph.convergence.analyze(cap_core_graph())
+names = ("matroid.build_witness", "matroid.density")
+print(json.dumps([[t.calls[name], t.self_s[name]] for name in names]))
+"""
+
+
+def test_tracer_sees_the_certificate_scans():
+    # analyze reaches the scans through the public density and
+    # build_witness, so the hooks on them time the certificate
+    src = os.path.dirname(os.path.dirname(modgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", ANALYZE, str(ROOT / "modbench")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (witness_calls, witness_s), (density_calls, _) = json.loads(proc.stdout)
+    assert witness_calls >= 1 and density_calls >= 1
+    assert witness_s > 0
+
+
 def test_tracer_counts_kirchhoff_terms():
     # the tracer's kirchhoff.psi.terms counter reads the polynomial's terms()
     spec = importlib.util.spec_from_file_location(

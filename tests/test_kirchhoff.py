@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -381,6 +382,91 @@ class TestDetContract:
             calls.clear()
             psi_from_graph(g)
             assert len(calls) == 1
+
+
+def _det(rows):
+    """Exact integer determinant of a square matrix, by Leibniz's formula
+    in Python ints."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(
+            row[j] for row, j in zip(rows, perm))
+    return total
+
+
+def _minors_of(rows, k):
+    """Every k x k minor of a matrix given by its rows."""
+    for r in itertools.combinations(rows, k):
+        for cols in itertools.combinations(range(len(rows[0])), k):
+            yield _det([[row[j] for j in cols] for row in r])
+
+
+class TestDetOracle:
+    """psi_det against Cauchy-Binet by brute force, on totally unimodular
+    forms that no graph has: a row whose one nonzero lies in a column that
+    meets other rows."""
+
+    @staticmethod
+    def random_forms(seed, count):
+        """Seeded forms with b <= 4 rows and nvars <= 7 whose every square
+        minor lies in {-1, 0, 1}; most have one row with a single nonzero
+        in a column that other rows share."""
+        rng = random.Random(seed)
+        while count:
+            b, nvars = rng.randint(1, 4), rng.randint(1, 7)
+            rows = [[rng.choice((0, 0, 1, -1)) for _ in range(nvars)]
+                    for _ in range(b)]
+            if b > 1 and rng.random() < 0.8:
+                r, j = rng.sample(range(b), 2), rng.randrange(nvars)
+                rows[r[0]] = [0] * nvars
+                rows[r[0]][j] = rng.choice((1, -1))
+                rows[r[1]][j] = rng.choice((1, -1))
+            if all(abs(d) <= 1 for k in range(1, min(b, nvars) + 1)
+                   for d in _minors_of(rows, k)):
+                count -= 1
+                yield CycleForm(nvars, tuple(map(tuple, rows)))
+
+    @staticmethod
+    def cauchy_binet(form):
+        """{mask of S: det(C_S)^2} over the b-subsets S of the columns with
+        det(C_S) != 0."""
+        out = {}
+        for cols in itertools.combinations(range(form.nvars), form.size):
+            d = _det([[row[j] for j in cols] for row in form.cycles])
+            if d:
+                out[sum(1 << j for j in cols)] = d * d
+        return out
+
+    @staticmethod
+    def singleton_shared(form):
+        """A row with one nonzero, whose column meets another row."""
+        for row in form.cycles:
+            support = [j for j, x in enumerate(row) if x]
+            if len(support) == 1 and sum(
+                    bool(other[support[0]]) for other in form.cycles) > 1:
+                return True
+        return False
+
+    def test_matches_cauchy_binet(self):
+        shared = 0
+        for form in self.random_forms(41, 200):
+            terms = self.cauchy_binet(form)
+            assert set(terms.values()) <= {1}
+            expected = KirchhoffPolynomial(form.nvars, tuple(terms))
+            assert psi_det(form) == expected
+            shared += self.singleton_shared(form)
+        assert shared >= 30
+
+    def test_not_totally_unimodular_behind_a_singleton_row(self):
+        # row 0 holds only column 0, which row 1 shares; rows 1..3 on
+        # columns 1..3 have determinant 2
+        form = CycleForm(4, ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 1),
+                             (0, 1, 0, 1)))
+        assert _det(form.cycles) == 2
+        with pytest.raises(PolynomialError,
+                           match="^cycle matrix is not totally unimodular$"):
+            psi_det(form)
 
 
 def _evaluate(psi, point):

@@ -28,12 +28,12 @@ import numpy as np
 from modgraph.graphs import GraphError, _ends, bridges, component_count
 from modgraph.matroid import (
     CertificateError,
+    DensityCertificate,
     _blocks,
     _densities,
     _rank_tables,
-    _sum_density,
-    _sum_witness,
     _union,
+    _witness,
 )
 from modgraph.selftest import (
     cap_core_graph,
@@ -452,17 +452,20 @@ def separable_cores(seed, count):
 
 
 class TestDirectSum:
-    """The certificate from one table per block equals the one from the
-    whole core's table."""
+    """`density` and `build_witness` split the matroid over its blocks;
+    their certificate equals the one-row scans of the whole matroid's
+    table."""
 
     def check(self, g):
-        blocks = _blocks(g)
         whole = CographicMatroid(g)
-        cert = _sum_witness(blocks)
-        assert cert == build_witness(whole), g.edges
-        assert _sum_density(blocks) == density(whole)
-        assert in_scaled_polytope(whole, cert.witness, cert.m)
-        return blocks
+        [(m, t0_mask)] = _densities(whole.rank_table()[None])
+        t0 = frozenset(i for i in range(g.n_edges) if t0_mask >> i & 1)
+        assert density(CographicMatroid(g)) == DensityCertificate(m, t0)
+        matroid = CographicMatroid(g)
+        cert = build_witness(matroid)
+        assert cert == DensityCertificate(m, t0, _witness(whole, m)), g.edges
+        assert in_scaled_polytope(whole, cert.witness, m)
+        return _blocks(matroid)
 
     def test_random_separable_cores(self):
         mixed = interleaved = 0
@@ -482,18 +485,47 @@ class TestDirectSum:
 
     def test_one_block_is_its_own_matroid(self):
         for g in (k5_graph(), theta_graph(), make_ngon(4)):
-            [(ids, matroid)] = _blocks(g)
-            assert ids == tuple(range(g.n_edges)) and matroid.graph is g
+            matroid = CographicMatroid(g)
+            [(ids, block)] = _blocks(matroid)
+            assert ids == tuple(range(g.n_edges)) and block is matroid
+
+    def test_blocks_found_once(self, monkeypatch):
+        # build_witness and the density it calls share one split: each of
+        # the dense core's two blocks is copied once
+        matroid = CographicMatroid(dense_core_graph())
+        builds = []
+        init = CographicMatroid.__init__
+
+        def counting_init(self, graph):
+            builds.append(graph.n_edges)
+            init(self, graph)
+
+        monkeypatch.setattr(CographicMatroid, "__init__", counting_init)
+        build_witness(matroid)
+        assert sorted(builds) == [2, 18]
+        assert _blocks(matroid) is _blocks(matroid)
 
     def test_blocks_renumber_their_vertices(self):
         # two triangles at vertex 2, a loop at 4: blocks in edge-id order
         g = graph(5, [(2, 3), (0, 1), (3, 4), (1, 2), (4, 4), (2, 0),
                       (4, 2)])
-        assert [(ids, m.graph.edges) for ids, m in _blocks(g)] == [
+        blocks = _blocks(CographicMatroid(g))
+        assert [(ids, m.graph.edges) for ids, m in blocks] == [
             ((0, 2, 6), ((0, 1), (1, 2), (2, 0))),
             ((1, 3, 5), ((0, 1), (1, 2), (2, 0))),
             ((4,), ((0, 0),)),
         ]
+
+    def test_edge_cap_on_the_whole_ground_set(self):
+        # the cap core and two more loops at vertex 0: 21 edges in blocks
+        # of 18, 1, 1 and 1, each under the cap
+        core = cap_core_graph()
+        g = Multigraph(core.vertices, core.edges + ((0, 0),) * 2)
+        message = (r"^ground set has 21 edges; exhaustive scans are capped "
+                   r"at 20 \(contract the graph first\)$")
+        for scan in (density, build_witness):
+            with pytest.raises(MatroidError, match=message):
+                scan(CographicMatroid(g))
 
 
 def polytope_by_subsets(g, w, t):
