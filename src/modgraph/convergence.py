@@ -46,7 +46,7 @@ SEARCH_MAX_EDGES = 15
 # Member entries (subspaces x nonzero members) of the largest table of
 # flats that the search's block pre-filter weighs: every table of genus
 # <= 7 fits (the largest, all 358,648 of GF(2)^7).  Rows whose table is
-# larger are decided on their rank tables.
+# larger skip the pre-filter, and the recheck decides them.
 FLAT_ENTRIES = 1 << 19
 # Entries of the flat kernel's largest array in a pre-filter chunk:
 # rows x max(2^b, flats of one rank).
@@ -93,7 +93,7 @@ def threshold(g: Multigraph) -> tuple[Fraction, DensityCertificate]:
         raise NoCyclesError(
             "every edge is a bridge (b = 0); the threshold is undefined"
         )
-    cert = _core(g, bridges(g)).certificate
+    *_, cert = _core(g, bridges(g))
     return cert.m, cert
 
 
@@ -108,19 +108,12 @@ def optimal_contraction(g: Multigraph) -> tuple[frozenset[int], Multigraph]:
     return _contract_to_optimal(g, density(CographicMatroid(g)))
 
 
-@dataclass(frozen=True)
-class _Core:
+def _core(g: Multigraph, bridge_ids
+          ) -> tuple[Multigraph, dict[int, int], DensityCertificate]:
     """One graph's bridgeless core, its input-to-core edge map and its
     threshold certificate (`build_witness`) in core edge ids."""
-
-    graph: Multigraph
-    edge_map: dict[int, int]
-    certificate: DensityCertificate
-
-
-def _core(g: Multigraph, bridge_ids) -> _Core:
     core, edge_map = contract_edges(g, bridge_ids)
-    return _Core(core, edge_map, build_witness(CographicMatroid(core)))
+    return core, edge_map, build_witness(CographicMatroid(core))
 
 
 def _contract_to_optimal(g: Multigraph, cert: DensityCertificate
@@ -259,29 +252,16 @@ def _flats_reach(cols: np.ndarray, b: int, target: Fraction,
     return reach
 
 
-def _ranks_reach(v: int, block, target: Fraction) -> np.ndarray:
-    """The same decision for any flat rank, on the rank tables of `block`
-    (edge lists on v vertices with e edges), `_stack_rows(e)` per stack: a
-    row passes when some nonempty mask S has rank(S) <= q|S| // p, a cap
-    worked out per size in Python ints (and at most |S|), so it is exact.
-    """
-    e = len(block[0])
-    p, q = target.numerator, target.denominator
-    cap = np.array([-1] + [min(q * s // p, s) for s in range(1, e + 1)],
-                   dtype=np.int8)[_subset_sums([1] * e, np.int8)]
-    n = _stack_rows(e)
-    return np.concatenate([(_rank_tables(v, block[i:i + n]) <= cap).any(axis=1)
-                           for i in range(0, len(block), n)])
-
-
 def _density_passes(v: int, e: int, target: Fraction, ks, candidates):
     """The edge lists of the bridgeless candidates (ends, cols) of layer
-    (v, e) under minimum valence 3 whose density reaches the target, in
-    order, decided a chunk at a time.  A chunk's loopless and looped rows
-    are decided apart, each kind with its own flat-rank bound k >= 1 from
-    the pair ks: by `_flats_reach` when the table of flats of rank <= k
-    holds at most FLAT_ENTRIES member entries, else by `_ranks_reach`.
-    The kernel's largest array holds at most FLAT_BLOCK entries, or one row.
+    (v, e) under minimum valence 3 that the pre-filter passes, in order,
+    decided a chunk at a time, each as (ends, decided).  A chunk's loopless
+    and looped rows are decided apart, each kind with its own flat-rank
+    bound k >= 1 from the pair ks, by `_flats_reach` when the table of
+    flats of rank <= k holds at most FLAT_ENTRIES member entries; the rows
+    of a kind whose table is larger pass undecided (decided False), for
+    `_recheck` to decide.  The kernel's largest array holds at most
+    FLAT_BLOCK entries, or one row.
     """
     b = e - v + 1
     kernel = [_flat_entries(b, k) <= FLAT_ENTRIES for k in ks]
@@ -291,13 +271,14 @@ def _density_passes(v: int, e: int, target: Fraction, ks, candidates):
     while chunk := list(itertools.islice(candidates, rows)):
         ends = [x for x, _ in chunk]
         loops = np.array([any(a == c for a, c in x) for x in ends])
-        reach = np.empty(len(chunk), dtype=bool)
-        for picked, k, flat in zip((~loops, loops), ks, kernel):
-            if kind := list(itertools.compress(chunk, picked)):
-                reach[picked] = (
-                    _flats_reach(np.array([c for _, c in kind]), b, target, k)
-                    if flat else _ranks_reach(v, [x for x, _ in kind], target))
-        yield from itertools.compress(ends, reach)
+        decided = np.where(loops, kernel[1], kernel[0])
+        reach = ~decided
+        for picked, k in zip((~loops, loops), ks):
+            if (picked := picked & decided).any():
+                kind = itertools.compress(chunk, picked)
+                reach[picked] = _flats_reach(np.array([c for _, c in kind]),
+                                             b, target, k)
+        yield from itertools.compress(zip(ends, decided.tolist()), reach)
 
 
 def _gen_edge_lists(v: int, e: int, min_valence: int = 3, *,
@@ -496,25 +477,38 @@ def _hit_keys(v: int, block, ranks: np.ndarray) -> list[tuple[bytes, int]]:
     return keys
 
 
-def _recheck(v: int, block,
-             target: Fraction) -> list[tuple[Fraction, tuple[bytes, int]]]:
-    """Exact density m and (hit key, tree count) of each density-filter
-    pass in `block`, edge lists on v vertices with one edge count, from one
-    stacked rank table.  An edge of rank 0 is a bridge, and raises as
-    CographicMatroid does; an m below the target means the pre-filter is
-    wrong.
+def _recheck(v: int, block, target: Fraction
+             ) -> list[tuple[tuple, Fraction, tuple[bytes, int]]]:
+    """(ends, exact density m, (hit key, tree count)) of each pre-filter
+    pass (ends, decided) in `block`, edge lists on v vertices with one edge
+    count, whose density reaches the target, from one stacked rank table.
+
+    A row reaches when some nonempty mask S has rank(S) <= q|S| // p, a cap
+    worked out per size in Python ints (and at most |S|), so it is exact.
+    An edge of rank 0 is a bridge, and raises as CographicMatroid does; a
+    row that the pre-filter decided and that does not reach means the
+    pre-filter is wrong.
     """
-    ranks = _rank_tables(v, block)
-    bridged = ranks[:, 1 << np.arange(len(block[0]))] == 0
+    ends = [x for x, _ in block]
+    e = len(ends[0])
+    ranks = _rank_tables(v, ends)
+    bridged = ranks[:, 1 << np.arange(e)] == 0
     if bridged.any():
         blocked = np.flatnonzero(bridged[bridged.any(axis=1)][0]).tolist()
         raise MatroidError(f"graph has bridges {blocked}; contract them first")
-    found = [m for m, _ in _densities(ranks)]
-    if min(found) < target:
+    p, q = target.numerator, target.denominator
+    cap = np.array([-1] + [min(q * s // p, s) for s in range(1, e + 1)],
+                   dtype=np.int8)[_subset_sums([1] * e, np.int8)]
+    reach = (ranks <= cap).any(axis=1)
+    if (~reach & [decided for _, decided in block]).any():
         raise CertificateError(
             "density pre-filter accepted a graph below the target"
         )
-    return list(zip(found, _hit_keys(v, block, ranks)))
+    ranks, ends = ranks[reach], list(itertools.compress(ends, reach))
+    if not ends:
+        return []
+    found = [m for m, _ in _densities(ranks)]
+    return list(zip(ends, found, _hit_keys(v, ends, ranks)))
 
 
 def search_divergent(
@@ -532,12 +526,14 @@ def search_divergent(
     flat once per layer (v, e), with and without a loop, and weighs every flat
     of rank <= k, the subspaces of GF(2)^b, for a block of candidates at a
     time (`_flats_reach`); this decides every layer of genus <= 7.  Rows
-    whose table of flats has more than FLAT_ENTRIES entries are decided on
-    their rank tables (`_ranks_reach`).  On a layer where k <= 1 with and
-    without a loop, only a series class of ceil(target) edges can reach
-    the target, so the generator drops every prefix that can no longer
-    grow one.  The passes of a layer are rechecked in generation order.
-    Every rank table is built in a stack of `matroid._stack_rows(e)` graphs.
+    whose table of flats has more than FLAT_ENTRIES entries skip the
+    pre-filter.  On a layer where k <= 1 with and without a loop, only a
+    series class of ceil(target) edges can reach the target, so the
+    generator drops every prefix that can no longer grow one.  The passes
+    of a layer are rechecked in generation order (`_recheck`), which
+    decides the skipped rows on the rank table it builds for every pass,
+    so no candidate's table is built twice.  Every rank table is built in
+    a stack of `matroid._stack_rows(e)` graphs.
     Hits are deduplicated by the cheap fingerprint (v, e, valence sequence,
     Kirchhoff monomial set) only, the first of a key kept, so isomorphic
     duplicates can survive; the monomial supports are the bases of the
@@ -567,7 +563,7 @@ def search_divergent(
         ))
         vertices = tuple((i, 0) for i in range(v))  # shared by the layer
         while block := list(itertools.islice(passers, _stack_rows(e))):
-            for ends, (m, (key, n)) in zip(block, _recheck(v, block, target)):
+            for ends, m, (key, n) in _recheck(v, block, target):
                 if key not in hits:
                     hits[key] = (Multigraph(vertices, ends), m, n)
     out = sorted(hits.items(), key=lambda kv: (-kv[1][1], kv[1][0].n_edges, kv[0]))
@@ -743,29 +739,28 @@ def analyze(g: Multigraph, with_probe: bool = False,
             graph=g, stable=stable, bridge_ids=bridge_ids, variant="no_cycles"
         )
     # First, so that a core over the edge cap fails before the Kirchhoff routes
-    core = _core(g, bridge_ids)
-    cert = core.certificate
+    core, edge_map, cert = _core(g, bridge_ids)
     det_route, tree_route = psi_from_graph(g)
     if det_route != tree_route:
         raise PsiMismatchError(
             "determinant and spanning-tree routes disagree on the Kirchhoff "
             "polynomial"
         )
-    contracted_core, gbar = _contract_to_optimal(core.graph, cert)
-    inv_map = {new: old for old, new in core.edge_map.items()}
+    contracted_core, gbar = _contract_to_optimal(core, cert)
+    inv_map = {new: old for old, new in edge_map.items()}
     contracted_original = tuple(sorted(inv_map[e] for e in contracted_core))
 
     probe_payload = None
     if with_probe:
-        probe_payload = _probe_payload(core.graph, cert.m, probe_seed)
+        probe_payload = _probe_payload(core, cert.m, probe_seed)
 
     return ConvergenceReport(
         graph=g,
         stable=stable,
         bridge_ids=bridge_ids,
         variant="threshold",
-        core=core.graph,
-        core_edge_map=tuple(sorted(core.edge_map.items())),
+        core=core,
+        core_edge_map=tuple(sorted(edge_map.items())),
         psi=tree_route,
         psi_routes_agree=True,
         c=cert.m,

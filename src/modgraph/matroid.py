@@ -8,8 +8,9 @@ exhaustive scans over all 2^e edge bitmasks, capped at 20 edges.  Each
 scan is an exact integer numpy kernel.
 The matroid of a graph is the direct sum of its blocks' matroids
 (`_blocks`), so `density` and `build_witness` run every scan per block,
-over one table of 2^e_i masks for each block's e_i edges; the cap still
-holds on the whole ground set, and a graph of one block is scanned whole.
+over one table of 2^e_i masks for each block's e_i edges, through one
+pass over one split (`_block_density`); the cap still holds on the whole
+ground set, and a graph of one block is scanned whole.
 Rank tables come from one stacked kernel over graphs with one vertex and
 edge count: a matroid's table is its one-row case, and the search builds
 every table in stacks of at most STACK_ENTRIES entries (`_stack_rows`).
@@ -94,7 +95,6 @@ class CographicMatroid:
         self.n_edges = graph.n_edges
         self._ends = _ends(graph)
         self._rank_table: np.ndarray | None = None
-        self._parts: list | None = None  # the block copies, from `_blocks`
 
     def corank(self, subset) -> int:
         """Matroid rank of an edge subset: |S| - (components(G - S) - 1)."""
@@ -136,29 +136,27 @@ def _blocks(matroid: CographicMatroid
     its graph (`_components` of its cycle columns), by smallest edge id:
     each block's edge ids, ascending, and the matroid of those edges on a
     copy of the block, its vertices renumbered in order of first use.
-    Found once per matroid.
+    Not cached: `build_witness` splits once and shares the split with
+    `_block_density`.
 
-    A matroid of one block is its own component and gets no copy; it is
-    not stored on itself, so no reference cycle keeps its table alive.
-    The edge cap holds on the whole ground set, which no block's table
-    would check.
+    A matroid of one block is its own component and gets no copy.  The
+    edge cap holds on the whole ground set, which no block's table would
+    check.
     """
-    if matroid._parts is None:
-        ends = matroid._ends
-        blocks = _components(_cycle_columns(ends, matroid.graph.n_vertices))
-        parts = []
-        if len(blocks) > 1:
-            _check_ground_set(matroid.n_edges)
-            for ids in blocks:
-                index: dict[int, int] = {}
-                block = tuple((index.setdefault(a, len(index)),
-                               index.setdefault(b, len(index)))
-                              for a, b in (ends[i] for i in ids))
-                vertices = tuple((v, 0) for v in range(len(index)))
-                parts.append(
-                    (ids, CographicMatroid(Multigraph(vertices, block))))
-        matroid._parts = parts
-    return matroid._parts or [(tuple(range(matroid.n_edges)), matroid)]
+    ends = matroid._ends
+    blocks = _components(_cycle_columns(ends, matroid.graph.n_vertices))
+    if len(blocks) == 1:
+        return [(blocks[0], matroid)]
+    _check_ground_set(matroid.n_edges)
+    parts = []
+    for ids in blocks:
+        index: dict[int, int] = {}
+        block = tuple((index.setdefault(a, len(index)),
+                       index.setdefault(b, len(index)))
+                      for a, b in (ends[i] for i in ids))
+        vertices = tuple((v, 0) for v in range(len(index)))
+        parts.append((ids, CographicMatroid(Multigraph(vertices, block))))
+    return parts
 
 
 def _stack_rows(e: int) -> int:
@@ -229,17 +227,21 @@ def _union(selected: np.ndarray) -> np.ndarray:
 
 
 def density(matroid: CographicMatroid) -> DensityCertificate:
-    """Maximal density m = max |S|/rk(S) and the union T0 of all maximizers.
+    """Maximal density m = max |S|/rk(S) and the union T0 of all maximizers,
+    from the matroid's `_blocks` (`_block_density`)."""
+    return _block_density(_blocks(matroid))
 
-    The matroid is the direct sum of its `_blocks`' matroids, so m is the
-    largest m of a block, since sum |S_i| / sum rk(S_i) <= max |S_i| /
-    rk(S_i), and T0 is the union of the T0 of the blocks that attain it
-    (Oxley, "Matroid Theory", 2nd ed., 2011, on direct sums).  Each block
-    is an exhaustive scan over its nonempty subsets, the one-row case of
-    `_densities`; T0 attains the maximum by union closure of maximizers,
-    which is rechecked there.
+
+def _block_density(blocks) -> DensityCertificate:
+    """`density` of the direct sum of `blocks`, (edge ids, matroid) pairs.
+
+    m is the largest m of a block, since sum |S_i| / sum rk(S_i) <= max
+    |S_i| / rk(S_i), and T0 is the union of the T0 of the blocks that
+    attain it (Oxley, "Matroid Theory", 2nd ed., 2011, on direct sums).
+    Each block is an exhaustive scan over its nonempty subsets, the
+    one-row case of `_densities`; T0 attains the maximum by union closure
+    of maximizers, which is rechecked there.
     """
-    blocks = _blocks(matroid)
     found = [_densities(block.rank_table()[None])[0] for _, block in blocks]
     m = max(m_i for m_i, _ in found)
     return DensityCertificate(m=m, t0=frozenset(
@@ -322,15 +324,17 @@ def in_scaled_polytope(matroid: CographicMatroid, w, t) -> bool:
 def build_witness(matroid: CographicMatroid) -> DensityCertificate:
     """Constructive witness w >= 1 with w in m*P(M), certifying the threshold.
 
-    m and T0 are `density`'s, and w is each block's `_witness` at that
+    m and T0 are `density`'s, read from one split into `_blocks` that
+    `_block_density` shares, and w is each block's `_witness` at that
     global m.  f(S) = m*rk(S) - |S| and its superset minimum g are sums
     over the blocks, so the greedy vertex along the whole prefix chain is
     each block's along its induced edge order, and w lies in m*P(M), the
     product of the blocks' m*P(M_i), when each part lies in its own.
     """
-    cert = density(matroid)
+    blocks = _blocks(matroid)
+    cert = _block_density(blocks)
     witness: dict[int, Fraction] = {}
-    for ids, block in _blocks(matroid):
+    for ids, block in blocks:
         witness.update(zip(ids, _witness(block, cert.m)))
     return DensityCertificate(m=cert.m, t0=cert.t0, witness=tuple(
         witness[i] for i in range(matroid.n_edges)))

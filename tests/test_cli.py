@@ -72,6 +72,25 @@ class TestAnalyze:
         assert out[0].startswith("input,vertices,edges")
         assert out[1].split(",")[7] == "3"  # c column
 
+    def test_csv_rows_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        # the doubled hexagon with a pendant bridge: its 9-edge core
+        # contracts its 6 doubled sides; then a tree's no_cycles row
+        from modgraph import make_doubled_2ngon
+
+        edges = make_doubled_2ngon(3).edges + ((0, 6),)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hexagon.txt").write_text(
+            "".join(f"{a} {b}\n" for a, b in edges))
+        (tmp_path / "tree.txt").write_text(TREE_TEXT)
+        assert main(["analyze", "hexagon.txt", "tree.txt",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "input,vertices,edges,betti,genus,stable,variant,c,c_decimal,"
+            "core_edges,core_betti,contracted_edges,psi_terms\n"
+            "hexagon.txt,7,10,4,4,false,threshold,3,3.000000,9,4,6,36\n"
+            "tree.txt,3,2,0,0,false,no_cycles,,,0,0,0,0\n"
+        )
+
     def test_csv_with_probe_exits_1_before_analysis(self, files, capsys,
                                                     monkeypatch):
         import modgraph.cli as cli

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -382,15 +383,23 @@ def _exact_densities(v, lists) -> dict:
     return out
 
 
+def _rechecked(v, t, passes):
+    """The edge lists among the pre-filter passes (ends, decided) on v
+    vertices whose density `_recheck` finds to reach t, in stacks of 64."""
+    return [ends for at in range(0, len(passes), 64)
+            for ends, _, _ in _recheck(v, passes[at:at + 64], t)]
+
+
 def _decided(v, e, t, cands):
-    """The passes of `_density_passes` over the candidates (ends, cols) of
-    layer (v, e): by its default deciders, and by the rank tables alone."""
+    """The search's decision over the candidates (ends, cols) of layer
+    (v, e): the passes of `_density_passes` by its default deciders, and
+    the recheck's decision when every row skips the pre-filter."""
     ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
-    default = list(_density_passes(v, e, t, ks, iter(cands)))
+    default = [ends for ends, _ in _density_passes(v, e, t, ks, iter(cands))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
-        tables = list(_density_passes(v, e, t, ks, iter(cands)))
-    return default, tables
+        passes = list(_density_passes(v, e, t, ks, iter(cands)))
+    return default, _rechecked(v, t, passes)
 
 
 def _canonical_form(ends, v):
@@ -407,7 +416,8 @@ def _canonical_form(ends, v):
 
 
 class TestDensityDecision:
-    """`_density_passes` against the exact density, on both deciders."""
+    """The search's density decision against the exact density, by the
+    pre-filter and by the recheck."""
 
     def test_matches_exhaustive_density(self):
         # the search pre-filter must agree with the exact density scan
@@ -449,16 +459,16 @@ class TestDensityDecision:
 
     @staticmethod
     def _by_rank_tables(g, t):
-        """`_density_passes` on g by the rank tables, which need no flat-rank
-        bound and so no minimum valence."""
+        """The search's decision on g by the recheck's rank tables, which
+        need no flat-rank bound and so no minimum valence."""
         ends = _ends(g)
         cols = _cycle_columns(ends, g.n_vertices)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
             v, e = g.n_vertices, g.n_edges
             ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
-            return list(_density_passes(v, e, t, ks,
-                                        iter([(ends, cols)]))) == [ends]
+            passes = list(_density_passes(v, e, t, ks, iter([(ends, cols)])))
+        return _rechecked(v, t, passes) == [ends]
 
     def test_matches_without_valence_assumption(self):
         rng = random.Random(73)
@@ -601,8 +611,8 @@ class TestFlatKernel:
                                     assert got[r] == brute[r], (cols, k, t)
                         passes = _density_passes(e - b + 1, e, t, pair,
                                                  zip(ends, block))
-                        assert (list(passes)
-                                == list(itertools.compress(ends, brute)))
+                        assert list(passes) == [
+                            (x, True) for x in itertools.compress(ends, brute)]
                         decided.update(brute)
         assert decided == {False, True}
 
@@ -657,8 +667,8 @@ class TestFlatKernel:
     def test_genus_7_and_8_layers(self, v, e, kernel):
         # the first 2,000 bridgeless candidates of the genus-7 layer (6, 12),
         # which the kernel decides at bounds 2 and 4, and of the genus-8
-        # layer (5, 12), whose looped rows go to the rank tables (k = 3,
-        # 712,725 table entries)
+        # layer (5, 12), whose looped rows skip the pre-filter (k = 3,
+        # 712,725 table entries) and are decided by the recheck
         t = Fraction(3)
         b = e - v + 1
         ks = [_flat_rank_bound(v, e, t, loop) for loop in (False, True)]
@@ -675,7 +685,10 @@ class TestFlatKernel:
             if density(CographicMatroid(g)).m >= t:
                 want.append(ends)
         assert 0 < len(want) < len(cands)
-        assert list(_density_passes(v, e, t, ks, iter(cands))) == want
+        passes = list(_density_passes(v, e, t, ks, iter(cands)))
+        assert all(decided == (kernel or all(a != c for a, c in ends))
+                   for ends, decided in passes)
+        assert _rechecked(v, t, passes) == want
 
     @pytest.mark.parametrize("block", [1, 100, 1000, 1 << 16])
     def test_passes_in_order_across_chunks(self, monkeypatch, block):
@@ -849,7 +862,7 @@ class TestSearch:
 
 class TestSearchBlocks:
     """Every rank table of the search is built in a stack of
-    `matroid._stack_rows(e)` graphs: the pre-filter's and the recheck's."""
+    `matroid._stack_rows(e)` graphs, the recheck's, once per edge list."""
 
     @staticmethod
     def _search(args):
@@ -859,8 +872,8 @@ class TestSearchBlocks:
 
     @pytest.mark.parametrize("args", [(5, 11, 3), (4, 9, 2)])
     def test_block_size_leaves_output_unchanged(self, monkeypatch, args):
-        # every pre-filter decision on the rank tables, one graph per
-        # stack, then one stack per call
+        # every density decision by the recheck, one graph per stack, then
+        # one stack per call
         default = self._search(args)
         monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES", 0)
         for entries in (1, 1 << 30):
@@ -870,38 +883,46 @@ class TestSearchBlocks:
     @pytest.mark.parametrize("entries", [None, 1 << 9])
     def test_blocks_bounded_by_the_cap(self, monkeypatch, entries):
         # the kernel decides the rows of (5, 11, 3) whose flat rank is <= 2
-        # and the rank tables the rest; each stack of the rank tables or of
-        # the recheck holds at most STACK_ENTRIES table entries, or one row
-        # (at 2^9 entries, every rank-table row of e >= 10 edges alone)
+        # and the recheck the rest; each stack of the recheck holds at most
+        # STACK_ENTRIES table entries, or one row (at 2^9 entries, every
+        # row of e >= 10 edges alone)
         if entries is not None:
             monkeypatch.setattr(modgraph.matroid, "STACK_ENTRIES", entries)
         monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES",
                             _flat_entries(5, 2))
         cap = modgraph.matroid.STACK_ENTRIES
         build = modgraph.convergence._rank_tables
-        decide = modgraph.convergence._ranks_reach
-        rows = {"prefilter": [], "recheck": []}
-        caller = ["recheck"]
+        rows = []
 
         def bounded(n, stack):
             ranks = build(n, stack)
             assert len(stack) * ranks.shape[1] <= cap or len(stack) == 1
-            rows[caller[0]].append(len(stack))
+            rows.append(len(stack))
             return ranks
 
-        def prefilter(*args):
-            caller[0] = "prefilter"
-            try:
-                return decide(*args)
-            finally:
-                caller[0] = "recheck"
-
         monkeypatch.setattr(modgraph.convergence, "_rank_tables", bounded)
-        monkeypatch.setattr(modgraph.convergence, "_ranks_reach", prefilter)
         hits = search_divergent(5, 11, 3)
-        assert len(hits) == 470 and sum(rows["recheck"]) >= len(hits)
-        assert max(rows["recheck"]) > 1
-        assert max(rows["prefilter"]) > 1 or entries is not None
+        assert len(hits) == 470 and sum(rows) >= len(hits)
+        assert max(rows) > 1
+
+    def test_rank_table_built_once_per_edge_list(self, monkeypatch):
+        # the rows of (5, 11, 3) that skip the pre-filter are decided on
+        # the recheck's stacks: no edge list reaches `_rank_tables` twice,
+        # and every stack holds at most STACK_ENTRIES entries, or one row
+        monkeypatch.setattr(modgraph.convergence, "FLAT_ENTRIES",
+                            _flat_entries(5, 2))
+        cap = modgraph.matroid.STACK_ENTRIES
+        build = modgraph.convergence._rank_tables
+        seen = collections.Counter()
+
+        def counted(n, stack):
+            assert len(stack) << len(stack[0]) <= cap or len(stack) == 1
+            seen.update(stack)
+            return build(n, stack)
+
+        monkeypatch.setattr(modgraph.convergence, "_rank_tables", counted)
+        assert len(search_divergent(5, 11, 3)) == 470
+        assert len(seen) > 470 and max(seen.values()) == 1
 
     @pytest.mark.parametrize("block", [None, 1 << 16])
     def test_prefilter_chunks_bounded_by_the_budget(self, monkeypatch, block):
@@ -946,10 +967,23 @@ class TestSearchBlocks:
     def test_bridged_edge_list_raises(self):
         square = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))  # a 4-cycle + chord
         digons = ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3))  # edge 2 a bridge
-        [(m, _)] = _recheck(4, [square], Fraction(1))
-        assert m == Fraction(5, 2)
+        [(ends, m, _)] = _recheck(4, [(square, True)], Fraction(1))
+        assert ends == square and m == Fraction(5, 2)
         with pytest.raises(MatroidError, match=r"bridges \[2\]"):
-            _recheck(4, [square, digons], Fraction(1))
+            _recheck(4, [(square, True), (digons, False)], Fraction(1))
+
+    def test_recheck_drops_only_undecided_rows(self):
+        # density 5/2 (a 4-cycle with a chord) and 4 (a 4-cycle with a
+        # loop) at target 3: an undecided row below the target is dropped,
+        # one the pre-filter passed raises
+        square = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+        looped = ((0, 0), (0, 1), (0, 3), (1, 2), (2, 3))
+        t = Fraction(3)
+        kept = _recheck(4, [(square, False), (looped, False)], t)
+        assert [(ends, m) for ends, m, _ in kept] == [(looped, Fraction(4))]
+        assert _recheck(4, [(square, False)], t) == []
+        with pytest.raises(CertificateError, match="below the target"):
+            _recheck(4, [(looped, False), (square, True)], t)
 
 
 def graphs_with_bridges(seed, count):

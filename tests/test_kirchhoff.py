@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from modgraph import (
+    CycleBasis,
     CycleForm,
     KirchhoffPolynomial,
     Multigraph,
@@ -105,6 +106,19 @@ class TestCycleForm:
     def test_short_row_rejected(self):
         with pytest.raises(PolynomialError, match="row length 1 != nvars 2"):
             CycleForm(2, ((1, 0), (1,)))
+
+    def test_basis_of_another_graph_rejected(self):
+        # the theta's two rows on the triangle's three edges (b = 1)
+        p3 = parse_graph("0 1\n1 2\n2 0")
+        with pytest.raises(PolynomialError, match="does not match"):
+            cycle_form(p3, fundamental_cycle_basis(theta_graph()))
+
+    def test_basis_with_short_row_rejected(self):
+        g = theta_graph()
+        basis = fundamental_cycle_basis(g)
+        short = CycleBasis((basis.cycles[0], basis.cycles[1][:-1]), basis.tree)
+        with pytest.raises(PolynomialError, match="row length 2 != nvars 3"):
+            cycle_form(g, short)
 
     @pytest.mark.parametrize("cycles", [(), ((),)])
     def test_negative_nvars_rejected(self, cycles):
