@@ -30,7 +30,12 @@ exponents, and analyze --probe takes c and c + 1/2 from one pass.  Tensor
 quadrature builds its Gauss-Legendre rule once per probe and evaluates the
 grid from its per-axis coordinates in blocks of at most BLOCK_POINTS
 points (one leading-axis row when a row is larger), for all exponents at
-once; its memory is one full-grid buffer per exponent (see _gl_region).
+once, and sums each exponent's values block by block along numpy's
+pairwise tree (see _gl_region, _PairwiseSum).  Memory is a few buffers of
+one block, whatever the samples or rule: one Monte Carlo block holds at
+most BLOCK_POINTS coordinates or one stratum, and the buffers (_Scratch)
+are allocated once per truncated_J or model_integral call and reused by
+every block of every region.
 """
 
 from __future__ import annotations
@@ -47,15 +52,17 @@ from .kirchhoff import psi_trees
 
 PROBE_MAX_EDGES = 6
 # 100x the default; at this ceiling a stratum holds at most 46,296 points
-# (3 dimensions, 216 strata), so one stratum always fits in a block
+# (3 dimensions, 216 strata) and 205,760 coordinates (41,152 points in 5
+# dimensions); in every dimension a stratum then takes a block of its own
 MAX_SAMPLES = 10_000_000
-# points per integrand call, Monte Carlo or quadrature (at least one
-# quadrature row); bounds the temporaries whatever the samples or rule
+# points per quadrature block (at least one row) and coordinates per Monte
+# Carlo block (at least one stratum); bounds every block-sized buffer,
+# whatever the samples or rule
 BLOCK_POINTS = 1 << 16
 QUADRATURE_MAX_EDGES = 4
 # Gauss-Legendre nodes per axis of the probe's quadrature: 32^4 = 1 million
-# points in blocks of BLOCK_POINTS, one 8.4 MB full-grid buffer per exponent
-# (model_integral's 48 nodes: 5.3 million points, one-row blocks, 42 MB)
+# points in blocks of BLOCK_POINTS, 0.5 MB per block buffer (model_integral's
+# 48 nodes: 5.3 million points in one-row blocks of 48^3, 0.9 MB per buffer)
 QUADRATURE_NODES = 32
 DEFAULT_SEED = 53771
 DEFAULT_GRID = (
@@ -144,7 +151,103 @@ def _verdict_json(verdict: GrowthVerdict) -> dict:
     }
 
 
-def _integrand(supports, s_values, usum: np.ndarray, ys, reduce) -> list:
+class _Scratch(dict):
+    """Float64 buffers by name, shared by the blocks and regions of one
+    truncated_J or model_integral call and written with out=, so no
+    block-sized array is allocated per block.  Each region's kernel sets
+    room, a bound on the points of its blocks; a buffer is allocated for
+    room points at its first use, and room is largest in a call's first
+    region (the regions of a quadrature share one grid, and a Monte Carlo
+    probe's first region draws the most points per stratum), so each
+    buffer is allocated once per call."""
+
+    room = 0
+
+    def take(self, name: str, points: int, width: int = 1) -> np.ndarray:
+        """The first points * width values of the buffer called name."""
+        buf = self.get(name)
+        if buf is None or buf.size < points * width:
+            buf = self[name] = np.empty(max(points, self.room) * width)
+        return buf[:points * width]
+
+
+def _fold(op, factors, buf: np.ndarray) -> np.ndarray:
+    """((f_0 op f_1) op f_2) op ... over factors of one ndim that
+    broadcast; a lone factor is returned as it is.  Each step that has the
+    result's shape is written into a prefix of buf, in place after the
+    first, so factors of one shape (a Monte Carlo block's) form no array;
+    the steps before, over a quadrature grid's sparse axes, form arrays
+    one axis short of it."""
+    acc, *rest = factors
+    if not rest:
+        return acc
+    shape = tuple(map(max, *(f.shape for f in factors)))
+    out = buf[:math.prod(shape)].reshape(shape)
+    for factor in rest:
+        step = tuple(map(max, acc.shape, factor.shape))
+        acc = op(acc, factor, out=out if step == shape else None)
+    return acc
+
+
+def _half(n: int) -> int:
+    # where numpy's pairwise sum splits n > 128 values: a multiple of 8
+    h = n // 2
+    return h - h % 8
+
+
+class _PairwiseSum:
+    """float(np.sum(a)) of a float64 array a of m values, taken from
+    consecutive parts of a, each added as it is produced.
+
+    numpy sums a contiguous float64 array pairwise (pairwise_sum in its
+    loops_utils.h.src): at most 128 values in eight interleaved lanes, more
+    split at _half(n) into two halves summed alike.  Each node of that tree
+    that lies within one part is summed there with np.sum, which runs the
+    same tree on it; a node of at most 128 values that spans parts gathers
+    them in a 128-value buffer.  total adds the node sums along the tree,
+    so the m values are never held at once.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.start = 0  # the index in a of the next part's first value
+        self.sums = {}  # (offset, length) of a node -> its sum
+        self.carry = np.empty(min(m, 128))
+
+    def add(self, part: np.ndarray) -> None:
+        self._visit(0, self.m, part)
+        self.start += part.size
+
+    def _visit(self, off: int, n: int, part: np.ndarray) -> None:
+        start = self.start
+        end = start + part.size
+        if off + n <= start or end <= off:
+            return
+        if start <= off and off + n <= end:
+            self.sums[off, n] = np.sum(part[off - start:off - start + n])
+        elif n <= 128:
+            lo, hi = max(off, start), min(off + n, end)
+            self.carry[lo - off:hi - off] = part[lo - start:hi - start]
+            if off + n <= end:
+                self.sums[off, n] = np.sum(self.carry[:n])
+        else:
+            h = _half(n)
+            self._visit(off, h, part)
+            self._visit(off + h, n - h, part)
+
+    def _node(self, off: int, n: int):
+        s = self.sums.get((off, n))
+        if s is None:
+            h = _half(n)
+            s = self._node(off, h) + self._node(off + h, n - h)
+        return s
+
+    def total(self) -> float:
+        return float(self._node(0, self.m))
+
+
+def _integrand(supports, s_values, usum: np.ndarray, ys, scratch: _Scratch,
+               reduce) -> list:
     """reduce(f) for each s in s_values, in order, where
     f(u) = exp(sum u) * psi(exp(u))^(-s) on the log-coordinate box.
 
@@ -152,32 +255,39 @@ def _integrand(supports, s_values, usum: np.ndarray, ys, reduce) -> list:
     exp(u_d) per variable, each broadcasting to the points (flattened in C
     order), so the quadrature grid never materialises its coordinates.
     Each psi term is multiplied out over its support in the order of a
-    row-wise np.prod.  psi and exp(sum u) are computed once for all
-    exponents; each f is reduced before the next is formed, so one f block
-    is live at a time, and the last f is formed in psi's place.
+    row-wise np.prod.  psi, the term products, exp(sum u) and each f are
+    written into scratch buffers of usum's length: psi and exp(sum u) once
+    for all exponents, then each f is reduced before the next is formed,
+    in the term products' buffer and the last in psi's place.
     """
-    vals = np.empty(np.broadcast_shapes(*(y.shape for y in ys)))
-    for i, (first, *rest) in enumerate(supports):
-        term = ys[first]
-        for col in rest:
-            term = term * ys[col]
+    size = usum.shape[0]
+    psi = scratch.take("psi", size)
+    vals = psi.reshape(np.broadcast_shapes(*(y.shape for y in ys)))
+    terms = (scratch.take("term", size) if max(map(len, supports)) > 1
+             else None)
+    for i, support in enumerate(supports):
+        term = _fold(np.multiply, [ys[d] for d in support], terms)
         if i:
             vals += term
         else:  # copied, not aliased: a one-factor term is a view of ys
             np.copyto(vals, term)
-    vals = vals.reshape(usum.shape)
-    if np.any(vals <= 0):
+    if psi.min() <= 0:
         raise RuntimeError(
             "Kirchhoff polynomial evaluated non-positive on the positive "
             "orthant; impossible for a connected bridgeless graph"
         )
-    eu = np.exp(usum)
-    out = [reduce(eu * vals ** (-s)) for s in s_values[:-1]]
-    # in place, the same float operations as eu * vals ** (-s)
-    vals **= -s_values[-1]
-    vals *= eu
-    del eu
-    out.append(reduce(vals))
+    eu = np.exp(usum, out=scratch.take("exp", size))
+    out = []
+    for s in s_values[:-1]:
+        f = scratch.take("term", size)  # the term products are done with
+        np.copyto(f, psi)
+        # the operator, so numpy picks the power kernel of psi ** (-s)
+        f **= -s
+        f *= eu
+        out.append(reduce(f))
+    psi **= -s_values[-1]
+    psi *= eu
+    out.append(reduce(psi))
     return out
 
 
@@ -242,7 +352,8 @@ class _StreamWords:
         return self.words
 
 
-def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
+def _mc_region(supports, s_values, lo, hi, samples, seed, region_index,
+               scratch=None):
     """Stratified Monte Carlo estimates of one log-coordinate box, one
     (estimate, standard error) pair per exponent in s_values.
 
@@ -250,21 +361,23 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
     SeedSequence(seed, spawn_key=(region_index, stratum)), so the estimate
     is reproducible for a given seed regardless of evaluation order or
     worker count; each stratum's PCG64 seeds itself from its _stream_states
-    words.  Strata are evaluated in blocks of at most BLOCK_POINTS points,
-    one integrand call per block for all exponents.  Each stratum draws its
-    (per, dim) rows of the block's point-major buffer, which is mapped to
-    its cells as cell_lo + span * r, the operations of Generator.uniform,
-    into a variable-major (dim, count, per) array, one row of points per
+    words.  Strata are evaluated in blocks of at most BLOCK_POINTS
+    coordinates (points times dim) or one stratum, one integrand call per
+    block for all exponents.  Each stratum draws its (per, dim) rows of the
+    block's point-major buffer, which is mapped to its cells as
+    cell_lo + span * r, the operations of Generator.uniform, into a
+    variable-major (dim, count, per) buffer, one row of points per
     variable, whose rows are added left to right as numpy's row sum of the
-    points does.  Each stratum's mean and variance (numpy's mean and
-    var(ddof=1)) enter each exponent's totals in stratum order, so the
+    points does.  Both buffers and the integrand's are scratch ones,
+    reused by every block.  Each stratum's mean and variance (numpy's mean
+    and var(ddof=1)) enter each exponent's totals in stratum order, so the
     result does not depend on the block size or on the other exponents.
     """
     dim = len(lo)
     splits = _strata_per_axis(dim)
     n_strata = splits**dim
     per = max(2, samples // n_strata)
-    block = max(1, BLOCK_POINTS // per)
+    block = max(1, BLOCK_POINTS // (per * dim))  # strata, by coordinates
     lo = np.asarray(lo, dtype=float)
     widths = (np.asarray(hi, dtype=float) - lo) / splits
     # digit d of a stratum's index in base `splits` is its cell along axis d
@@ -274,6 +387,10 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
     vols = span.prod(axis=0)  # rows multiplied left to right, as math.prod
     words = np.ascontiguousarray(_stream_states(seed, region_index, range(n_strata)).T)
     means, variances = np.empty((2, len(s_values), n_strata))
+    scratch = _Scratch() if scratch is None else scratch
+    # no block has more points: BLOCK_POINTS // dim or one stratum, at most
+    # all of them; it grows with per, so the first region's is the largest
+    scratch.room = min(n_strata * per, max(per, BLOCK_POINTS // dim))
 
     def moments(f):  # numpy's mean and var(ddof=1) of each stratum; overwrites f
         f = f.reshape(-1, per)
@@ -283,18 +400,20 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
 
     for first in range(0, n_strata, block):
         count = min(block, n_strata - first)
-        u = np.empty((count, per, dim))
+        points = count * per
+        u = scratch.take("draws", points, dim).reshape(count, per, dim)
         part = slice(first, first + count)
         for row, out in zip(words[part], u):
             np.random.Generator(np.random.PCG64(_StreamWords(row))).random(out=out)
-        ys = np.multiply(u.transpose(2, 0, 1), span[:, part, None], order="C")
+        ys = scratch.take("ys", points, dim).reshape(dim, count, per)
+        np.multiply(u.transpose(2, 0, 1), span[:, part, None], out=ys)
         ys += cell_lo[:, part, None]
-        usum = ys[0].copy()
+        usum = scratch.take("usum", points).reshape(count, per)
+        np.copyto(usum, ys[0])
         for d in range(1, dim):
             usum += ys[d]
         np.exp(ys, out=ys)
-        stats = _integrand(supports, s_values, usum.ravel(), ys, moments)
-        del u, ys, usum  # freed before the next block's are formed
+        stats = _integrand(supports, s_values, usum.ravel(), ys, scratch, moments)
         means[:, part], variances[:, part] = zip(*stats)
     # accumulate adds in stratum order, where np.sum would add pairwise
     totals = np.add.accumulate(vols * means, axis=1)[:, -1]
@@ -302,7 +421,7 @@ def _mc_region(supports, s_values, lo, hi, samples, seed, region_index):
     return list(zip(totals.tolist(), errs.tolist()))
 
 
-def _gl_region(supports, s_values, lo, hi, rule):
+def _gl_region(supports, s_values, lo, hi, rule, scratch=None):
     """Tensor Gauss-Legendre estimates of one log-coordinate box, one
     (estimate, 0.0) pair per exponent in s_values, from rule = (x, w), the
     nodes and weights of leggauss on [-1, 1].
@@ -312,8 +431,11 @@ def _gl_region(supports, s_values, lo, hi, rule):
     exponents.  Each block slices the per-axis arrays: the coordinate sum
     is broadcast as ((u_0 + u_1) + u_2) + ..., the left-to-right order of a
     row sum, and exp runs once per axis node rather than once per point.
-    Each exponent's weighted values fill one full-grid buffer, summed once
-    at the end, so the result does not depend on the block size.
+    Each block's weighted values of each exponent are added to that
+    exponent's _PairwiseSum, so the estimate is float(np.sum) of the grid's
+    values, bit for bit, whatever the block size, and every array is of a
+    block's size or less: the scratch buffers of the coordinate sum, the
+    weight products and the integrand's.
     """
     dim = len(lo)
     x, w = rule
@@ -330,20 +452,20 @@ def _gl_region(supports, s_values, lo, hi, rule):
     n = len(x)
     row = n ** (dim - 1)
     rows = max(1, BLOCK_POINTS // row)
-    bufs = [np.empty(n * row) for _ in s_values]
+    scratch = _Scratch() if scratch is None else scratch
+    scratch.room = min(rows, n) * row
+    sums = [_PairwiseSum(n * row) for _ in s_values]
     for first in range(0, n, rows):
         part = slice(first, first + rows)
-        usum = grid[0][part]
-        for g in grid[1:]:
-            usum = usum + g
-        wprod = wgrid[0][part]
-        for g in wgrid[1:]:
-            wprod = wprod * g
-        wprod = wprod.ravel()
-        outs = iter([b[first * row : (first + rows) * row] for b in bufs])
+        points = min(rows, n - first) * row
+        usum = _fold(np.add, [grid[0][part], *grid[1:]],
+                     scratch.take("usum", points))
+        wprod = _fold(np.multiply, [wgrid[0][part], *wgrid[1:]],
+                      scratch.take("wprod", points)).ravel()
+        adds = iter(sums)
         _integrand(supports, s_values, usum.ravel(), [ys[0][part], *ys[1:]],
-                   lambda f: np.multiply(f, wprod, out=next(outs)))
-    return [(float(np.sum(b)), 0.0) for b in bufs]
+                   scratch, lambda f: next(adds).add(np.multiply(f, wprod, out=f)))
+    return [(part_sums.total(), 0.0) for part_sums in sums]
 
 
 def _shell_slabs(inner: float, outer: float, dim: int):
@@ -408,14 +530,16 @@ def truncated_J(g: Multigraph, cfg: ProbeConfig, *,
     # per exponent, the estimate and variance of each grid index's shell
     pieces = [[0.0] * len(logs) for _ in exponents]
     piece_vars = [[0.0] * len(logs) for _ in exponents]
+    scratch = _Scratch()
     # an overflow is reported below as a non-finite verdict, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         for ridx, (lo, hi) in enumerate(regions):
             if cfg.method == "monte_carlo":
                 n = cfg.samples if shell_of[ridx] == 0 else max(1000, cfg.samples // e)
-                ests = _mc_region(supports, exponents, lo, hi, n, cfg.seed, ridx)
+                ests = _mc_region(supports, exponents, lo, hi, n, cfg.seed, ridx,
+                                  scratch)
             else:
-                ests = _gl_region(supports, exponents, lo, hi, rule)
+                ests = _gl_region(supports, exponents, lo, hi, rule, scratch)
             for piece, piece_var, (est, err) in zip(pieces, piece_vars, ests):
                 piece[shell_of[ridx]] += est
                 piece_var[shell_of[ridx]] += err * err

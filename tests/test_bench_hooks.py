@@ -81,3 +81,30 @@ def test_tracer_counts_kirchhoff_terms():
     g = k4_graph()
     det = psi_det(cycle_form(g, fundamental_cycle_basis(g)))
     assert tracer._terms((), det) == tracer._terms((), psi_trees(g)) == 16
+
+
+POINTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import modgraph.cli
+from modgraph.probe import ProbeConfig, truncated_J
+from modgraph.selftest import k4_graph
+import tracer
+t = tracer.Tracer()
+tracer.install(t)
+truncated_J(k4_graph(), ProbeConfig(s=2.5))
+print(json.dumps(t.counters["probe.points"]))
+"""
+
+
+def test_tracer_counts_probe_points():
+    # the probe.points counter reads the point count off the integrand's
+    # third argument, so a change to its arguments shows here
+    src = os.path.dirname(os.path.dirname(modgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", POINTS, str(ROOT / "modbench")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == 388_557

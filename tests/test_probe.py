@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from dataclasses import replace
@@ -24,6 +25,7 @@ from modgraph.probe import (
     PROBE_MAX_EDGES,
     GrowthVerdict,
     _gl_region,
+    _PairwiseSum,
     _stream_states,
 )
 from modgraph.kirchhoff import psi_trees
@@ -668,7 +670,7 @@ class TestBlocks:
     def _record(monkeypatch):
         sizes = []
 
-        def integrand(supports, s_values, usum, ys, reduce):
+        def integrand(supports, s_values, usum, ys, scratch, reduce):
             sizes.append(usum.shape[0])
             return [reduce(np.ones(usum.shape[0])) for _ in s_values]
 
@@ -709,9 +711,10 @@ class TestBlocks:
         # every point's weight lands in the buffers: the weights sum to 1
         assert [est for est, _ in ests] == [pytest.approx(1.0, rel=1e-12)] * 2
 
-    def test_quadrature_memory_is_one_grid_buffer(self):
-        # 48^4 points: one float64 buffer is 42 MB; the grid itself, or a
-        # second full-grid temporary, would take the peak past twice that
+    def test_quadrature_memory_is_a_few_rows(self):
+        # 48^4 points in one-row blocks of 48^3: the coordinate sum, the
+        # weight products, psi and exp(sum u) take a row each; one
+        # full-grid buffer alone (42 MB) would be eight times the bound
         supports = psi_trees(make_ngon(4)).supports()
         rule = np.polynomial.legendre.leggauss(48)  # model_integral's rule
         tracemalloc.start()
@@ -720,14 +723,17 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 48**4 * 8
+        assert peak < 6 * 48**3 * 8
 
     @pytest.mark.parametrize("dim, graph", [(1, None), (3, theta_graph),
-                                            (6, k4_graph)])
+                                            (5, None), (6, k4_graph)])
     def test_monte_carlo_memory_is_a_few_blocks(self, dim, graph):
-        # the point buffer and the variable-major block are dim block-sized
-        # arrays each, the integrand's temporaries a few more; one buffer of
-        # the region's points (480 MB at dim 6) would be far past the bound
+        # a block holds at most BLOCK_POINTS coordinates or one stratum
+        # (205,760 coordinates at dim 5, the largest); its draws and its
+        # variable-major copy take one such buffer each, its coordinate
+        # sum, psi, exp(sum u) and the term products (then f) at most
+        # BLOCK_POINTS values each.  Blocks of four dim-6 strata, as the
+        # old point bound allowed, are past it.
         supports = psi_trees(graph()).supports() if graph else [(0,)]
         tracemalloc.start()
         try:
@@ -736,7 +742,63 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (2 * dim + 6) * BLOCK_POINTS * 8
+        per = MAX_SAMPLES // probe._strata_per_axis(dim) ** dim
+        coords = max(BLOCK_POINTS, per * dim)
+        assert peak < (2 * coords + 6 * BLOCK_POINTS) * 8
+
+    @pytest.mark.parametrize("graph, method", [
+        (k4_graph, "monte_carlo"), (lambda: make_ngon(4), "tensor_quadrature")])
+    def test_buffers_allocated_once_per_call(self, monkeypatch, graph, method):
+        # K4's shells hold more points per block than its first region
+        # (10,912 against 10,823), yet reuse the first region's buffers
+        allocated = []
+
+        class Scratch(probe._Scratch):
+            def __setitem__(self, name, buf):
+                allocated.append(name)
+                super().__setitem__(name, buf)
+
+        monkeypatch.setattr(probe, "_Scratch", Scratch)
+        truncated_J(graph(), ProbeConfig(s=2.5, method=method),
+                    s_values=(2.5, 3.0))
+        assert len(allocated) == len(set(allocated)) >= 5
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would keep a region's block arrays alive until the
+        # collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            for method in ("monte_carlo", "tensor_quadrature"):
+                truncated_J(theta_graph(), ProbeConfig(s=2.0, method=method,
+                                                       samples=2000))
+            analyze(k4_graph(), with_probe=True)
+            model_integral(2, "sum", 2.5, math.exp(4.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("m", [1, 7, 8, 127, 128, 129, 2**16 - 1,
+                                   2**16 + 1, 3 * 48**3, 10**6 + 3])
+    def test_equals_numpy_sum(self, m):
+        # three arrays fed at once, each in parts of its own random sizes:
+        # runs of a few values (a 128-value node spans several), and runs
+        # past BLOCK_POINTS
+        rng = np.random.default_rng(m)
+        arrays = [rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 6, m)
+                  for _ in range(3)]
+        sums = [_PairwiseSum(m) for _ in arrays]
+        starts = [0] * len(arrays)
+        while any(start < m for start in starts):
+            for i, a in enumerate(arrays):
+                if starts[i] < m:
+                    cap = 200 if rng.random() < 0.5 else 1 << 17
+                    end = min(m, starts[i] + int(rng.integers(1, cap)))
+                    sums[i].add(a[starts[i]:end].copy())
+                    starts[i] = end
+        assert [s.total() for s in sums] == [float(np.sum(a)) for a in arrays]
 
 
 class TestSValues:
